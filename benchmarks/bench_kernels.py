@@ -1,9 +1,10 @@
 """Benchmark the numba rollout kernels against the pure-numpy fallback.
 
 Runs each bundled scenario with every kernel that is installed and
-reports the best wall time over a few repeats.  When both kernels ran
-(numba imports), it also reports the speedup and the worst
-command-level disagreement between the two.
+reports the best wall time over a few repeats, in seconds and in
+microseconds per integration step.  When both kernels ran (numba
+imports), it also reports the speedup and the worst command-level
+disagreement between the two.
 
 Usage::
 
@@ -20,7 +21,7 @@ from rigidflock.scenario import bundled_scenario_path, load_scenario
 
 SCENARIOS = ("pentagon_flock", "pentagon_intercept")
 KERNELS = ("jit", "numpy") if kernels.HAS_NUMBA else ("numpy",)
-LABELS = {"jit": "numba [s]", "numpy": "numpy [s]"}
+LABELS = {"jit": "numba", "numpy": "numpy"}
 
 
 def bench_scenario(name, repeats, duration):
@@ -60,7 +61,7 @@ def main(argv=None):
     if not kernels.HAS_NUMBA:
         print("numba is not installed: timing the numpy kernel only")
     header = f"{'scenario':<20} {'steps':>8}" + "".join(
-        f" {LABELS[k]:>10}" for k in KERNELS)
+        f" {LABELS[k] + ' [s]':>10} {'[us/step]':>9}" for k in KERNELS)
     if kernels.HAS_NUMBA:
         header += f" {'speedup':>8} {'parity':>9}"
     print(header)
@@ -69,7 +70,8 @@ def main(argv=None):
         steps, results, parity = bench_scenario(name, args.repeats,
                                                 args.duration)
         line = f"{name:<20} {steps:>8d}" + "".join(
-            f" {results[k]:>10.4f}" for k in KERNELS)
+            f" {results[k]:>10.4f} {1e6 * results[k] / steps:>9.1f}"
+            for k in KERNELS)
         if parity is not None:
             line += (f" {results['numpy'] / results['jit']:>7.1f}x "
                      f"{parity:>9.1e}")

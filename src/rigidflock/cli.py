@@ -100,7 +100,6 @@ def write_metrics_csv(log: TrajectoryLog, edges, path) -> None:
         header += [f"vt_err_{i}" for i in range(1, n + 1)]
         header += [f"et_err_{i}" for i in range(1, n + 1)]
         header += ["e_t_norm_m", "shape_dist_m", "hull_contains"]
-        inside = engine.hull_containment(log)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -115,7 +114,7 @@ def write_metrics_csv(log: TrajectoryLog, edges, path) -> None:
                 row += [_fmt(v) for v in log.v_t_err[r]]
                 row += [_fmt(v) for v in log.e_t_err[r]]
                 row += [_fmt(log.e_t_norm[r]), _fmt(log.shape_dist[r]),
-                        str(int(inside[r]))]
+                        str(int(log.hull_inside[r]))]
             w.writerow(row)
 
 

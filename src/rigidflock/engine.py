@@ -281,6 +281,7 @@ class TrajectoryLog:
     e_t_norm: np.ndarray | None = None
     v_t_err: np.ndarray | None = None
     e_t_err: np.ndarray | None = None
+    hull_inside: np.ndarray | None = None
 
     @property
     def rows(self) -> int:
@@ -394,6 +395,7 @@ def run(config: RunConfig, force_kernel: str | None = None) -> TrajectoryLog:
         log.v_t_err = np.sqrt(np.einsum("rij,rij->ri", dv, dv))
         de = out_ethat - e_t[:, None, :]
         log.e_t_err = np.sqrt(np.einsum("rij,rij->ri", de, de))
+        log.hull_inside = hull_containment(log)
     return log
 
 
@@ -438,9 +440,8 @@ def metrics(log: TrajectoryLog, settle_time_s: float | None = None) -> dict:
         out[f"max_e_t_norm_{tag}"] = float(log.e_t_norm[mask].max())
         out[f"max_vt_estimation_error_{tag}"] = float(log.v_t_err[mask].max())
         out[f"max_et_estimation_error_{tag}"] = float(log.e_t_err[mask].max())
-        inside = hull_containment(log)
-        out["hull_contains_final"] = bool(inside[-1])
-        out[f"hull_contains_always_{tag}"] = bool(inside[mask].all())
+        out["hull_contains_final"] = bool(log.hull_inside[-1])
+        out[f"hull_contains_always_{tag}"] = bool(log.hull_inside[mask].all())
     return out
 
 

@@ -1,4 +1,4 @@
-"""Hot rollout kernels: numba-compiled loops with a vectorized numpy twin.
+"""Hot rollout kernels: numba-compiled loops and one vectorized numpy law.
 
 The env flag ``RIGIDFLOCK_NUMBA`` picks the default path ("0" disables
 the compiled kernels, anything else or unset enables them when numba
@@ -215,111 +215,6 @@ def _flock_rollout_loops(pose, est, edges, d2, bflag, v0_seq,
 
 
 # ---------------------------------------------------------------------------
-# flocking, vectorized numpy twin
-# ---------------------------------------------------------------------------
-
-def flock_eval(pose, est, v0, edges, d2, bflag,
-               k_a, c, alpha, anchor_sign, smooth_eps):
-    """One synchronous evaluation of the flocking loop, vectorized.
-
-    Returns (rate, u, theta_id, theta_err, v, omega, udot); does not
-    mutate its inputs.
-    """
-    n = pose.shape[0]
-    i = edges[:, 0]
-    j = edges[:, 1]
-    pij = pose[i, :2] - pose[j, :2]
-    z = np.einsum("ij,ij->i", pij, pij) - d2
-    fz = pij * z[:, None]
-    grad = np.zeros((n, 2))
-    np.add.at(grad, i, fz)
-    np.subtract.at(grad, j, fz)
-    dis = est[i] - est[j]
-    arg = np.zeros((n, 2))
-    np.add.at(arg, i, dis)
-    np.subtract.at(arg, j, dis)
-    flagged = bflag != 0.0
-    arg[flagged] += anchor_sign * (est[flagged] - v0[None, :])
-    ct = np.cos(pose[:, 2])
-    st = np.sin(pose[:, 2])
-    bx = ct * arg[:, 0] + st * arg[:, 1]
-    by = -st * arg[:, 0] + ct * arg[:, 1]
-    if smooth_eps > 0.0:
-        sx = np.clip(bx / smooth_eps, -1.0, 1.0)
-        sy = np.clip(by / smooth_eps, -1.0, 1.0)
-    else:
-        sx = np.sign(bx)
-        sy = np.sign(by)
-    rate = -alpha * np.stack([ct * sx - st * sy, st * sx + ct * sy], axis=1)
-    u = -k_a * grad + est
-    nu2 = u[:, 0] ** 2 + u[:, 1] ** 2
-    nu = np.sqrt(nu2)
-    live = nu > EPS_U
-    tid = np.where(live, np.arctan2(u[:, 1], u[:, 0]), 0.0)
-    te = pose[:, 2] - tid
-    te = np.mod(te, TWO_PI)
-    te = np.where(te > np.pi, te - TWO_PI, te)
-    bc = np.cos(te)
-    bs = np.sin(te)
-    bu = np.stack([bc * (bc * u[:, 0] - bs * u[:, 1]),
-                   bc * (bs * u[:, 0] + bc * u[:, 1])], axis=1)
-    w = bu[i] - bu[j]
-    m11 = z + 2.0 * pij[:, 0] ** 2
-    m12 = 2.0 * pij[:, 0] * pij[:, 1]
-    m22 = z + 2.0 * pij[:, 1] ** 2
-    f = k_a * np.stack([m11 * w[:, 0] + m12 * w[:, 1],
-                        m12 * w[:, 0] + m22 * w[:, 1]], axis=1)
-    udot = rate.copy()
-    np.subtract.at(udot, i, f)
-    np.add.at(udot, j, f)
-    denom = np.where(live, nu2, 1.0)
-    tidd = np.where(live, (u[:, 0] * udot[:, 1] - u[:, 1] * udot[:, 0]) / denom, 0.0)
-    v = nu * bc
-    omega = -c * te + tidd
-    return rate, u, tid, te, v, omega, udot
-
-
-def _integrate_check(pose, est, rate, v, omega, dt, step):
-    """Euler-update pose/est in place; returns a divergence status tuple."""
-    pose[:, 0] += v * np.cos(pose[:, 2]) * dt
-    pose[:, 1] += v * np.sin(pose[:, 2]) * dt
-    th = np.mod(pose[:, 2] + omega * dt, TWO_PI)
-    pose[:, 2] = np.where(th > np.pi, th - TWO_PI, th)
-    est += rate * dt
-    bad = ~(np.all(np.isfinite(pose), axis=1) & np.all(np.isfinite(est), axis=1)
-            & (np.abs(pose[:, 0]) <= POS_LIMIT) & (np.abs(pose[:, 1]) <= POS_LIMIT))
-    if bad.any():
-        return STATUS_DIVERGED, int(np.argmax(bad)), step + 1
-    return STATUS_OK, -1, step + 1
-
-
-def _flock_rollout_numpy(pose, est, edges, d2, bflag, v0_seq,
-                         k_a, c, alpha, anchor_sign, smooth_eps, dt,
-                         n_steps, sample_every,
-                         out_t, out_pose, out_cmd, out_u, out_tid, out_est):
-    row = 0
-    for step in range(n_steps + 1):
-        rate, u, tid, _te, v, omega, _udot = flock_eval(
-            pose, est, v0_seq[step], edges, d2, bflag,
-            k_a, c, alpha, anchor_sign, smooth_eps)
-        if step % sample_every == 0:
-            out_t[row] = step * dt
-            out_pose[row] = pose
-            out_cmd[row, :, 0] = v
-            out_cmd[row, :, 1] = omega
-            out_u[row] = u
-            out_tid[row] = tid
-            out_est[row] = est
-            row += 1
-        if step == n_steps:
-            break
-        status = _integrate_check(pose, est, rate, v, omega, dt, step)
-        if status[0] != STATUS_OK:
-            return status
-    return STATUS_OK, -1, n_steps
-
-
-# ---------------------------------------------------------------------------
 # interception rollout, loop form (numba target)
 # ---------------------------------------------------------------------------
 
@@ -507,8 +402,146 @@ def _intercept_rollout_loops(pose, vthat, ethat, edges, d2, leader,
 
 
 # ---------------------------------------------------------------------------
-# interception, vectorized numpy twin
+# the closed loop, vectorized (numpy form)
 # ---------------------------------------------------------------------------
+
+class _Law:
+    """The closed loop on one formation graph, vectorized over agents.
+
+    Flock and intercept are two parameterizations of this law.  Agents
+    carry K observer estimates; channel k has gain ``alphas[k]`` and
+    weight ``weights[k]`` in the planar control (flock: v_f with 1;
+    intercept: v_T with 1, e_T with k_t).  ``anchor[i]`` (+-1, or 0
+    without access) weighs the reference in agent i's consensus sums.
+    A ``leader`` is free: its control is the weighted sum of the true
+    references (v_T, e_T = p_T - p_L), with rates a_T and v_T - B u_L.
+
+    The state is X = [x, y, theta, 0, est_1, ..., est_K], (n, 4 + 2K):
+    the zero puts each planar pair on a complex slot, so a rotation into
+    a body frame is one product.  The distance gradient and all
+    consensus sums are one ``np.bincount`` over an index fixed per
+    graph; the formation part of udot is a second one.
+    """
+
+    def __init__(self, edges, d2, k_a, c, alphas, weights, anchor, leader,
+                 smooth_eps):
+        n, a = len(anchor), len(edges)
+        cols = 4 + 2 * len(weights)
+        self.a, self.d2, self.k_a, self.c = a, d2, k_a, c
+        self.w = np.asarray(weights, dtype=complex)
+        self.neg_alpha = -np.asarray(alphas, dtype=complex)
+        self.anchor = np.asarray(anchor, dtype=complex)[:, None]
+        self.leader, self.smooth_eps = leader, smooth_eps
+        # Edge k adds its row to agent i's sums and subtracts it from j's.
+        self.ends = np.concatenate([edges[:, 0], edges[:, 1]]).astype(np.intp)
+        self.sum_idx = (self.ends[:, None] * cols + np.arange(cols)).ravel()
+        self.udot_idx = (self.ends[:, None] * 2 + np.arange(2)).ravel()
+        self.x_ends = np.empty((2 * a, cols))
+        self.sum_w, self.udot_w = np.empty((2, a, cols)), np.empty((2, a), complex)
+        # exp(i theta) and exp(i theta_err), rewritten by every call
+        self.q, self.e = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+        self.ref = np.empty(len(weights), dtype=complex)
+
+    def __call__(self, X, sig):
+        """Evaluate at state X (read only) under ``sig``: (v_0,), or
+        (v_T, p_T, a_T) with a leader.  Returns (rate, u, theta_id,
+        theta_err, v, omega, udot): rate complex (n, K), u and udot real
+        (n, 2), the rest real (n,).  ``self.q`` holds exp(i theta) until
+        the next call.
+        """
+        a, w, L = self.a, self.w, self.leader
+        Xc = X.view(complex)
+        if a:
+            x = np.take(X, self.ends, axis=0, out=self.x_ends)
+            rows = np.subtract(x[:a], x[a:], out=self.sum_w[0])
+            p = rows.view(complex)[:, 0]
+            pij = p.copy()
+            z = p.real * p.real + p.imag * p.imag - self.d2
+            p *= z
+            np.negative(rows, out=self.sum_w[1])
+            sums = np.bincount(self.sum_idx, self.sum_w.ravel(),
+                               minlength=X.size).reshape(X.shape)
+        else:  # np.bincount of nothing is an int array
+            sums = np.zeros(X.shape)
+        sums = sums.view(complex)
+        ref = _planar(self.ref)
+        ref[0] = sig[0]
+        if L is not None:  # e_T = p_T - p_L
+            np.subtract(sig[1], X[L, :2], out=ref[1])
+        sums[:, 2:] += self.anchor * (Xc[:, 2:] - self.ref)
+        # Each agent takes the signum in its own body frame.
+        q, th = self.q, X[:, 2]
+        np.cos(th, out=_planar(q)[:, 0])
+        np.sin(th, out=_planar(q)[:, 1])
+        body = (sums[:, 2:] * q.conj()[:, None]).view(float)
+        if self.smooth_eps > 0.0:
+            np.clip(body / self.smooth_eps, -1.0, 1.0, out=body)
+        else:
+            np.sign(body, out=body)
+        rate = body.view(complex) * q[:, None] * self.neg_alpha
+
+        u = Xc[:, 2:] @ w - self.k_a * sums[:, 0]
+        if L is not None:
+            u[L] = self.ref @ w
+        uf = _planar(u)
+        nu2 = np.einsum("ij,ij->i", uf, uf)
+        nu = np.sqrt(nu2)
+        live = nu > EPS_U
+        tid = np.where(live, np.arctan2(uf[:, 1], uf[:, 0]), 0.0)
+        te = np.mod(th - tid, TWO_PI)
+        te -= TWO_PI * (te > np.pi)
+        bc = np.cos(te, out=_planar(self.e)[:, 0])
+        np.sin(te, out=_planar(self.e)[:, 1])
+        bu = u * self.e * bc
+
+        udot = rate @ w
+        if a:
+            b = bu.take(self.ends)
+            dbu = b[:a] - b[a:]
+            f = self.k_a * (dbu * z + pij * (2.0 * (pij.conj() * dbu).real))
+            np.negative(f, out=self.udot_w[0])
+            self.udot_w[1] = f
+            udot += np.bincount(self.udot_idx, self.udot_w.view(float).ravel(),
+                                minlength=2 * len(u)).view(complex)
+        udf = _planar(udot)
+        if L is not None:  # the reference rates are a_T and v_T - B u_L
+            udf[L] = w.real[0] * sig[2] + w.real[1] * (sig[0] - _planar(bu)[L])
+        # A parked agent (|u| <= EPS_U) has no heading rate: x / inf = 0.
+        tidd = (u.conj() * udot).imag / np.where(live, nu2, np.inf)
+        return rate, uf, tid, te, nu * bc, -self.c * te + tidd, udf
+
+
+def _flock_law(edges, d2, bflag, k_a, c, alpha, anchor_sign, smooth_eps):
+    return _Law(edges, d2, k_a, c, (alpha,), (1.0,), anchor_sign * bflag,
+                None, smooth_eps)
+
+
+def _intercept_law(n, edges, d2, leader, k_a, k_t, c, alpha1, alpha2, smooth_eps):
+    return _Law(edges, d2, k_a, c, (alpha1, alpha2), (1.0, k_t),
+                np.arange(n) == leader, leader, smooth_eps)
+
+
+def _planar(x):
+    """Complex vectors (...,) as a real (..., 2) array."""
+    return x.view(float).reshape(*x.shape, 2)
+
+
+def _state(pose, ests):
+    """The law's state X from poses (n, 3) and the K (n, 2) estimates."""
+    return np.concatenate([pose, np.zeros((len(pose), 1)), *ests], axis=1)
+
+
+def flock_eval(pose, est, v0, edges, d2, bflag,
+               k_a, c, alpha, anchor_sign, smooth_eps):
+    """One synchronous evaluation of the flocking loop, vectorized.
+
+    Returns (rate, u, theta_id, theta_err, v, omega, udot); does not
+    mutate its inputs.
+    """
+    law = _flock_law(edges, d2, bflag, k_a, c, alpha, anchor_sign, smooth_eps)
+    rate, *rest = law(_state(pose, (est,)), (v0,))
+    return (_planar(rate)[:, 0], *rest)
+
 
 def intercept_eval(pose, vthat, ethat, target_pos, target_vel, target_acc,
                    edges, d2, leader, k_a, k_t, c, alpha1, alpha2, smooth_eps):
@@ -516,107 +549,75 @@ def intercept_eval(pose, vthat, ethat, target_pos, target_vel, target_acc,
 
     Returns (rate_v, rate_e, u, theta_id, theta_err, v, omega, udot).
     """
-    n = pose.shape[0]
-    i = edges[:, 0]
-    j = edges[:, 1]
-    pij = pose[i, :2] - pose[j, :2]
-    z = np.einsum("ij,ij->i", pij, pij) - d2
-    fz = pij * z[:, None]
-    grad = np.zeros((n, 2))
-    np.add.at(grad, i, fz)
-    np.subtract.at(grad, j, fz)
-    e_t = target_pos - pose[leader, :2]
-
-    ct = np.cos(pose[:, 2])
-    st = np.sin(pose[:, 2])
-
-    def signed_rate(est, ref, alpha):
-        dis = est[i] - est[j]
-        arg = np.zeros((n, 2))
-        np.add.at(arg, i, dis)
-        np.subtract.at(arg, j, dis)
-        arg[leader] += est[leader] - ref
-        bx = ct * arg[:, 0] + st * arg[:, 1]
-        by = -st * arg[:, 0] + ct * arg[:, 1]
-        if smooth_eps > 0.0:
-            sx = np.clip(bx / smooth_eps, -1.0, 1.0)
-            sy = np.clip(by / smooth_eps, -1.0, 1.0)
-        else:
-            sx = np.sign(bx)
-            sy = np.sign(by)
-        return -alpha * np.stack([ct * sx - st * sy, st * sx + ct * sy], axis=1)
-
-    rate_v = signed_rate(vthat, target_vel, alpha1)
-    rate_e = signed_rate(ethat, e_t, alpha2)
-
-    u = -k_a * grad + k_t * ethat + vthat
-    u[leader] = k_t * e_t + target_vel
-    nu2 = u[:, 0] ** 2 + u[:, 1] ** 2
-    nu = np.sqrt(nu2)
-    live = nu > EPS_U
-    tid = np.where(live, np.arctan2(u[:, 1], u[:, 0]), 0.0)
-    te = pose[:, 2] - tid
-    te = np.mod(te, TWO_PI)
-    te = np.where(te > np.pi, te - TWO_PI, te)
-    bc = np.cos(te)
-    bs = np.sin(te)
-    bu = np.stack([bc * (bc * u[:, 0] - bs * u[:, 1]),
-                   bc * (bs * u[:, 0] + bc * u[:, 1])], axis=1)
-    w = bu[i] - bu[j]
-    m11 = z + 2.0 * pij[:, 0] ** 2
-    m12 = 2.0 * pij[:, 0] * pij[:, 1]
-    m22 = z + 2.0 * pij[:, 1] ** 2
-    f = k_a * np.stack([m11 * w[:, 0] + m12 * w[:, 1],
-                        m12 * w[:, 0] + m22 * w[:, 1]], axis=1)
-    udot = k_t * rate_e + rate_v
-    np.subtract.at(udot, i, f)
-    np.add.at(udot, j, f)
-    # The leader's control has no formation term, so neither does its rate.
-    udot[leader] = k_t * (target_vel - bu[leader]) + target_acc
-    denom = np.where(live, nu2, 1.0)
-    tidd = np.where(live, (u[:, 0] * udot[:, 1] - u[:, 1] * udot[:, 0]) / denom, 0.0)
-    v = nu * bc
-    omega = -c * te + tidd
-    return rate_v, rate_e, u, tid, te, v, omega, udot
+    law = _intercept_law(len(pose), edges, d2, leader, k_a, k_t, c,
+                         alpha1, alpha2, smooth_eps)
+    rate, *rest = law(_state(pose, (vthat, ethat)),
+                      (target_vel, target_pos, target_acc))
+    return (_planar(rate)[:, 0], _planar(rate)[:, 1], *rest)
 
 
-def _intercept_rollout_numpy(pose, vthat, ethat, edges, d2, leader,
-                             pt_seq, vt_seq, at_seq,
-                             k_a, k_t, c, alpha1, alpha2, smooth_eps, dt,
-                             n_steps, sample_every,
-                             out_t, out_pose, out_cmd, out_u, out_tid,
-                             out_vthat, out_ethat):
+def _rollout_numpy(law, pose, ests, seqs, dt, n_steps, sample_every,
+                   out_t, out_pose, out_cmd, out_u, out_tid, *out_ests):
+    """Explicit-Euler rollout of ``law``, the numpy form of both modes.
+
+    ``ests`` are the K (n, 2) estimates and ``out_ests`` their logs; row
+    ``step`` of the signal sequences ``seqs`` is the law's ``sig``.
+    Updates pose and ests in place; returns the status triple.
+    """
+    X = _state(pose, ests)
+    Xc, th, E = X.view(complex), X[:, 2], X[:, 4:]
+    status = (STATUS_OK, -1, n_steps)
     row = 0
     for step in range(n_steps + 1):
-        rate_v, rate_e, u, tid, _te, v, omega, _udot = intercept_eval(
-            pose, vthat, ethat, pt_seq[step], vt_seq[step], at_seq[step],
-            edges, d2, leader, k_a, k_t, c, alpha1, alpha2, smooth_eps)
+        rate, u, tid, _te, v, omega, _udot = law(X, [s[step] for s in seqs])
         if step % sample_every == 0:
             out_t[row] = step * dt
-            out_pose[row] = pose
+            out_pose[row] = X[:, :3]
             out_cmd[row, :, 0] = v
             out_cmd[row, :, 1] = omega
             out_u[row] = u
             out_tid[row] = tid
-            out_vthat[row] = vthat
-            out_ethat[row] = ethat
+            for k, out in enumerate(out_ests):
+                out[row] = E[:, 2 * k:2 * k + 2]
             row += 1
         if step == n_steps:
             break
-        pose[:, 0] += v * np.cos(pose[:, 2]) * dt
-        pose[:, 1] += v * np.sin(pose[:, 2]) * dt
-        th = np.mod(pose[:, 2] + omega * dt, TWO_PI)
-        pose[:, 2] = np.where(th > np.pi, th - TWO_PI, th)
-        vthat += rate_v * dt
-        ethat += rate_e * dt
-        bad = ~(np.all(np.isfinite(pose), axis=1)
-                & np.all(np.isfinite(vthat), axis=1)
-                & np.all(np.isfinite(ethat), axis=1)
-                & (np.abs(pose[:, 0]) <= POS_LIMIT)
-                & (np.abs(pose[:, 1]) <= POS_LIMIT))
-        if bad.any():
-            return STATUS_DIVERGED, int(np.argmax(bad)), step + 1
-    return STATUS_OK, -1, n_steps
+        Xc[:, 0] += law.q * v * dt
+        th += omega * dt
+        np.mod(th, TWO_PI, out=th)
+        th -= TWO_PI * (th > np.pi)
+        Xc[:, 2:] += rate * dt
+        # One reduction per step (|theta| <= pi); the per-agent scan runs
+        # only when it fails, and an estimate that is merely large passes.
+        if not np.abs(X).max() <= POS_LIMIT:
+            bad = ~np.isfinite(X).all(axis=1) | (np.abs(X[:, :2]) > POS_LIMIT).any(axis=1)
+            if bad.any():
+                status = (STATUS_DIVERGED, int(np.argmax(bad)), step + 1)
+                break
+    pose[:] = X[:, :3]
+    for k, est in enumerate(ests):
+        est[:] = E[:, 2 * k:2 * k + 2]
+    return status
+
+
+def flock_rollout_numpy(pose, est, edges, d2, bflag, v0_seq, k_a, c, alpha,
+                        anchor_sign, smooth_eps, dt, n_steps, sample_every,
+                        *outs):
+    """The numpy form of the flocking rollout (arguments as the loop form)."""
+    law = _flock_law(edges, d2, bflag, k_a, c, alpha, anchor_sign, smooth_eps)
+    return _rollout_numpy(law, pose, (est,), (v0_seq,), dt, n_steps,
+                          sample_every, *outs)
+
+
+def intercept_rollout_numpy(pose, vthat, ethat, edges, d2, leader,
+                            pt_seq, vt_seq, at_seq, k_a, k_t, c, alpha1,
+                            alpha2, smooth_eps, dt, n_steps, sample_every,
+                            *outs):
+    """The numpy form of the interception rollout (arguments as the loop form)."""
+    law = _intercept_law(len(pose), edges, d2, leader, k_a, k_t, c,
+                         alpha1, alpha2, smooth_eps)
+    return _rollout_numpy(law, pose, (vthat, ethat), (vt_seq, pt_seq, at_seq),
+                          dt, n_steps, sample_every, *outs)
 
 
 # compiled variants (compilation happens on first call, cached on disk)
@@ -626,9 +627,6 @@ if HAS_NUMBA:
 else:  # pragma: no cover - exercised only without numba
     flock_rollout_jit = None
     intercept_rollout_jit = None
-
-flock_rollout_numpy = _flock_rollout_numpy
-intercept_rollout_numpy = _intercept_rollout_numpy
 
 
 class KernelUnavailable(RuntimeError):

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from rigidflock import kernels
+from rigidflock import engine, kernels
 from rigidflock.cli import main
 from rigidflock.scenario import bundled_scenario_path
 
@@ -51,7 +51,11 @@ def test_simulate_writes_outputs(tmp_path, capsys):
     assert summary["gains"]["k_a"] == 6.0
 
 
-def test_simulate_intercept_outputs(tmp_path):
+def test_simulate_intercept_outputs(tmp_path, monkeypatch):
+    hull_calls = []
+    hull = engine.hull_containment
+    monkeypatch.setattr(engine, "hull_containment",
+                        lambda log: hull_calls.append(1) or hull(log))
     out = tmp_path / "out"
     rc = main(["simulate", str(bundled_scenario_path("pentagon_intercept")),
                "--out", str(out), "--duration", "0.1"])
@@ -63,6 +67,10 @@ def test_simulate_intercept_outputs(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["leader"] == 6
     assert "final_e_t_norm" in summary
+    # The hull series is computed once per run; the CSV and summary share it.
+    assert len(hull_calls) == 1
+    assert mrows[-1][mrows[0].index("hull_contains")] == str(
+        int(summary["hull_contains_final"]))
 
 
 def test_simulate_zero_duration(tmp_path):

@@ -151,12 +151,36 @@ def test_step_world_divergence_reports_agent():
 
 
 def test_run_divergence_matches_step_world():
-    cfg = right_triangle_config(k_a=1e12, duration=0.01,
-                                initial_poses=[[0.0, 0.0, 0.0],
-                                               [3.5, 0.0, 0.0],
-                                               [0.0, 4.0, 0.0]])
-    with pytest.raises(SimulationDiverged):
-        run(cfg)
+    # The rollout checks one reduction per step and scans per agent only
+    # when it fails; it must name the agent and time step_world names.
+    stretched = [[0.0, 0.0, 0.0], [3.5, 0.0, 0.0], [0.0, 4.0, 0.0]]
+    # Only edge (2, 3) is off, so agent 1 is still sane when 2 and 3 blow up.
+    off_23 = [3.0, 4.0, 5.5]
+    cases = [  # (overrides, agent, time_s)
+        (dict(k_a=1e12, initial_poses=stretched), 1, 0.001),
+        (dict(k_a=1e7, initial_poses=stretched), 1, 0.002),
+        (dict(mode="intercept", k_a=1e12, initial_poses=stretched), 1, 0.001),
+        (dict(k_a=1e12, distances=off_23), 2, 0.001),
+        (dict(mode="intercept", k_a=1e12, distances=off_23), 2, 0.001),
+        # An infinite observer gain breaks the estimates a step before any
+        # pose; a huge finite one is not yet a divergence on its own.
+        (dict(mode="intercept", alpha1=np.inf, alpha2=np.inf,
+              initial_poses=stretched), 1, 0.001),
+        (dict(mode="intercept", alpha1=1e300, alpha2=1e300,
+              initial_poses=stretched), 1, 0.003),
+    ]
+    for overrides, agent, time_s in cases:
+        cfg = right_triangle_config(duration=0.01, **overrides)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SimulationDiverged) as by_run:
+                run(cfg)
+            w = initial_state(cfg)
+            with pytest.raises(SimulationDiverged) as by_step:
+                for _ in range(10):
+                    w = step_world(w, cfg)
+        assert by_run.value.agent == by_step.value.agent == agent, overrides
+        assert by_run.value.time_s == by_step.value.time_s, overrides
+        assert by_run.value.time_s == pytest.approx(time_s)
 
 
 # --- rollouts and logs -------------------------------------------------------

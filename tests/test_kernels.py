@@ -11,7 +11,10 @@ import pytest
 
 import rigidflock
 from rigidflock import engine, kernels
+from rigidflock.graph import Graph
+from rigidflock.rigidity import Framework, edge_function, is_minimally_rigid
 from rigidflock.scenario import bundled_scenario_path, load_scenario
+from rigidflock.trajectories import CirclePath
 
 
 def run_both(name, duration):
@@ -38,6 +41,58 @@ def test_intercept_kernels_agree():
     assert np.abs(jit_log.commands - np_log.commands).max() < 1e-9
     assert np.abs(jit_log.v_t_hat - np_log.v_t_hat).max() < 1e-9
     assert np.abs(jit_log.e_t_hat - np_log.e_t_hat).max() < 1e-9
+
+
+def henneberg_flock_config(n, seed, steps):
+    """A seeded flock on a minimally rigid graph grown by Henneberg type-I steps.
+
+    Each new agent joins both ends of a random existing edge, placed
+    near that edge's midpoint, so the graph has 2n - 3 edges.  The
+    observers use the smoothed signum, which the pentagons do not.
+    """
+    rng = np.random.default_rng(seed)
+    pos = [np.array([0.0, 0.0]), np.array([0.1, 0.0]), np.array([0.05, 0.09])]
+    edges = [(1, 2), (1, 3), (2, 3)]
+    for k in range(4, n + 1):
+        i, j = edges[rng.integers(len(edges))]
+        pos.append(0.5 * (pos[i - 1] + pos[j - 1]) + rng.normal(scale=0.05, size=2))
+        edges += [(i, k), (j, k)]
+    pos = np.array(pos)
+    g = Graph(n, edges)
+    assert is_minimally_rigid(Framework(g, pos))
+    poses = np.column_stack([pos + rng.normal(scale=0.01, size=(n, 2)),
+                             rng.uniform(-np.pi, np.pi, size=n)])
+    flags = np.zeros(n)
+    flags[0] = 1.0
+    return engine.RunConfig(
+        mode="flock", graph=g, distances=np.sqrt(edge_function(Framework(g, pos))),
+        initial_poses=poses, signal=CirclePath([0.0, 0.0], 0.15, 0.3),
+        dt=1e-3, duration=steps * 1e-3, sample_every=10, k_a=6.0, c=10.0,
+        alpha=0.05, access_flags=flags, smoothing_epsilon=0.01,
+        target_positions=pos)
+
+
+@pytest.mark.parametrize("case", ["pentagon_flock", "pentagon_intercept",
+                                  "henneberg_30"])
+def test_loop_form_matches_numpy_rollout(case, monkeypatch):
+    # The loop form is plain Python (only the *_jit names are compiled),
+    # so it is checked against the numpy law in every environment.
+    if case == "henneberg_30":
+        cfg = henneberg_flock_config(30, seed=8, steps=200)
+    else:
+        duration = 0.5 if case == "pentagon_flock" else 0.125
+        cfg = load_scenario(bundled_scenario_path(case),
+                            duration=duration).to_run_config()
+    numpy_log = engine.run(cfg, force_kernel="numpy")
+    monkeypatch.setattr(kernels, "flock_rollout_numpy",
+                        kernels._flock_rollout_loops)
+    monkeypatch.setattr(kernels, "intercept_rollout_numpy",
+                        kernels._intercept_rollout_loops)
+    loop_log = engine.run(cfg, force_kernel="numpy")
+    ests = ("v_f_hat",) if cfg.mode == "flock" else ("v_t_hat", "e_t_hat")
+    for name in ("poses", "commands") + ests:
+        diff = np.abs(getattr(loop_log, name) - getattr(numpy_log, name)).max()
+        assert diff < 1e-9, (name, diff)
 
 
 def test_numpy_rollout_matches_step_world():
