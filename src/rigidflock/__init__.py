@@ -31,16 +31,13 @@ from .flocking import (
     desired_heading,
     desired_heading_rate,
     u_dot,
-    velocity_command,
 )
 from .graph import Graph, adjacency, is_connected, laplacian, neighbors
 from .interception import (
     InterceptionGains,
-    TargetState,
     convex_hull_contains,
     follower_u,
     follower_u_dot,
-    interception_error,
     interception_error_rate,
     leader_u,
     leader_u_dot,
@@ -80,12 +77,8 @@ from .trajectories import (
     trajectory_to_dict,
 )
 from .unicycle import (
-    Pose,
-    VelocityCommand,
     b_matrix,
     rot_matrix,
-    s_matrix,
-    step,
     wrap_angle,
 )
 

@@ -34,7 +34,7 @@ from .engine import SimulationDiverged, TrajectoryLog
 from .graph import Graph, is_connected
 from .kernels import KernelUnavailable
 from .rigidity import Framework, is_minimally_rigid, rigidity_rank
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import Scenario, ScenarioError, load_scenario, read_json
 
 logger = logging.getLogger("rigidflock.cli")
 
@@ -164,11 +164,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_check_rigidity(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"{args.file}: not valid JSON: {exc}") from exc
+    data = read_json(args.file)
     if not isinstance(data, dict):
         raise ScenarioError("formation file must be a JSON object")
     if "positions_m" in data:

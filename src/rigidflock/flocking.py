@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .unicycle import VelocityCommand, wrap_angle
-
 # Below this |u| the desired heading is pinned to zero instead of
 # following atan2 noise.
 EPS_U = 1e-12
@@ -123,20 +121,3 @@ def desired_heading_rate(u: np.ndarray, udot: np.ndarray) -> float:
         return 0.0
     return float((u[0] * udot[1] - u[1] * udot[0]) / n2)
 
-
-def velocity_command(
-    u: np.ndarray,
-    theta: float,
-    theta_d: float,
-    theta_d_dot: float,
-    c_i: float,
-) -> VelocityCommand:
-    """Map planar control to unicycle commands.
-
-    v = |u| cos(theta - theta_d), omega = -c_i (theta - theta_d)
-    + theta_d_dot, with the heading error wrapped to (-pi, pi].
-    """
-    u = np.asarray(u, dtype=float)
-    err = wrap_angle(theta - theta_d)
-    v = np.hypot(u[0], u[1]) * np.cos(err)
-    return VelocityCommand(v, -c_i * err + theta_d_dot)

@@ -18,25 +18,6 @@ from .unicycle import b_matrix
 
 
 @dataclass(frozen=True)
-class TargetState:
-    """Target position, velocity, and acceleration at one instant."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    acceleration: np.ndarray
-
-    def __post_init__(self):
-        for name in ("position", "velocity", "acceleration"):
-            v = np.array(getattr(self, name), dtype=float)
-            if v.shape != (2,):
-                raise ValueError(f"{name} must be a 2-vector")
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} must be finite")
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
-
-
-@dataclass(frozen=True)
 class InterceptionGains:
     """Gains for the interception controller.
 
@@ -62,11 +43,6 @@ class InterceptionGains:
             object.__setattr__(self, name, float(v))
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
-
-
-def interception_error(p_target: np.ndarray, p_leader: np.ndarray) -> np.ndarray:
-    """e_T = p_T - p_n."""
-    return np.asarray(p_target, dtype=float) - np.asarray(p_leader, dtype=float)
 
 
 def leader_u(e_t: np.ndarray, v_target: np.ndarray, k_t: float) -> np.ndarray:

@@ -142,15 +142,28 @@ def consensus_observer_rate(
         if not np.all(np.isfinite(ref_rows[flagged])):
             raise ValueError("reference must be finite for flagged agents")
         arg = arg + float(anchor_sign) * b[:, None] * (est - ref_rows)
-    if frame_angles is None:
-        return -bank.alpha * sgn(arg, smoothing_epsilon)
-    ang = np.asarray(frame_angles, dtype=float)
+    ang = np.zeros(bank.n) if frame_angles is None else np.asarray(
+        frame_angles, dtype=float)
     if ang.shape != (bank.n,):
         raise ValueError(f"frame_angles shape {ang.shape} does not match ({bank.n},)")
-    c, s = np.cos(ang), np.sin(ang)
-    # Rotate each row into its frame, apply sgn, rotate back.
-    bx = c * arg[:, 0] + s * arg[:, 1]
-    by = -s * arg[:, 0] + c * arg[:, 1]
-    sx = sgn(bx, smoothing_epsilon)
-    sy = sgn(by, smoothing_epsilon)
-    return -bank.alpha * np.stack([c * sx - s * sy, s * sx + c * sy], axis=1)
+    q = np.cos(ang) + 1j * np.sin(ang)
+    return signum_rates(arg.view(complex), q, -bank.alpha,
+                        smoothing_epsilon).view(float)
+
+
+def signum_rates(arg: np.ndarray, q: np.ndarray, neg_alpha,
+                 smoothing_epsilon: float) -> np.ndarray:
+    """Observer rates -alpha q sgn(conj(q) arg) for K channels at once.
+
+    ``arg`` is complex (n, K): each agent's consensus-plus-anchor sum
+    per channel, x + iy.  ``q`` is complex (n,), exp(i theta) of each
+    agent's frame, and ``neg_alpha`` the negated gain per channel.  The
+    signum is taken in each agent's frame and the result rotated back,
+    which keeps the closed loop equivariant under global rotations.
+    """
+    body = (arg * q.conj()[:, None]).view(float)
+    if smoothing_epsilon > 0.0:
+        np.clip(body / smoothing_epsilon, -1.0, 1.0, out=body)
+    else:
+        np.sign(body, out=body)
+    return body.view(complex) * q[:, None] * neg_alpha

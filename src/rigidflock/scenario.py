@@ -381,15 +381,19 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
                     initial_v_t_hat=vth, initial_e_t_hat=eth, **kw)
 
 
+def read_json(path):
+    """The document in a JSON file; ScenarioError unless it is UTF-8 JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ScenarioError(f"{path}: not valid UTF-8 JSON: {exc}") from exc
+
+
 def load_scenario(path, *, duration: float | None = None,
                   dt: float | None = None, seed: int | None = None) -> Scenario:
     """Load and validate a scenario JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
-    return scenario_from_dict(data, duration=duration, dt=dt, seed=seed)
+    return scenario_from_dict(read_json(path), duration=duration, dt=dt, seed=seed)
 
 
 def bundled_scenario_path(name: str):

@@ -1,4 +1,4 @@
-"""Unicycle kinematics: poses, velocity commands, and the input map.
+"""Unicycle kinematics: angle wrapping, rotations, and the input map.
 
 The configuration is q = (x, y, theta) with heading theta kept in
 (-pi, pi].  Commands are a forward speed v along the heading and a
@@ -6,8 +6,6 @@ turn rate omega; integration is explicit Euler.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,46 +26,6 @@ def rot_matrix(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-@dataclass(frozen=True)
-class Pose:
-    """Planar pose; heading is wrapped to (-pi, pi] at construction."""
-
-    x: float
-    y: float
-    theta: float
-
-    def __post_init__(self):
-        for name in ("x", "y", "theta"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "theta", wrap_angle(float(self.theta)))
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
-
-@dataclass(frozen=True)
-class VelocityCommand:
-    """Forward speed (m/s) and turn rate (rad/s)."""
-
-    v: float
-    omega: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.v) and np.isfinite(self.omega)):
-            raise ValueError("command must be finite")
-        object.__setattr__(self, "v", float(self.v))
-        object.__setattr__(self, "omega", float(self.omega))
-
-
-def s_matrix(theta: float) -> np.ndarray:
-    """Kinematic map S(theta) with qdot = S(theta) (v, omega)^T."""
-    return np.array([[np.cos(theta), 0.0], [np.sin(theta), 0.0], [0.0, 1.0]])
-
-
 def b_matrix(theta_err: float) -> np.ndarray:
     """Input map B = cos(e) Rot(e) relating commanded u to achieved pdot.
 
@@ -76,14 +34,3 @@ def b_matrix(theta_err: float) -> np.ndarray:
     """
     c, s = np.cos(theta_err), np.sin(theta_err)
     return np.array([[c * c, -c * s], [c * s, c * c]])
-
-
-def step(pose: Pose, cmd: VelocityCommand, dt: float) -> Pose:
-    """One explicit-Euler step of the unicycle kinematics."""
-    if dt <= 0 or not np.isfinite(dt):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    return Pose(
-        pose.x + cmd.v * np.cos(pose.theta) * dt,
-        pose.y + cmd.v * np.sin(pose.theta) * dt,
-        pose.theta + cmd.omega * dt,
-    )

@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rigidflock
 from rigidflock import engine, kernels
 from rigidflock.cli import main
 from rigidflock.scenario import bundled_scenario_path
@@ -134,6 +139,25 @@ def test_simulate_missing_file_exits_1(tmp_path, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "check-rigidity"])
+def test_non_utf8_file_exits_1_without_traceback(tmp_path, command):
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    argv = [command, str(path)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "o")]
+    # A child interpreter, so a traceback would reach stderr as text.
+    src = str(Path(rigidflock.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-m", "rigidflock.cli", *argv],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    lines = out.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
 
 
 def test_simulate_unwritable_out_exits_1(tmp_path, capsys):

@@ -10,7 +10,6 @@ from rigidflock.flocking import (
     desired_heading,
     desired_heading_rate,
     u_dot,
-    velocity_command,
 )
 
 
@@ -131,20 +130,3 @@ def test_desired_heading_rate_matches_finite_difference():
         a_minus = np.arctan2(*(u - eps * udot)[::-1])
         numeric = (a_plus - a_minus) / (2 * eps)
         assert desired_heading_rate(u, udot) == pytest.approx(numeric, abs=1e-6)
-
-
-def test_velocity_command_hand_cases():
-    cmd = velocity_command(np.array([1.0, 0.0]), 0.0, 0.0, 0.0, 10.0)
-    assert (cmd.v, cmd.omega) == (1.0, 0.0)
-    cmd = velocity_command(np.array([1.0, 0.0]), np.pi / 2, 0.0, 0.0, 10.0)
-    assert cmd.v == pytest.approx(0.0, abs=1e-15)
-    cmd = velocity_command(np.array([2.0, 0.0]), -0.2, 0.0, 0.3, 10.0)
-    assert cmd.omega == pytest.approx(2.3)
-
-
-def test_velocity_command_wraps_heading_error():
-    # theta and theta_d separated by 2 pi are the same direction.
-    a = velocity_command(np.array([1.0, 1.0]), 0.1, 0.0, 0.0, 5.0)
-    b = velocity_command(np.array([1.0, 1.0]), 0.1 + 2 * np.pi, 0.0, 0.0, 5.0)
-    assert a.v == pytest.approx(b.v)
-    assert a.omega == pytest.approx(b.omega)

@@ -6,24 +6,13 @@ import pytest
 from rigidflock.flocking import u_dot
 from rigidflock.interception import (
     InterceptionGains,
-    TargetState,
     convex_hull_contains,
     follower_u,
     follower_u_dot,
-    interception_error,
     interception_error_rate,
     leader_u,
     leader_u_dot,
 )
-
-
-def test_target_state_validation():
-    s = TargetState([1.0, 2.0], [0.1, 0.0], [0.0, 0.0])
-    np.testing.assert_array_equal(s.position, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        TargetState([1.0], [0.0, 0.0], [0.0, 0.0])
-    with pytest.raises(ValueError):
-        TargetState([1.0, np.nan], [0.0, 0.0], [0.0, 0.0])
 
 
 def test_gains_validation():
@@ -34,16 +23,6 @@ def test_gains_validation():
         kw[bad] = 0.0
         with pytest.raises(ValueError):
             InterceptionGains(**kw)
-
-
-def test_interception_error():
-    np.testing.assert_array_equal(interception_error([1.0, 2.0], [0.0, 0.0]),
-                                  [1.0, 2.0])
-    np.testing.assert_array_equal(interception_error([0.5, 0.5], [0.5, 0.5]),
-                                  [0.0, 0.0])
-    a, b = np.array([1.0, -2.0]), np.array([0.3, 0.4])
-    np.testing.assert_array_equal(interception_error(a, b),
-                                  -interception_error(b, a))
 
 
 def test_leader_u_cases():

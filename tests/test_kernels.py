@@ -1,5 +1,6 @@
 """Tests for the rollout kernels: jit/numpy parity and dispatch."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -43,12 +44,14 @@ def test_intercept_kernels_agree():
     assert np.abs(jit_log.e_t_hat - np_log.e_t_hat).max() < 1e-9
 
 
-def henneberg_flock_config(n, seed, steps):
-    """A seeded flock on a minimally rigid graph grown by Henneberg type-I steps.
+def henneberg_config(n, seed, steps, mode="flock"):
+    """A seeded run on a minimally rigid graph grown by Henneberg type-I steps.
 
     Each new agent joins both ends of a random existing edge, placed
     near that edge's midpoint, so the graph has 2n - 3 edges.  The
-    observers use the smoothed signum, which the pentagons do not.
+    observers use the smoothed signum, which the pentagons do not.  In
+    intercept mode the last agent is the free leader and chases a
+    circling target.
     """
     rng = np.random.default_rng(seed)
     pos = [np.array([0.0, 0.0]), np.array([0.1, 0.0]), np.array([0.05, 0.09])]
@@ -62,37 +65,67 @@ def henneberg_flock_config(n, seed, steps):
     assert is_minimally_rigid(Framework(g, pos))
     poses = np.column_stack([pos + rng.normal(scale=0.01, size=(n, 2)),
                              rng.uniform(-np.pi, np.pi, size=n)])
-    flags = np.zeros(n)
-    flags[0] = 1.0
+    if mode == "flock":
+        flags = np.zeros(n)
+        flags[0] = 1.0
+        gains = dict(alpha=0.05, access_flags=flags)
+    else:
+        gains = dict(k_t=1.0, alpha1=0.05, alpha2=0.25)
     return engine.RunConfig(
-        mode="flock", graph=g, distances=np.sqrt(edge_function(Framework(g, pos))),
+        mode=mode, graph=g, distances=np.sqrt(edge_function(Framework(g, pos))),
         initial_poses=poses, signal=CirclePath([0.0, 0.0], 0.15, 0.3),
         dt=1e-3, duration=steps * 1e-3, sample_every=10, k_a=6.0, c=10.0,
-        alpha=0.05, access_flags=flags, smoothing_epsilon=0.01,
-        target_positions=pos)
+        smoothing_epsilon=0.01, target_positions=pos, **gains)
 
 
 @pytest.mark.parametrize("case", ["pentagon_flock", "pentagon_intercept",
-                                  "henneberg_30"])
+                                  "henneberg_30", "henneberg_30_intercept"])
 def test_loop_form_matches_numpy_rollout(case, monkeypatch):
-    # The loop form is plain Python (only the *_jit names are compiled),
-    # so it is checked against the numpy law in every environment.
+    # The loop form is plain Python (only rollout_jit is compiled), so it
+    # is checked against the numpy law in every environment.
     if case == "henneberg_30":
-        cfg = henneberg_flock_config(30, seed=8, steps=200)
+        cfg = henneberg_config(30, seed=8, steps=200)
+    elif case == "henneberg_30_intercept":
+        cfg = henneberg_config(30, seed=9, steps=200, mode="intercept")
     else:
         duration = 0.5 if case == "pentagon_flock" else 0.125
         cfg = load_scenario(bundled_scenario_path(case),
                             duration=duration).to_run_config()
     numpy_log = engine.run(cfg, force_kernel="numpy")
-    monkeypatch.setattr(kernels, "flock_rollout_numpy",
-                        kernels._flock_rollout_loops)
-    monkeypatch.setattr(kernels, "intercept_rollout_numpy",
-                        kernels._intercept_rollout_loops)
+    monkeypatch.setattr(kernels, "_rollout_numpy", kernels._rollout_loops)
     loop_log = engine.run(cfg, force_kernel="numpy")
     ests = ("v_f_hat",) if cfg.mode == "flock" else ("v_t_hat", "e_t_hat")
     for name in ("poses", "commands") + ests:
         diff = np.abs(getattr(loop_log, name) - getattr(numpy_log, name)).max()
         assert diff < 1e-9, (name, diff)
+
+
+def test_jit_arguments_are_numba_types(monkeypatch):
+    # numba compiles the loop form in nopython mode only from arrays,
+    # ints and floats; record what the dispatcher hands the jit slot.
+    names = list(inspect.signature(kernels._rollout_loops).parameters)
+    calls = []
+
+    def recorder(*args):
+        calls.append(dict(zip(names, args, strict=True)))
+        return kernels._rollout_loops(*args)
+
+    monkeypatch.setattr(kernels, "rollout_jit", recorder)
+    for case in ("pentagon_flock", "pentagon_intercept"):
+        cfg = load_scenario(bundled_scenario_path(case),
+                            duration=0.01).to_run_config()
+        assert engine.run(cfg, force_kernel="jit").meta["kernel"] == "numba"
+    assert len(calls) == 2
+    for args in calls:
+        for name, value in args.items():
+            if name == "edges":
+                assert np.issubdtype(value.dtype, np.integer), name
+                assert value.flags.c_contiguous, name
+            elif isinstance(value, np.ndarray):
+                assert value.dtype == np.float64, name
+                assert value.flags.c_contiguous, name
+            else:
+                assert type(value) in (int, float), (name, type(value))
 
 
 def test_numpy_rollout_matches_step_world():

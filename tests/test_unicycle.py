@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from rigidflock.unicycle import (
-    Pose,
-    VelocityCommand,
     b_matrix,
     rot_matrix,
-    s_matrix,
-    step,
     wrap_angle,
 )
 
@@ -43,34 +39,6 @@ def test_rot_matrix_is_rotation():
                                atol=1e-15)
 
 
-def test_pose_wraps_heading_and_validates():
-    p = Pose(1.0, 2.0, 3.0 * np.pi)
-    assert p.theta == pytest.approx(np.pi)
-    np.testing.assert_allclose(p.position, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        Pose(np.nan, 0.0, 0.0)
-
-
-def test_velocity_command_validates():
-    c = VelocityCommand(1.5, -0.2)
-    assert (c.v, c.omega) == (1.5, -0.2)
-    with pytest.raises(ValueError):
-        VelocityCommand(np.inf, 0.0)
-
-
-def test_s_matrix_values():
-    np.testing.assert_allclose(s_matrix(0.0), [[1, 0], [0, 0], [0, 1]])
-    np.testing.assert_allclose(s_matrix(np.pi / 2), [[0, 0], [1, 0], [0, 1]],
-                               atol=1e-15)
-
-
-def test_s_matrix_columns_orthogonal():
-    rng = np.random.default_rng(8)
-    for a in rng.uniform(-np.pi, np.pi, size=50):
-        S = s_matrix(a)
-        assert abs(S[:, 0] @ S[:, 1]) < 1e-15
-
-
 def test_b_matrix_special_values():
     np.testing.assert_allclose(b_matrix(0.0), np.eye(2))
     np.testing.assert_allclose(b_matrix(np.pi / 2), np.zeros((2, 2)), atol=1e-15)
@@ -85,25 +53,3 @@ def test_b_matrix_identity_on_grid():
         diff = b_matrix(e) - np.cos(e) * rot_matrix(e)
         worst = max(worst, float(np.abs(diff).max()))
     assert worst < 1e-14
-
-
-def test_step_hand_cases():
-    p0 = Pose(0.0, 0.0, 0.0)
-    p1 = step(p0, VelocityCommand(1.0, 0.0), 0.1)
-    assert (p1.x, p1.y, p1.theta) == pytest.approx((0.1, 0.0, 0.0))
-    p2 = step(p0, VelocityCommand(0.0, 1.0), 0.1)
-    assert (p2.x, p2.y, p2.theta) == pytest.approx((0.0, 0.0, 0.1))
-    p3 = step(p0, VelocityCommand(0.0, 0.0), 0.1)
-    assert (p3.x, p3.y, p3.theta) == (0.0, 0.0, 0.0)
-
-
-def test_step_moves_along_heading():
-    p = step(Pose(0.0, 0.0, np.pi / 2), VelocityCommand(2.0, 0.0), 0.05)
-    assert (p.x, p.y) == pytest.approx((0.0, 0.1), abs=1e-15)
-
-
-def test_step_rejects_bad_dt():
-    with pytest.raises(ValueError):
-        step(Pose(0, 0, 0), VelocityCommand(1, 0), 0.0)
-    with pytest.raises(ValueError):
-        step(Pose(0, 0, 0), VelocityCommand(1, 0), -0.1)
