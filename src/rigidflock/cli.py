@@ -12,15 +12,15 @@ formation file (either a scenario file or a minimal
 
 Exit codes: 0 success (for check-rigidity: infinitesimally and
 minimally rigid), 1 input/validation error (including a requested
-kernel that is unavailable, e.g. ``--kernel jit`` without numba),
-2 formation not rigid, 3 simulation diverged.  Set
-RIGIDFLOCK_LOG=debug|info|warning|error to control log verbosity.
+kernel that is unavailable, e.g. ``--kernel jit`` without numba, and
+a horizon too long to allocate), 2 formation not rigid, 3 simulation
+diverged.  Set RIGIDFLOCK_LOG=debug|info|warning|error to control log
+verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -33,7 +33,7 @@ from . import engine
 from .engine import SimulationDiverged, TrajectoryLog
 from .graph import Graph, is_connected
 from .kernels import KernelUnavailable
-from .rigidity import Framework, is_minimally_rigid, rigidity_rank
+from .rigidity import Framework, rigidity_rank
 from .scenario import Scenario, ScenarioError, load_scenario, read_json
 
 logger = logging.getLogger("rigidflock.cli")
@@ -44,78 +44,72 @@ EXIT_NOT_RIGID = 2
 EXIT_DIVERGED = 3
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# Values per formatted block: bounds the transient lists and strings
+# whether a row holds 40 values or 2,000.
+_BLOCK_VALUES = 4096
+
+
+def _write_table(path, header: list[str], rows: int, block) -> None:
+    """Write a CSV: ``header``, then ``block(r0, r1)`` for every row range.
+
+    ``block`` returns a (r1 - r0, len(header)) float array.  Every value
+    is written as ``%.17g`` (so a 0/1 flag reads ``0``/``1``) with the
+    csv module's CRLF line ends, about ``_BLOCK_VALUES`` values at a time.
+    """
+    width = len(header)
+    line = ",".join(["%.17g"] * width) + "\r\n"
+    step = max(1, _BLOCK_VALUES // width)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for r0 in range(0, rows, step):
+            values = block(r0, min(r0 + step, rows))
+            fh.write(line * values.shape[0] % tuple(values.ravel().tolist()))
 
 
 def write_trajectory_csv(log: TrajectoryLog, path) -> None:
     """Raw sampled state and commands, one row per sample time."""
-    n = log.n
-    header = ["t_s"]
-    for i in range(1, n + 1):
-        header += [f"x_m_{i}", f"y_m_{i}", f"theta_rad_{i}",
-                   f"v_mps_{i}", f"omega_radps_{i}", f"ux_{i}", f"uy_{i}"]
-        if log.mode == "flock":
-            header += [f"vfhat_x_{i}", f"vfhat_y_{i}"]
-        else:
-            header += [f"vthat_x_{i}", f"vthat_y_{i}",
-                       f"ethat_x_{i}", f"ethat_y_{i}"]
+    agent_cols = ["x_m", "y_m", "theta_rad", "v_mps", "omega_radps", "ux", "uy"]
     if log.mode == "flock":
-        header += ["v0_x_mps", "v0_y_mps"]
+        agent_cols += ["vfhat_x", "vfhat_y"]
+        shared_cols = ["v0_x_mps", "v0_y_mps"]
+        per_agent = [log.poses, log.commands, log.u, log.v_f_hat]
+        shared = [log.v0]
     else:
-        header += ["pt_x_m", "pt_y_m", "vt_x_mps", "vt_y_mps"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for r in range(log.rows):
-            row = [_fmt(log.t[r])]
-            for k in range(n):
-                row += [_fmt(log.poses[r, k, 0]), _fmt(log.poses[r, k, 1]),
-                        _fmt(log.poses[r, k, 2]), _fmt(log.commands[r, k, 0]),
-                        _fmt(log.commands[r, k, 1]), _fmt(log.u[r, k, 0]),
-                        _fmt(log.u[r, k, 1])]
-                if log.mode == "flock":
-                    row += [_fmt(log.v_f_hat[r, k, 0]), _fmt(log.v_f_hat[r, k, 1])]
-                else:
-                    row += [_fmt(log.v_t_hat[r, k, 0]), _fmt(log.v_t_hat[r, k, 1]),
-                            _fmt(log.e_t_hat[r, k, 0]), _fmt(log.e_t_hat[r, k, 1])]
-            if log.mode == "flock":
-                row += [_fmt(log.v0[r, 0]), _fmt(log.v0[r, 1])]
-            else:
-                row += [_fmt(log.target_pos[r, 0]), _fmt(log.target_pos[r, 1]),
-                        _fmt(log.target_vel[r, 0]), _fmt(log.target_vel[r, 1])]
-            w.writerow(row)
+        agent_cols += ["vthat_x", "vthat_y", "ethat_x", "ethat_y"]
+        shared_cols = ["pt_x_m", "pt_y_m", "vt_x_mps", "vt_y_mps"]
+        per_agent = [log.poses, log.commands, log.u, log.v_t_hat, log.e_t_hat]
+        shared = [log.target_pos, log.target_vel]
+    header = (["t_s"] + [f"{c}_{i}" for i in range(1, log.n + 1) for c in agent_cols]
+              + shared_cols)
+
+    def block(r0, r1):
+        agents = np.concatenate([a[r0:r1] for a in per_agent], axis=2)
+        return np.hstack([log.t[r0:r1, None], agents.reshape(r1 - r0, -1),
+                          *(a[r0:r1] for a in shared)])
+
+    _write_table(path, header, log.rows, block)
 
 
 def write_metrics_csv(log: TrajectoryLog, edges, path) -> None:
     """Derived error series, one row per sample time."""
-    n = log.n
-    header = ["t_s"]
-    header += [f"e_{i}_{j}" for i, j in edges]
-    header += [f"theta_err_{i}" for i in range(1, n + 1)]
     if log.mode == "flock":
-        header += [f"vf_err_{i}" for i in range(1, n + 1)]
-        header += ["shape_dist_m"]
+        agent_cols = ["theta_err", "vf_err"]
+        shared_cols = ["shape_dist_m"]
+        columns = [log.t, log.edge_errors, log.heading_errors, log.est_errors,
+                   log.shape_dist]
     else:
-        header += [f"vt_err_{i}" for i in range(1, n + 1)]
-        header += [f"et_err_{i}" for i in range(1, n + 1)]
-        header += ["e_t_norm_m", "shape_dist_m", "hull_contains"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for r in range(log.rows):
-            row = [_fmt(log.t[r])]
-            row += [_fmt(v) for v in log.edge_errors[r]]
-            row += [_fmt(v) for v in log.heading_errors[r]]
-            if log.mode == "flock":
-                row += [_fmt(v) for v in log.est_errors[r]]
-                row += [_fmt(log.shape_dist[r])]
-            else:
-                row += [_fmt(v) for v in log.v_t_err[r]]
-                row += [_fmt(v) for v in log.e_t_err[r]]
-                row += [_fmt(log.e_t_norm[r]), _fmt(log.shape_dist[r]),
-                        str(int(log.hull_inside[r]))]
-            w.writerow(row)
+        agent_cols = ["theta_err", "vt_err", "et_err"]
+        shared_cols = ["e_t_norm_m", "shape_dist_m", "hull_contains"]
+        columns = [log.t, log.edge_errors, log.heading_errors, log.v_t_err,
+                   log.e_t_err, log.e_t_norm, log.shape_dist, log.hull_inside]
+    header = (["t_s"] + [f"e_{i}_{j}" for i, j in edges]
+              + [f"{c}_{i}" for c in agent_cols for i in range(1, log.n + 1)]
+              + shared_cols)
+
+    def block(r0, r1):
+        return np.hstack([c[r0:r1].reshape(r1 - r0, -1) for c in columns])
+
+    _write_table(path, header, log.rows, block)
 
 
 def build_summary(scn: Scenario, log: TrajectoryLog) -> dict:
@@ -239,6 +233,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ScenarioError, OSError, KernelUnavailable) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except SimulationDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,7 +27,6 @@ from . import kernels
 from .graph import Graph, neighbors
 from .interception import convex_hull_contains
 from .observers import sgn
-from .rigidity import TargetFormation
 from .unicycle import b_matrix, rot_matrix, wrap_angle
 
 

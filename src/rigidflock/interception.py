@@ -97,13 +97,13 @@ def follower_u_dot(
     return u_dot(rel_positions, z, bu_self, bu_neighbors, ff, k_a)
 
 
-def _hull_indices(pts: np.ndarray) -> list[int]:
-    """Monotone-chain convex hull; returns CCW vertex indices."""
-    order = sorted(range(pts.shape[0]), key=lambda k: (pts[k, 0], pts[k, 1]))
+def _hull_indices(pts: list) -> list[int]:
+    """Monotone-chain convex hull of [x, y] lists; returns CCW vertex indices."""
+    order = sorted(range(len(pts)), key=pts.__getitem__)
 
     def cross(o, a, b):
-        return ((pts[a, 0] - pts[o, 0]) * (pts[b, 1] - pts[o, 1])
-                - (pts[a, 1] - pts[o, 1]) * (pts[b, 0] - pts[o, 0]))
+        (ox, oy), (ax, ay), (bx, by) = pts[o], pts[a], pts[b]
+        return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
     lower: list[int] = []
     for k in order:
@@ -139,7 +139,8 @@ def convex_hull_contains(points: np.ndarray, q: np.ndarray, tol: float = 1e-9) -
     q = np.asarray(q, dtype=float).reshape(2)
     if pts.shape[0] == 1:
         return float(np.hypot(*(q - pts[0]))) <= tol
-    hull = _hull_indices(pts)
+    corners = pts.tolist()
+    hull = _hull_indices(corners)
     if len(hull) < 3:
         # Collinear (or two points): distance to the extremal segment.
         d = min(
@@ -148,15 +149,15 @@ def convex_hull_contains(points: np.ndarray, q: np.ndarray, tol: float = 1e-9) -
             for b in hull
         )
         return d <= tol
-    # Orientation signs on CCW hull edges: inside iff every cross
-    # product is >= 0; otherwise fall back to distance to the boundary.
-    inside = True
-    dist = np.inf
-    for k in range(len(hull)):
-        a = pts[hull[k]]
-        b = pts[hull[(k + 1) % len(hull)]]
-        s = (b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0])
-        if s < 0:
-            inside = False
-        dist = min(dist, _point_segment_distance(q, a, b))
-    return inside or dist <= tol
+    ring = list(zip(hull, hull[1:] + hull[:1]))
+    qx, qy = q.tolist()
+
+    def right_of(a, b):
+        (ax, ay), (bx, by) = corners[a], corners[b]
+        return (bx - ax) * (qy - ay) - (by - ay) * (qx - ax) < 0
+
+    # Inside iff q is right of no CCW hull edge; otherwise it may still
+    # be within tol of the boundary.
+    if not any(right_of(a, b) for a, b in ring):
+        return True
+    return min(_point_segment_distance(q, pts[a], pts[b]) for a, b in ring) <= tol

@@ -280,12 +280,13 @@ def test_criterion_8_determinism(tmp_path):
             rc = cli_main(["simulate", str(bundled_scenario_path(name)),
                            "--out", str(out)])
             assert rc == 0
-            blobs.append((out / "trajectory.csv").read_bytes())
+            blobs.append([(out / f).read_bytes()
+                          for f in ("trajectory.csv", "metrics.csv")])
         identical &= blobs[0] == blobs[1]
 
     report(8, "determinism",
            identical,
            "same-seed reruns of both bundled scenarios produced "
-           "byte-identical trajectory.csv" if identical else
-           "trajectory.csv bytes differ between same-seed reruns")
+           "byte-identical trajectory.csv and metrics.csv" if identical else
+           "trajectory.csv or metrics.csv bytes differ between same-seed reruns")
     assert identical

@@ -1,18 +1,21 @@
 """Tests for the command-line interface and its file outputs."""
 
 import csv
+import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rigidflock
-from rigidflock import engine, kernels
+from rigidflock import cli, engine, kernels
 from rigidflock.cli import main
-from rigidflock.scenario import bundled_scenario_path
+from rigidflock.scenario import bundled_scenario_path, load_scenario
 
 
 def flock_json(tmp_path, **changes):
@@ -141,6 +144,22 @@ def test_simulate_missing_file_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def run_child(argv):
+    """The CLI in a child interpreter, so a traceback reaches stderr as text."""
+    src = str(Path(rigidflock.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "rigidflock.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def assert_one_error_line(out):
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    lines = out.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
+
+
 @pytest.mark.parametrize("command", ["simulate", "check-rigidity"])
 def test_non_utf8_file_exits_1_without_traceback(tmp_path, command):
     path = tmp_path / "bin.json"
@@ -148,16 +167,148 @@ def test_non_utf8_file_exits_1_without_traceback(tmp_path, command):
     argv = [command, str(path)]
     if command == "simulate":
         argv += ["--out", str(tmp_path / "o")]
-    # A child interpreter, so a traceback would reach stderr as text.
-    src = str(Path(rigidflock.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-m", "rigidflock.cli", *argv],
-                         capture_output=True, text=True, env=env)
-    assert out.returncode == 1
-    assert "Traceback" not in out.stderr
-    lines = out.stderr.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
+    assert_one_error_line(run_child(argv))
+
+
+def test_impossible_horizon_exits_1_without_traceback(tmp_path):
+    # 1e15 steps: the first array of the rollout (petabytes) cannot be
+    # allocated, so this fails at once without touching real memory.
+    out = tmp_path / "o"
+    assert_one_error_line(run_child([
+        "simulate", str(bundled_scenario_path("pentagon_flock")),
+        "--out", str(out), "--duration", "1e12"]))
+    assert not (out / "summary.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# CSV writers against a per-value reference
+# ---------------------------------------------------------------------------
+
+def reference_csvs(log, edges):
+    """Both CSVs as bytes, one ``format(x, ".17g")`` per value via csv.writer."""
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    n = log.n
+    flock = log.mode == "flock"
+    per_agent = ([log.poses, log.commands, log.u, log.v_f_hat] if flock else
+                 [log.poses, log.commands, log.u, log.v_t_hat, log.e_t_hat])
+    shared = [log.v0] if flock else [log.target_pos, log.target_vel]
+    header = ["t_s"]
+    for i in range(1, n + 1):
+        header += [f"x_m_{i}", f"y_m_{i}", f"theta_rad_{i}",
+                   f"v_mps_{i}", f"omega_radps_{i}", f"ux_{i}", f"uy_{i}"]
+        header += ([f"vfhat_x_{i}", f"vfhat_y_{i}"] if flock else
+                   [f"vthat_x_{i}", f"vthat_y_{i}", f"ethat_x_{i}", f"ethat_y_{i}"])
+    header += (["v0_x_mps", "v0_y_mps"] if flock else
+               ["pt_x_m", "pt_y_m", "vt_x_mps", "vt_y_mps"])
+    traj = io.StringIO(newline="")
+    w = csv.writer(traj)
+    w.writerow(header)
+    for r in range(log.rows):
+        row = [fmt(log.t[r])]
+        for k in range(n):
+            for a in per_agent:
+                row += [fmt(v) for v in a[r, k]]
+        for a in shared:
+            row += [fmt(v) for v in a[r]]
+        w.writerow(row)
+
+    header = ["t_s"] + [f"e_{i}_{j}" for i, j in edges]
+    header += [f"theta_err_{i}" for i in range(1, n + 1)]
+    if flock:
+        header += [f"vf_err_{i}" for i in range(1, n + 1)] + ["shape_dist_m"]
+    else:
+        header += [f"vt_err_{i}" for i in range(1, n + 1)]
+        header += [f"et_err_{i}" for i in range(1, n + 1)]
+        header += ["e_t_norm_m", "shape_dist_m", "hull_contains"]
+    metrics = io.StringIO(newline="")
+    w = csv.writer(metrics)
+    w.writerow(header)
+    for r in range(log.rows):
+        row = [fmt(log.t[r])]
+        row += [fmt(v) for v in log.edge_errors[r]]
+        row += [fmt(v) for v in log.heading_errors[r]]
+        if flock:
+            row += [fmt(v) for v in log.est_errors[r]] + [fmt(log.shape_dist[r])]
+        else:
+            row += [fmt(v) for v in log.v_t_err[r]]
+            row += [fmt(v) for v in log.e_t_err[r]]
+            row += [fmt(log.e_t_norm[r]), fmt(log.shape_dist[r]),
+                    str(int(log.hull_inside[r]))]
+        w.writerow(row)
+    return traj.getvalue().encode(), metrics.getvalue().encode()
+
+
+def written_csvs(log, edges, tmp_path):
+    cli.write_trajectory_csv(log, tmp_path / "trajectory.csv")
+    cli.write_metrics_csv(log, edges, tmp_path / "metrics.csv")
+    return ((tmp_path / "trajectory.csv").read_bytes(),
+            (tmp_path / "metrics.csv").read_bytes())
+
+
+def simulated(name, duration):
+    scn = load_scenario(bundled_scenario_path(name), duration=duration)
+    return engine.run(scn.to_run_config(), force_kernel="numpy"), scn.graph.edges
+
+
+def width(csv_bytes):
+    return csv_bytes.split(b"\r\n", 1)[0].count(b",") + 1
+
+
+def block_rows(csv_bytes):
+    return max(1, cli._BLOCK_VALUES // width(csv_bytes))
+
+
+# 251 and 151 rows span several blocks of either table and end in a
+# partial one; a --duration 0 run writes a single row.
+@pytest.mark.parametrize("name, duration, rows", [
+    ("pentagon_flock", 2.5, 251), ("pentagon_intercept", 1.5, 151),
+    ("pentagon_flock", 0.0, 1), ("pentagon_intercept", 0.0, 1)])
+def test_writers_match_per_value_reference(tmp_path, name, duration, rows):
+    log, edges = simulated(name, duration)
+    assert log.rows == rows
+    expected = reference_csvs(log, edges)
+    for blob in expected:
+        assert rows % block_rows(blob) != 0
+        assert rows == 1 or rows > block_rows(blob)
+    assert written_csvs(log, edges, tmp_path) == expected
+
+
+def test_writers_match_reference_when_a_row_exceeds_a_block(tmp_path):
+    log, edges = simulated("pentagon_intercept", 0.02)
+    # 250 copies of the six agents: each row of either table holds more
+    # values than one block.
+    copies = 250
+    per_agent = ("poses", "commands", "u", "v_t_hat", "e_t_hat",
+                 "heading_errors", "v_t_err", "e_t_err", "edge_errors")
+    wide = dataclasses.replace(log, **{
+        name: np.concatenate([getattr(log, name)] * copies, axis=1)
+        for name in per_agent})
+    wide_edges = list(edges) * copies
+    expected = reference_csvs(wide, wide_edges)
+    for blob in expected:
+        assert width(blob) > cli._BLOCK_VALUES
+    assert written_csvs(wide, wide_edges, tmp_path) == expected
+
+
+@pytest.mark.parametrize("name", ["pentagon_flock", "pentagon_intercept"])
+def test_writers_match_reference_on_extreme_values(tmp_path, name):
+    log, edges = simulated(name, 0.05)
+    specials = [-0.0, 5e-324, 1e308, 1 / 3]
+    log.t[:4] = specials
+    log.poses[1, 0, :3] = specials[:3]
+    log.commands[2, -1] = specials[2:]
+    log.edge_errors[0, :4] = specials
+    log.heading_errors[3, :4] = specials
+    log.shape_dist[:4] = specials
+    if log.mode == "intercept":
+        log.hull_inside[1] = False
+    traj, metrics = written_csvs(log, edges, tmp_path)
+    assert (traj, metrics) == reference_csvs(log, edges)
+    for text in (b"-0,", b"4.9406564584124654e-324,", b"1e+308,",
+                 b"0.33333333333333331,"):
+        assert text in traj and text in metrics
 
 
 def test_simulate_unwritable_out_exits_1(tmp_path, capsys):

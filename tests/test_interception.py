@@ -1,8 +1,11 @@
 """Tests for interception control laws and convex-hull containment."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+from rigidflock.engine import TrajectoryLog, hull_containment
 from rigidflock.flocking import u_dot
 from rigidflock.interception import (
     InterceptionGains,
@@ -160,3 +163,71 @@ def test_hull_random_triangles_agree_with_barycentric():
         if abs(margin) < 1e-9:
             continue  # too close to the boundary to compare
         assert convex_hull_contains(tri, q) == inside
+
+
+def segment_distance(q, a, b):
+    ab = b - a
+    t = 0.0 if not ab @ ab else np.clip((q - a) @ ab / (ab @ ab), 0.0, 1.0)
+    return np.hypot(*(q - a - t * ab))
+
+
+def in_some_triangle(pts, q):
+    """Caratheodory oracle: q is in conv(pts) iff some triangle holds it."""
+    def orient(a, b):
+        return (b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0])
+
+    for a, b, c in combinations(pts, 3):
+        s = (orient(a, b), orient(b, c), orient(c, a))
+        if min(s) >= 0 or max(s) <= 0:
+            return True
+    return False
+
+
+def test_hull_random_quadruples_agree_with_triangle_oracle():
+    rng = np.random.default_rng(41)
+    verdicts = []
+    for _ in range(2000):
+        pts = rng.normal(size=(4, 2))
+        q = 0.5 * rng.normal(size=2)
+        # Every hull edge is one of the six point pairs.
+        if min(segment_distance(q, a, b) for a, b in combinations(pts, 2)) < 1e-7:
+            continue
+        inside = in_some_triangle(pts, q)
+        assert convex_hull_contains(pts, q) == inside, (pts, q)
+        verdicts.append(inside)
+    assert len(verdicts) > 1900
+    assert 300 < sum(verdicts) < len(verdicts) - 300
+
+
+def intercept_log(followers, targets):
+    """A bare intercept-mode log: follower rows, a leader at the origin."""
+    rows, m = followers.shape[:2]
+    poses = np.zeros((rows, m + 1, 3))
+    poses[:, :m, :2] = followers
+    zeros = np.zeros((rows, m + 1))
+    return TrajectoryLog("intercept", np.arange(rows, dtype=float), poses,
+                         np.zeros((rows, m + 1, 2)), np.zeros((rows, m + 1, 2)),
+                         zeros, np.zeros((rows, 0)), zeros, None,
+                         target_pos=np.asarray(targets, dtype=float))
+
+
+def test_hull_containment_matches_per_row_test_on_degenerate_rows():
+    square = UNIT_SQUARE
+    line = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    doubled = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    cases = [
+        (line, [1.5, 0.0], True),            # collinear, on the segment
+        (line, [1.5, 1e-3], False),          # collinear, off it
+        (line, [3.0 + 2e-9, 0.0], False),    # collinear, past the end
+        (doubled, [0.2, 0.2], True),         # two coincident followers
+        (doubled, [0.8, 0.8], False),
+        (square, [1.0, 1.0], True),          # on a vertex
+        (square, [0.5, 0.0], True),          # on an edge
+        (square, [0.5, -0.5e-9], True),      # outside, within the 1e-9 tol
+        (square, [-2e-9, 0.5], False),       # outside, beyond it
+        (square, [1.0 + 0.5e-9, 1.0 + 0.5e-9], True),
+    ]
+    log = intercept_log(np.array([c[0] for c in cases]), [c[1] for c in cases])
+    flags = hull_containment(log)
+    per_row = [convex_hull_contains(pts, q) for pts, q, _ in cases]
+    assert flags.tolist() == per_row == [want for _, _, want in cases]
