@@ -162,33 +162,33 @@ def _cmd_check_rigidity(args) -> int:
     if not isinstance(data, dict):
         raise ScenarioError("formation file must be a JSON object")
     if "positions_m" in data:
-        n, edges, pos = data.get("n"), data.get("edges"), data["positions_m"]
+        keys = ("n", "edges", "positions_m")
     elif "target_positions_m" in data:
-        n = data.get("agents")
-        edges = data.get("edges")
-        pos = data["target_positions_m"]
+        keys = ("agents", "edges", "target_positions_m")
     else:
         raise ScenarioError("formation file needs positions_m or target_positions_m")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ScenarioError("n/agents: must be an integer")
+    n, edges, pos = (data.get(k) for k in keys)
+    if not isinstance(n, int) or isinstance(n, bool) or n < 3:
+        raise ScenarioError(f"{keys[0]}: must be an integer >= 3, got {n!r}")
     try:
         g = Graph(n, [tuple(e) for e in edges])
-        fw = Framework(g, np.array(pos, dtype=float))
-        rank = rigidity_rank(fw)
-        if n < 3:
-            raise ScenarioError("rigidity test needs at least 3 nodes")
-        rigid = rank == 2 * n - 3
-        report = {
-            "n": n,
-            "edge_count": g.edge_count,
-            "rank": rank,
-            "required_rank": 2 * n - 3,
-            "connected": is_connected(g),
-            "infinitesimally_rigid": rigid,
-            "minimally_rigid": rigid and g.edge_count == 2 * n - 3,
-        }
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(str(exc)) from exc
+        raise ScenarioError(f"edges: {exc}") from exc
+    try:
+        fw = Framework(g, np.array(pos, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{keys[2]}: {exc}") from exc
+    rank = rigidity_rank(fw)
+    rigid = rank == 2 * n - 3
+    report = {
+        "n": n,
+        "edge_count": g.edge_count,
+        "rank": rank,
+        "required_rank": 2 * n - 3,
+        "connected": is_connected(g),
+        "infinitesimally_rigid": rigid,
+        "minimally_rigid": rigid and g.edge_count == 2 * n - 3,
+    }
     print(json.dumps(report, indent=2))
     ok = report["infinitesimally_rigid"] and report["minimally_rigid"]
     return EXIT_OK if ok else EXIT_NOT_RIGID

@@ -8,47 +8,11 @@ heading toward the direction of u.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Below this |u| the desired heading is pinned to zero instead of
 # following atan2 noise.
 EPS_U = 1e-12
-
-
-@dataclass(frozen=True)
-class FlockingGains:
-    """Gains for the flocking controller.
-
-    Parameters
-    ----------
-    k_a : float
-        Formation (gradient) gain, > 0.
-    c : array_like, shape (n,)
-        Per-agent heading gains, > 0.
-    alpha : float
-        Velocity-observer signum gain, > 0.
-    """
-
-    k_a: float
-    c: np.ndarray
-    alpha: float
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.array(self.c, dtype=float))
-        if c.ndim != 1 or c.size < 1:
-            raise ValueError("c must be a 1-D array of per-agent gains")
-        if not np.all(np.isfinite(c)) or np.any(c <= 0):
-            raise ValueError("heading gains c must be finite and positive")
-        if not (np.isfinite(self.k_a) and self.k_a > 0):
-            raise ValueError("k_a must be positive")
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError("alpha must be positive")
-        c.setflags(write=False)
-        object.__setattr__(self, "k_a", float(self.k_a))
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "alpha", float(self.alpha))
 
 
 def control_u(

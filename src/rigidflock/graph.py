@@ -36,6 +36,8 @@ class Graph:
         seen = set()
         norm = []
         for e in self.edges:
+            if len(e) != 2:
+                raise ValueError(f"edge {tuple(e)} is not a pair of node ids")
             i, j = int(e[0]), int(e[1])
             if i == j:
                 raise ValueError(f"self-loop at node {i}")

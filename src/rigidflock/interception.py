@@ -9,40 +9,10 @@ formation surrounds the target on arrival.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .flocking import u_dot
 from .unicycle import b_matrix
-
-
-@dataclass(frozen=True)
-class InterceptionGains:
-    """Gains for the interception controller.
-
-    ``alpha1``/``gamma_t1`` belong to the target-velocity observer,
-    ``alpha2``/``gamma_t2`` to the interception-error observer; each
-    alpha must strictly dominate its gamma for finite-time estimation.
-    """
-
-    k_a: float
-    k_t: float
-    c: np.ndarray
-    alpha1: float
-    alpha2: float
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.array(self.c, dtype=float))
-        if not np.all(np.isfinite(c)) or np.any(c <= 0):
-            raise ValueError("heading gains c must be finite and positive")
-        for name in ("k_a", "k_t", "alpha1", "alpha2"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive")
-            object.__setattr__(self, name, float(v))
-        c.setflags(write=False)
-        object.__setattr__(self, "c", c)
 
 
 def leader_u(e_t: np.ndarray, v_target: np.ndarray, k_t: float) -> np.ndarray:

@@ -23,7 +23,9 @@ import os
 
 import numpy as np
 
+from .flocking import EPS_U
 from .observers import signum_rates
+from .unicycle import TWO_PI
 
 try:
     import numba
@@ -33,9 +35,7 @@ except ImportError:  # pragma: no cover - exercised only without numba
 HAS_NUMBA = numba is not None
 USE_NUMBA = HAS_NUMBA and os.environ.get("RIGIDFLOCK_NUMBA", "1") != "0"
 
-EPS_U = 1e-12
 POS_LIMIT = 1e6
-TWO_PI = 2.0 * np.pi
 
 STATUS_OK = 0
 STATUS_DIVERGED = 1

@@ -154,16 +154,6 @@ class TargetFormation:
         return self.framework.n
 
 
-def distance_errors(positions: np.ndarray, target: TargetFormation) -> np.ndarray:
-    """Signed squared-distance errors z_ij = |p_i - p_j|^2 - d_ij^2 per edge."""
-    p = np.asarray(positions, dtype=float)
-    if p.shape != (target.n, 2):
-        raise ValueError(f"positions shape {p.shape} does not match ({target.n}, 2)")
-    e = target.framework.graph.edge_array()
-    d = p[e[:, 0]] - p[e[:, 1]]
-    return np.einsum("ij,ij->i", d, d) - target.distances**2
-
-
 def shape_distance(positions: np.ndarray, target: TargetFormation) -> float:
     """RMS distance to the target shape over rotations and translations.
 

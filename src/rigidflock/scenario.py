@@ -17,16 +17,16 @@ import json
 import logging
 from dataclasses import dataclass
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 
 from .engine import RunConfig
-from .flocking import FlockingGains
 from .graph import Graph
-from .interception import InterceptionGains, convex_hull_contains
+from .interception import convex_hull_contains
 from .observers import gain_check
 from .rigidity import Framework, TargetFormation, edge_function
-from .trajectories import make_trajectory, trajectory_to_dict
+from .trajectories import make_trajectory
 
 logger = logging.getLogger("rigidflock.scenario")
 
@@ -64,14 +64,14 @@ class Scenario:
     graph: Graph
     target: TargetFormation
     signal: object
-    gains: object
+    # k_a, c, alpha (flock) or k_a, k_t, c, alpha1, alpha2 (intercept)
+    gains: SimpleNamespace
     dt: float
     duration: float
     sample_every: int
     anchor_sign: float
     smoothing_epsilon: float
     initial_poses: np.ndarray
-    raw_initial: dict
     seed: int | None
     # flock mode
     v0_access: tuple[int, ...] = ()
@@ -117,41 +117,6 @@ class Scenario:
                          initial_v_t_hat=self.initial_v_t_hat,
                          initial_e_t_hat=self.initial_e_t_hat, **common)
 
-    def to_dict(self) -> dict:
-        d = {
-            "name": self.name,
-            "mode": self.mode,
-            "notes": self.notes,
-            "agents": self.n,
-            "edges": [list(e) for e in self.graph.edges],
-            "target_positions_m": self.target.framework.positions.tolist(),
-            "target_distances_m": self.target.distances.tolist(),
-            "anchor_sign": self.anchor_sign,
-            "smoothing_epsilon": self.smoothing_epsilon,
-            "initial": dict(self.raw_initial),
-            "sim": {"dt_s": self.dt, "duration_s": self.duration,
-                    "sample_every": self.sample_every},
-        }
-        if self.mode == "flock":
-            d["gains"] = {"k_a": self.gains.k_a, "c": self.gains.c.tolist(),
-                          "alpha": self.gains.alpha}
-            d["flock_velocity"] = trajectory_to_dict(self.signal)
-            d["v0_access"] = list(self.v0_access)
-            d["gamma0"] = self.gamma0
-        else:
-            d["gains"] = {"k_a": self.gains.k_a, "c": self.gains.c.tolist(),
-                          "k_t": self.gains.k_t, "alpha1": self.gains.alpha1,
-                          "alpha2": self.gains.alpha2}
-            d["target"] = trajectory_to_dict(self.signal)
-            d["gamma_t1"] = self.gamma_t1
-            d["gamma_t2"] = self.gamma_t2
-        return d
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
 
 def _seeded_poses(anchor: np.ndarray, seed: int, radius: float) -> np.ndarray:
     """Anchor positions perturbed uniformly on a disk; headings uniform."""
@@ -179,13 +144,15 @@ def _parse_array(value, shape, pointer: str) -> np.ndarray:
     return arr
 
 
-def _positive(value, pointer: str) -> float:
+def _number(value, pointer: str, *, positive: bool = False) -> float:
+    """``value`` as a finite float >= 0, or > 0 when ``positive``."""
     try:
         x = float(value)
     except (TypeError, ValueError):
-        _fail(pointer, "must be a number")
-    if not (np.isfinite(x) and x > 0):
-        _fail(pointer, f"must be positive, got {value!r}")
+        _fail(pointer, f"must be a number, got {value!r}")
+    if not (np.isfinite(x) and (x > 0 if positive else x >= 0)):
+        _fail(pointer, f"must be finite and {'> 0' if positive else '>= 0'}, "
+                       f"got {value!r}")
     return x
 
 
@@ -231,27 +198,22 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
     gains_d = _need(data, "gains")
     if not isinstance(gains_d, dict):
         _fail("gains", "must be an object")
-    k_a = _positive(gains_d.get("k_a"), "gains.k_a")
-    c_raw = gains_d.get("c")
-    if c_raw is None:
-        _fail("gains.c", "missing required field")
-    c_arr = np.atleast_1d(np.array(c_raw, dtype=float))
-    if c_arr.size == 1:
-        c_arr = np.full(n, float(c_arr[0]))
-    if c_arr.shape != (n,):
-        _fail("gains.c", f"must be a scalar or length-{n} list")
+    k_a = _number(gains_d.get("k_a"), "gains.k_a", positive=True)
+    c_raw = _need(gains_d, "c", "gains.")
+    try:
+        c_arr = np.broadcast_to(np.array(c_raw, dtype=float), (n,)).copy()
+    except (TypeError, ValueError):
+        _fail("gains.c", f"must be a number or a length-{n} list")
+    if not (np.all(np.isfinite(c_arr)) and np.all(c_arr > 0)):
+        _fail("gains.c", f"heading gains must be finite and > 0, got {c_raw!r}")
 
     sim = _need(data, "sim")
     if not isinstance(sim, dict):
         _fail("sim", "must be an object")
-    dt_val = _positive(sim.get("dt_s") if dt is None else dt, "sim.dt_s")
-    dur_raw = sim.get("duration_s") if duration is None else duration
-    try:
-        dur_val = float(dur_raw)
-    except (TypeError, ValueError):
-        _fail("sim.duration_s", "must be a number")
-    if not (np.isfinite(dur_val) and dur_val >= 0):
-        _fail("sim.duration_s", f"must be >= 0, got {dur_raw!r}")
+    dt_val = _number(sim.get("dt_s") if dt is None else dt, "sim.dt_s",
+                     positive=True)
+    dur_val = _number(sim.get("duration_s") if duration is None else duration,
+                      "sim.duration_s")
     se = sim.get("sample_every", 1)
     if not isinstance(se, int) or isinstance(se, bool) or se < 1:
         _fail("sim.sample_every", f"must be an integer >= 1, got {se!r}")
@@ -259,12 +221,11 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
         _fail("sim.dt_s", f"dt * max(c) = {dt_val * float(c_arr.max()):g} "
                           "must be < 1 for a stable heading loop")
 
-    anchor_sign = float(data.get("anchor_sign", 1.0))
+    anchor_sign = data.get("anchor_sign", 1.0)
     if anchor_sign not in (1.0, -1.0):
-        _fail("anchor_sign", "must be +1 or -1")
-    smoothing = float(data.get("smoothing_epsilon", 0.0))
-    if smoothing < 0 or not np.isfinite(smoothing):
-        _fail("smoothing_epsilon", "must be >= 0")
+        _fail("anchor_sign", f"must be +1 or -1, got {anchor_sign!r}")
+    anchor_sign = float(anchor_sign)
+    smoothing = _number(data.get("smoothing_epsilon", 0.0), "smoothing_epsilon")
 
     # --- mode-specific blocks -------------------------------------------
     if mode == "flock":
@@ -272,20 +233,15 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
             signal = make_trajectory(_need(data, "flock_velocity"))
         except ValueError as exc:
             _fail("flock_velocity", str(exc))
-        alpha = _positive(gains_d.get("alpha"), "gains.alpha")
-        try:
-            gains = FlockingGains(k_a, c_arr, alpha)
-        except ValueError as exc:
-            _fail("gains", str(exc))
+        alpha = _number(gains_d.get("alpha"), "gains.alpha", positive=True)
+        gains = SimpleNamespace(k_a=k_a, c=c_arr, alpha=alpha)
         access = _need(data, "v0_access")
         if (not isinstance(access, list) or not access
                 or len(set(access)) != len(access)
                 or any(not isinstance(i, int) or isinstance(i, bool)
                        or not 1 <= i <= n for i in access)):
             _fail("v0_access", f"must be a nonempty list of distinct agent ids in 1..{n}")
-        gamma0 = float(data.get("gamma0", signal.sup_accel()))
-        if gamma0 < 0 or not np.isfinite(gamma0):
-            _fail("gamma0", "must be >= 0")
+        gamma0 = _number(data.get("gamma0", signal.sup_accel()), "gamma0")
         if not gain_check(alpha, gamma0):
             logger.warning(
                 "gains.alpha = %g does not dominate gamma0 = %g; "
@@ -300,13 +256,11 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
             signal = make_trajectory(_need(data, "target"))
         except ValueError as exc:
             _fail("target", str(exc))
-        k_t = _positive(gains_d.get("k_t"), "gains.k_t")
-        alpha1 = _positive(gains_d.get("alpha1"), "gains.alpha1")
-        alpha2 = _positive(gains_d.get("alpha2"), "gains.alpha2")
-        try:
-            gains = InterceptionGains(k_a, k_t, c_arr, alpha1, alpha2)
-        except ValueError as exc:
-            _fail("gains", str(exc))
+        k_t = _number(gains_d.get("k_t"), "gains.k_t", positive=True)
+        alpha1 = _number(gains_d.get("alpha1"), "gains.alpha1", positive=True)
+        alpha2 = _number(gains_d.get("alpha2"), "gains.alpha2", positive=True)
+        gains = SimpleNamespace(k_a=k_a, k_t=k_t, c=c_arr, alpha1=alpha1,
+                                alpha2=alpha2)
         # The designated interception point (the leader's spot in the
         # target formation) must lie inside the followers' hull so the
         # converged formation surrounds the target.
@@ -319,30 +273,27 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
     init = _need(data, "initial")
     if not isinstance(init, dict):
         _fail("initial", "must be an object")
-    raw_initial = dict(init)
     seed_val: int | None = None
     if seed is not None:
         if "poses" in init:
             _fail("initial", "seed override conflicts with explicit poses")
-        raw_initial["seed"] = int(seed)
-    if "poses" in raw_initial:
-        poses = _parse_array(raw_initial["poses"], (n, 3), "initial.poses")
+        init = dict(init, seed=int(seed))
+    if "poses" in init:
+        poses = _parse_array(init["poses"], (n, 3), "initial.poses")
     else:
-        if "seed" not in raw_initial or "perturbation_radius_m" not in raw_initial:
+        if "seed" not in init or "perturbation_radius_m" not in init:
             _fail("initial", "needs either poses or seed + perturbation_radius_m")
-        seed_val = raw_initial["seed"]
+        seed_val = init["seed"]
         if not isinstance(seed_val, int) or isinstance(seed_val, bool) or seed_val < 0:
             _fail("initial.seed", f"must be a nonnegative integer, got {seed_val!r}")
-        radius = float(raw_initial["perturbation_radius_m"])
-        if radius < 0 or not np.isfinite(radius):
-            _fail("initial.perturbation_radius_m", "must be >= 0")
+        radius = _number(init["perturbation_radius_m"],
+                         "initial.perturbation_radius_m")
         poses = _seeded_poses(pos, seed_val, radius)
 
     kw = dict(name=name, mode=mode, notes=notes, graph=graph, target=target,
               signal=signal, gains=gains, dt=dt_val, duration=dur_val,
               sample_every=se, anchor_sign=anchor_sign,
-              smoothing_epsilon=smoothing, initial_poses=poses,
-              raw_initial=raw_initial, seed=seed_val)
+              smoothing_epsilon=smoothing, initial_poses=poses, seed=seed_val)
     if mode == "flock":
         vfh = (_parse_array(init["v_f_hat"], (n, 2), "initial.v_f_hat")
                if "v_f_hat" in init else np.zeros((n, 2)))
@@ -359,13 +310,9 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
         logger.warning("initial.v_t_hat: leader row replaced by the target "
                        "velocity at t = 0")
     vth[n - 1] = vt0
-    gamma_t1 = float(data.get("gamma_t1", signal.sup_accel()))
-    if gamma_t1 < 0 or not np.isfinite(gamma_t1):
-        _fail("gamma_t1", "must be >= 0")
+    gamma_t1 = _number(data.get("gamma_t1", signal.sup_accel()), "gamma_t1")
     if "gamma_t2" in data:
-        gamma_t2 = float(data["gamma_t2"])
-        if gamma_t2 < 0 or not np.isfinite(gamma_t2):
-            _fail("gamma_t2", "must be >= 0")
+        gamma_t2 = _number(data["gamma_t2"], "gamma_t2")
     else:
         # Bound on |edot_T| at t = 0: |v_T| + |u_n| <= 2 sup|v_T| + k_T |e_T(0)|.
         pt0 = signal.state(0.0)[0]

@@ -22,8 +22,16 @@ def _vec2(value, name: str) -> np.ndarray:
     return v
 
 
+class _Path:
+    """A reference path: ``state`` is ``sample`` at one time."""
+
+    def state(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        pos, vel, acc = self.sample(t)
+        return pos[0], vel[0], acc[0]
+
+
 @dataclass(frozen=True)
-class CirclePath:
+class CirclePath(_Path):
     """Uniform circular motion: center + radius (cos, sin)(omega t + phase)."""
 
     center: np.ndarray
@@ -49,10 +57,6 @@ class CirclePath:
         acc = -r * w * w * np.stack([c, s], axis=1)
         return pos, vel, acc
 
-    def state(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        pos, vel, acc = self.sample(t)
-        return pos[0], vel[0], acc[0]
-
     def sup_speed(self) -> float:
         return abs(self.radius * self.omega)
 
@@ -61,7 +65,7 @@ class CirclePath:
 
 
 @dataclass(frozen=True)
-class LinePath:
+class LinePath(_Path):
     """Constant-velocity motion from a starting point."""
 
     start: np.ndarray
@@ -78,10 +82,6 @@ class LinePath:
         acc = np.zeros_like(pos)
         return pos, vel, acc
 
-    def state(self, t: float):
-        pos, vel, acc = self.sample(t)
-        return pos[0], vel[0], acc[0]
-
     def sup_speed(self) -> float:
         return float(np.hypot(*self.velocity))
 
@@ -90,7 +90,7 @@ class LinePath:
 
 
 @dataclass(frozen=True)
-class SinePath:
+class SinePath(_Path):
     """Straight drift with a transverse sinusoid.
 
     p(t) = start + velocity t + amplitude sin(omega t) nhat, where nhat
@@ -126,10 +126,6 @@ class SinePath:
         acc = -A * w * w * np.sin(w * t)[:, None] * n[None, :]
         return pos, vel, acc
 
-    def state(self, t: float):
-        pos, vel, acc = self.sample(t)
-        return pos[0], vel[0], acc[0]
-
     def sup_speed(self) -> float:
         return float(np.sqrt(np.hypot(*self.velocity) ** 2
                              + (self.amplitude * self.omega) ** 2))
@@ -139,7 +135,7 @@ class SinePath:
 
 
 @dataclass(frozen=True)
-class WaypointPath:
+class WaypointPath(_Path):
     """Piecewise-linear motion through timed waypoints, clamped at the ends.
 
     Velocity is constant on each segment and zero outside the knot
@@ -176,10 +172,6 @@ class WaypointPath:
         acc = np.zeros_like(pos)
         return pos, vel, acc
 
-    def state(self, t: float):
-        pos, vel, acc = self.sample(t)
-        return pos[0], vel[0], acc[0]
-
     def sup_speed(self) -> float:
         seg_v = np.diff(self.points, axis=0) / np.diff(self.times)[:, None]
         return float(np.max(np.hypot(seg_v[:, 0], seg_v[:, 1])))
@@ -214,23 +206,8 @@ def make_trajectory(spec: dict):
             return WaypointPath(spec["points_m"], spec["times_s"])
     except KeyError as exc:
         raise ValueError(f"trajectory kind '{kind}' missing field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"trajectory kind '{kind}' has a field of the wrong "
+                         f"type: {exc}") from exc
     raise ValueError(f"unknown trajectory kind '{kind}'")
 
-
-def trajectory_to_dict(model) -> dict:
-    """Inverse of make_trajectory."""
-    if isinstance(model, CirclePath):
-        return {"kind": "circle", "center_m": list(model.center),
-                "radius_m": model.radius, "omega_radps": model.omega,
-                "phase_rad": model.phase}
-    if isinstance(model, LinePath):
-        return {"kind": "line", "start_m": list(model.start),
-                "velocity_mps": list(model.velocity)}
-    if isinstance(model, SinePath):
-        return {"kind": "sine", "start_m": list(model.start),
-                "velocity_mps": list(model.velocity),
-                "amplitude_m": model.amplitude, "omega_radps": model.omega}
-    if isinstance(model, WaypointPath):
-        return {"kind": "waypoints", "points_m": model.points.tolist(),
-                "times_s": model.times.tolist()}
-    raise TypeError(f"not a trajectory model: {type(model)!r}")

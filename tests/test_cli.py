@@ -170,6 +170,17 @@ def test_non_utf8_file_exits_1_without_traceback(tmp_path, command):
     assert_one_error_line(run_child(argv))
 
 
+@pytest.mark.parametrize("command", ["simulate", "check-rigidity"])
+def test_non_pair_edge_exits_1_without_traceback(tmp_path, command):
+    path = flock_json(tmp_path, edges=[[1, 2], [1]])
+    argv = [command, str(path)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "o")]
+    out = run_child(argv)
+    assert_one_error_line(out)
+    assert out.stderr.startswith("error: edges:")
+
+
 def test_impossible_horizon_exits_1_without_traceback(tmp_path):
     # 1e15 steps: the first array of the rollout (petabytes) cannot be
     # allocated, so this fails at once without touching real memory.

@@ -5,23 +5,11 @@ import pytest
 
 from rigidflock.flocking import (
     EPS_U,
-    FlockingGains,
     control_u,
     desired_heading,
     desired_heading_rate,
     u_dot,
 )
-
-
-def test_gains_validation():
-    g = FlockingGains(6.0, [10.0, 10.0], 0.05)
-    assert g.k_a == 6.0 and g.alpha == 0.05
-    with pytest.raises(ValueError):
-        FlockingGains(-1.0, [10.0], 0.05)
-    with pytest.raises(ValueError):
-        FlockingGains(1.0, [0.0], 0.05)
-    with pytest.raises(ValueError):
-        FlockingGains(1.0, [10.0], 0.0)
 
 
 def test_control_u_reduces_to_velocity_at_formation():

@@ -21,7 +21,8 @@ def test_edge_array_is_zero_based():
     np.testing.assert_array_equal(arr, [[0, 1], [1, 2]])
 
 
-@pytest.mark.parametrize("edges", [[(1, 1)], [(0, 2)], [(1, 4)], [(1, 2), (2, 1)]])
+@pytest.mark.parametrize("edges", [[(1, 1)], [(0, 2)], [(1, 4)], [(1, 2), (2, 1)],
+                                   [(1,)], [(1, 2, 3)]])
 def test_invalid_edges_rejected(edges):
     with pytest.raises(ValueError):
         Graph(3, edges)

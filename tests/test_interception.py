@@ -3,12 +3,10 @@
 from itertools import combinations
 
 import numpy as np
-import pytest
 
 from rigidflock.engine import TrajectoryLog, hull_containment
 from rigidflock.flocking import u_dot
 from rigidflock.interception import (
-    InterceptionGains,
     convex_hull_contains,
     follower_u,
     follower_u_dot,
@@ -16,16 +14,6 @@ from rigidflock.interception import (
     leader_u,
     leader_u_dot,
 )
-
-
-def test_gains_validation():
-    g = InterceptionGains(6.0, 1.0, [10.0], 0.05, 0.25)
-    assert g.k_t == 1.0
-    for bad in ("k_a", "k_t", "alpha1", "alpha2"):
-        kw = dict(k_a=6.0, k_t=1.0, c=[10.0], alpha1=0.05, alpha2=0.25)
-        kw[bad] = 0.0
-        with pytest.raises(ValueError):
-            InterceptionGains(**kw)
 
 
 def test_leader_u_cases():

@@ -7,7 +7,6 @@ from rigidflock.graph import Graph
 from rigidflock.rigidity import (
     Framework,
     TargetFormation,
-    distance_errors,
     edge_function,
     is_infinitesimally_rigid,
     is_minimally_rigid,
@@ -228,27 +227,6 @@ def test_target_formation_rejects_disconnected():
 def pentagon_target():
     f = pentagon()
     return TargetFormation(f, np.sqrt(edge_function(f)))
-
-
-def test_distance_errors_zero_at_target():
-    t = pentagon_target()
-    np.testing.assert_allclose(
-        distance_errors(t.framework.positions, t), 0.0, atol=1e-15)
-
-
-def test_distance_errors_hand_value():
-    g = Graph(3, [(1, 2), (1, 3), (2, 3)])
-    f = Framework(g, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    t = TargetFormation(f, np.sqrt(edge_function(f)))
-    p = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
-    z = distance_errors(p, t)
-    assert z[0] == pytest.approx(3.0)  # separation 2 against side 1
-
-
-def test_distance_errors_scaled_framework():
-    t = pentagon_target()
-    z = distance_errors(2.0 * t.framework.positions, t)
-    np.testing.assert_allclose(z, 3.0 * t.distances**2, rtol=1e-12)
 
 
 def test_shape_distance_zero_under_isometry():

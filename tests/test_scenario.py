@@ -1,4 +1,4 @@
-"""Tests for scenario loading, validation, and round-tripping."""
+"""Tests for scenario loading and validation."""
 
 import json
 import logging
@@ -69,22 +69,49 @@ def test_intercept_scenario_fields():
     (lambda d: d.update(target_positions_m=[[0.0, 0.0]] * 3), "target_positions_m"),
     (lambda d: d["gains"].update(k_a=-1.0), "gains.k_a"),
     (lambda d: d["gains"].pop("c"), "gains.c"),
+    pytest.param(lambda d: d["gains"].update(c="abc"), "gains.c",
+                 id="gains.c-str"),
+    pytest.param(lambda d: d["gains"].update(c={}), "gains.c",
+                 id="gains.c-dict"),
+    pytest.param(lambda d: d["gains"].update(c=0.0), "gains.c",
+                 id="gains.c-zero"),
+    pytest.param(lambda d: d["gains"].update(c=-1.0), "gains.c",
+                 id="gains.c-negative"),
+    pytest.param(lambda d: d["gains"].update(c=float("inf")), "gains.c",
+                 id="gains.c-inf-not-sim.dt_s"),
     (lambda d: d["gains"].update(alpha=0.0), "gains.alpha"),
     (lambda d: d["sim"].update(dt_s=-1.0), "sim.dt_s"),
     (lambda d: d["sim"].update(duration_s=-5.0), "sim.duration_s"),
     (lambda d: d["sim"].update(sample_every=0), "sim.sample_every"),
     (lambda d: d["sim"].update(dt_s=0.5), "sim.dt_s"),  # dt * c >= 1
     (lambda d: d.update(anchor_sign=2.0), "anchor_sign"),
+    pytest.param(lambda d: d.update(anchor_sign="x"), "anchor_sign",
+                 id="anchor_sign-str"),
     (lambda d: d.update(smoothing_epsilon=-0.5), "smoothing_epsilon"),
+    pytest.param(lambda d: d.update(smoothing_epsilon="x"), "smoothing_epsilon",
+                 id="smoothing_epsilon-str"),
     (lambda d: d.update(v0_access=[]), "v0_access"),
     (lambda d: d.update(v0_access=[1, 1]), "v0_access"),
     (lambda d: d.update(v0_access=[9]), "v0_access"),
     (lambda d: d.update(gamma0=-1.0), "gamma0"),
+    pytest.param(lambda d: d.update(gamma0="x"), "gamma0",
+                 id="gamma0-str"),
+    pytest.param(lambda d: d.update(gamma0=[1]), "gamma0",
+                 id="gamma0-list"),
     (lambda d: d.update(flock_velocity={"kind": "warp"}), "flock_velocity"),
+    pytest.param(lambda d: d["flock_velocity"].update(radius_m=[1, 2]),
+                 "flock_velocity", id="flock_velocity-radius_m-list"),
+    pytest.param(lambda d: d["flock_velocity"].update(omega_radps=None),
+                 "flock_velocity", id="flock_velocity-omega_radps-null"),
+    pytest.param(lambda d: d["edges"].append([1]), "edges",
+                 id="edges-singleton"),
     (lambda d: d.update(initial={}), "initial"),
     (lambda d: d["initial"].update(seed=-3), "initial.seed"),
     (lambda d: d["initial"].update(perturbation_radius_m=-0.1),
      "initial.perturbation_radius_m"),
+    pytest.param(lambda d: d["initial"].update(perturbation_radius_m="x"),
+                 "initial.perturbation_radius_m",
+                 id="initial.perturbation_radius_m-str"),
 ])
 def test_flock_validation_errors_name_the_field(mutate, pointer):
     d = flock_dict()
@@ -98,6 +125,16 @@ def test_intercept_validation_errors():
     d["gains"].pop("k_t")
     with pytest.raises(ScenarioError, match=r"gains\.k_t"):
         scenario_from_dict(d)
+    for gain in ("k_a", "k_t", "alpha1", "alpha2"):
+        d = intercept_dict()
+        d["gains"][gain] = 0
+        with pytest.raises(ScenarioError, match=rf"gains\.{gain}"):
+            scenario_from_dict(d)
+    for field in ("gamma_t1", "gamma_t2"):
+        d = intercept_dict()
+        d[field] = "x"
+        with pytest.raises(ScenarioError, match=field):
+            scenario_from_dict(d)
     d = intercept_dict()
     d.pop("target")
     with pytest.raises(ScenarioError, match="target"):
@@ -197,21 +234,6 @@ def test_unknown_field_warns(caplog):
     with caplog.at_level(logging.WARNING, logger="rigidflock.scenario"):
         scenario_from_dict(d)
     assert any("unknown field" in r.message for r in caplog.records)
-
-
-def test_to_dict_round_trip(tmp_path):
-    for name in ("pentagon_flock", "pentagon_intercept"):
-        scn = load_scenario(bundled_scenario_path(name))
-        d = scn.to_dict()
-        again = scenario_from_dict(d)
-        assert again.mode == scn.mode
-        assert again.graph.edges == scn.graph.edges
-        np.testing.assert_array_equal(again.target.distances, scn.target.distances)
-        np.testing.assert_array_equal(again.initial_poses, scn.initial_poses)
-        path = tmp_path / f"{name}.json"
-        scn.save(path)
-        from_file = load_scenario(path)
-        np.testing.assert_array_equal(from_file.initial_poses, scn.initial_poses)
 
 
 def test_run_config_round_trip_runs():

@@ -9,7 +9,6 @@ from rigidflock.trajectories import (
     SinePath,
     WaypointPath,
     make_trajectory,
-    trajectory_to_dict,
 )
 
 ALL_MODELS = [
@@ -126,16 +125,6 @@ def test_sample_matches_state_rows():
             np.testing.assert_allclose(accs[k], a, atol=1e-14)
 
 
-def test_dict_round_trip():
-    for m in ALL_MODELS:
-        d = trajectory_to_dict(m)
-        m2 = make_trajectory(d)
-        assert type(m2) is type(m)
-        t = np.linspace(0.0, 5.0, 11)
-        for a, b in zip(m.sample(t), m2.sample(t)):
-            np.testing.assert_array_equal(a, b)
-
-
 def test_make_trajectory_errors():
     with pytest.raises(ValueError, match="kind"):
         make_trajectory({})
@@ -143,5 +132,3 @@ def test_make_trajectory_errors():
         make_trajectory({"kind": "spiral"})
     with pytest.raises(ValueError, match="missing field"):
         make_trajectory({"kind": "line", "start_m": [0.0, 0.0]})
-    with pytest.raises(TypeError):
-        trajectory_to_dict(object())
