@@ -153,7 +153,8 @@ def _cmd_simulate(args) -> int:
     else:
         headline = f"final target error {summary['final_e_t_norm']:.3e} m"
     print(f"{scn.name}: {log.rows} rows -> {outdir} ({headline}, "
-          f"{summary['kernel']} kernel, {summary['runtime_s']:.3f} s)")
+          f"{summary['kernel']} kernel, {summary['form']} form, "
+          f"{summary['runtime_s']:.3f} s)")
     return EXIT_OK
 
 

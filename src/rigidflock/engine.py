@@ -332,7 +332,7 @@ def run(config: RunConfig, force_kernel: str | None = None) -> TrajectoryLog:
         _, v0_seq, _ = config.signal.sample(times)
         est = config.initial_v_f_hat.copy()
         out_est = np.zeros((rows, n, 2))
-        kernel_name, status = kernels.flock_rollout(
+        kernel_name, form, status = kernels.flock_rollout(
             pose, est, config._edges, config._d2, config.access_flags,
             v0_seq, config.k_a, config.c, config.alpha, config.anchor_sign,
             config.smoothing_epsilon, dt, n_steps, sample_every,
@@ -344,7 +344,7 @@ def run(config: RunConfig, force_kernel: str | None = None) -> TrajectoryLog:
         ethat = config.initial_e_t_hat.copy()
         out_vthat = np.zeros((rows, n, 2))
         out_ethat = np.zeros((rows, n, 2))
-        kernel_name, status = kernels.intercept_rollout(
+        kernel_name, form, status = kernels.intercept_rollout(
             pose, vthat, ethat, config._edges, config._d2, config.leader - 1,
             pt_seq, vt_seq, at_seq, config.k_a, config.k_t, config.c,
             config.alpha1, config.alpha2, config.smoothing_epsilon, dt,
@@ -373,6 +373,7 @@ def run(config: RunConfig, force_kernel: str | None = None) -> TrajectoryLog:
         "sample_every": sample_every,
         "n_steps": n_steps,
         "kernel": kernel_name,
+        "form": form,
         "runtime_s": runtime,
     }
     log = TrajectoryLog(config.mode, out_t, out_pose, out_cmd, out_u, out_tid,

@@ -22,8 +22,9 @@ class Graph:
     n : int
         Number of nodes, at least 1.
     edges : iterable of (int, int)
-        Undirected edges between distinct nodes in ``1..n``.  Stored
-        normalized to ``(min, max)`` and sorted.
+        Undirected edges between distinct nodes in ``1..n``; ids must be
+        Python ints (not bool).  Stored normalized to ``(min, max)`` and
+        sorted.
     """
 
     n: int
@@ -38,7 +39,9 @@ class Graph:
         for e in self.edges:
             if len(e) != 2:
                 raise ValueError(f"edge {tuple(e)} is not a pair of node ids")
-            i, j = int(e[0]), int(e[1])
+            i, j = e
+            if not all(isinstance(v, int) and not isinstance(v, bool) for v in (i, j)):
+                raise ValueError(f"edge {tuple(e)} has a node id that is not an integer")
             if i == j:
                 raise ValueError(f"self-loop at node {i}")
             if not (1 <= i <= n and 1 <= j <= n):

@@ -2,10 +2,11 @@
 
 The env flag ``RIGIDFLOCK_NUMBA`` picks the default path ("0" disables
 the compiled loop form, anything else or unset enables it when numba
-imports).  Both forms stay importable so they can be benchmarked and
-cross-checked in one process.  Within a form, rollouts are
-deterministic: canonical edge order, fixed summation order, no
-threading.
+imports).  Uncompiled, small formations run the loop form in CPython on
+Python floats and larger ones the numpy form.  Every form stays
+importable so they can be benchmarked and cross-checked in one
+process.  Within a form, rollouts are deterministic: canonical edge
+order, fixed summation order, no threading.
 
 Flock and intercept are two parameterizations of one law (``_Law``),
 and both forms take one argument list (``_rollout_loops``).  Layout:
@@ -39,6 +40,11 @@ POS_LIMIT = 1e6
 
 STATUS_OK = 0
 STATUS_DIVERGED = 1
+
+# Largest formation the uncompiled default runs as the loop form on
+# Python floats; larger ones run the numpy law.  Set from the measured
+# crossover (README, "Kernels and environment flags").
+LIST_MAX_AGENTS = 12
 
 
 def using_numba() -> bool:
@@ -76,8 +82,30 @@ def _sgn(x, eps):
     return 0.0
 
 
+def _zeros(n):
+    """n zeros: a list in CPython; numba compiles it as ``np.zeros(n)``."""
+    return [0.0] * n
+
+
+def _zeros2(n, m):
+    """(n, m) zeros as n row lists; numba compiles it as ``np.zeros((n, m))``."""
+    return [[0.0] * m for _ in range(n)]
+
+
+if HAS_NUMBA:
+    from numba.extending import overload
+
+    @overload(_zeros)
+    def _zeros_jit(n):
+        return lambda n: np.zeros(n)
+
+    @overload(_zeros2)
+    def _zeros2_jit(n, m):
+        return lambda n, m: np.zeros((n, m))
+
+
 # ---------------------------------------------------------------------------
-# the closed loop, loop form (numba target)
+# the closed loop, loop form (numba target, and CPython on lists)
 # ---------------------------------------------------------------------------
 
 def _rollout_loops(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
@@ -88,118 +116,138 @@ def _rollout_loops(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
     The law's parameters are those of ``_Law``, with ``leader`` -1 for
     none; row ``step`` of ``sig`` holds the references (see the module
     docstring).  Updates pose and est in place, logs every
-    ``sample_every``-th step and returns (status, agent, steps).  Every
-    argument is an array, an int or a float, so numba compiles it in
-    nopython mode.
+    ``sample_every``-th step and returns (status, agent, steps).
+
+    One source, two runtimes.  numba compiles it with every argument an
+    array, an int or a float.  CPython runs it with pose, est, edges,
+    d2, anchor, alphas, weights and c as lists (``_rollout_lists``), so
+    the arithmetic is on Python floats; ``sig`` and the ``out_*`` logs
+    stay arrays, written one slice per logged row.  Rows are read by
+    chained indexing (``pose[i][0]``), which both runtimes index
+    natively, and the scratch buffers come from ``_zeros``/``_zeros2``.
     """
-    n = pose.shape[0]
-    a = edges.shape[0]
-    m2 = est.shape[1]
-    pijx = np.empty(a)
-    pijy = np.empty(a)
-    zz = np.empty(a)
-    gx = np.empty(n)
-    gy = np.empty(n)
-    sums = np.empty((n, m2))
-    rate = np.empty((n, m2))
-    ref = np.empty(m2)
-    ux = np.empty(n)
-    uy = np.empty(n)
-    bux = np.empty(n)
-    buy = np.empty(n)
-    te = np.empty(n)
-    tid = np.empty(n)
-    udx = np.empty(n)
-    udy = np.empty(n)
-    vc = np.empty(n)
-    wc = np.empty(n)
+    n = len(pose)
+    a = len(edges)
+    m2 = len(est[0])
+    nk = m2 // 2
+    pijx = _zeros(a)
+    pijy = _zeros(a)
+    zz = _zeros(a)
+    gx = _zeros(n)
+    gy = _zeros(n)
+    sums = _zeros2(n, m2)
+    rate = _zeros2(n, m2)
+    ref = _zeros(m2)
+    ux = _zeros(n)
+    uy = _zeros(n)
+    bux = _zeros(n)
+    buy = _zeros(n)
+    te = _zeros(n)
+    tid = _zeros(n)
+    udx = _zeros(n)
+    udy = _zeros(n)
+    vc = _zeros(n)
+    wc = _zeros(n)
     row = 0
     for step in range(n_steps + 1):
-        ref[0] = sig[step, 0]
-        ref[1] = sig[step, 1]
+        ref[0] = float(sig[step, 0])
+        ref[1] = float(sig[step, 1])
         if leader >= 0:  # e_T = p_T - p_L
-            ref[2] = sig[step, 2] - pose[leader, 0]
-            ref[3] = sig[step, 3] - pose[leader, 1]
-        for k in range(a):
-            i = edges[k, 0]
-            j = edges[k, 1]
-            dx = pose[i, 0] - pose[j, 0]
-            dy = pose[i, 1] - pose[j, 1]
-            pijx[k] = dx
-            pijy[k] = dy
-            zz[k] = dx * dx + dy * dy - d2[k]
+            ref[2] = float(sig[step, 2]) - pose[leader][0]
+            ref[3] = float(sig[step, 3]) - pose[leader][1]
         for i in range(n):
             gx[i] = 0.0
             gy[i] = 0.0
+            si = sums[i]
             for m in range(m2):
-                sums[i, m] = 0.0
+                si[m] = 0.0
         for k in range(a):
-            i = edges[k, 0]
-            j = edges[k, 1]
-            fx = pijx[k] * zz[k]
-            fy = pijy[k] * zz[k]
-            gx[i] += fx
-            gy[i] += fy
-            gx[j] -= fx
-            gy[j] -= fy
+            i = edges[k][0]
+            j = edges[k][1]
+            dx = pose[i][0] - pose[j][0]
+            dy = pose[i][1] - pose[j][1]
+            z = dx * dx + dy * dy - d2[k]
+            pijx[k] = dx
+            pijy[k] = dy
+            zz[k] = z
+            gx[i] += dx * z
+            gy[i] += dy * z
+            gx[j] -= dx * z
+            gy[j] -= dy * z
+            ei = est[i]
+            ej = est[j]
+            si = sums[i]
+            sj = sums[j]
             for m in range(m2):
-                e = est[i, m] - est[j, m]
-                sums[i, m] += e
-                sums[j, m] -= e
+                e = ei[m] - ej[m]
+                si[m] += e
+                sj[m] -= e
         # pass 1: observer rates (signum in each agent's frame), controls
+        # and the estimates' part of their rates
         for i in range(n):
-            ct = np.cos(pose[i, 2])
-            st = np.sin(pose[i, 2])
-            ux[i] = 0.0
-            uy[i] = 0.0
-            for k in range(m2 // 2):
+            th = pose[i][2]
+            ct = math.cos(th)
+            st = math.sin(th)
+            ei = est[i]
+            si = sums[i]
+            ri = rate[i]
+            bi = anchor[i]
+            uxi = 0.0
+            uyi = 0.0
+            udxi = 0.0
+            udyi = 0.0
+            for k in range(nk):
                 kx = 2 * k
                 ky = kx + 1
-                ax = sums[i, kx] + anchor[i] * (est[i, kx] - ref[kx])
-                ay = sums[i, ky] + anchor[i] * (est[i, ky] - ref[ky])
+                wk = weights[k]
+                ax = si[kx] + bi * (ei[kx] - ref[kx])
+                ay = si[ky] + bi * (ei[ky] - ref[ky])
                 sx = _sgn(ct * ax + st * ay, smooth_eps)
                 sy = _sgn(-st * ax + ct * ay, smooth_eps)
-                rate[i, kx] = -alphas[k] * (ct * sx - st * sy)
-                rate[i, ky] = -alphas[k] * (st * sx + ct * sy)
+                rx = -alphas[k] * (ct * sx - st * sy)
+                ry = -alphas[k] * (st * sx + ct * sy)
+                ri[kx] = rx
+                ri[ky] = ry
+                udxi += wk * rx
+                udyi += wk * ry
                 if i == leader:  # free: the weighted true references
-                    ux[i] += weights[k] * ref[kx]
-                    uy[i] += weights[k] * ref[ky]
+                    uxi += wk * ref[kx]
+                    uyi += wk * ref[ky]
                 else:
-                    ux[i] += weights[k] * est[i, kx]
-                    uy[i] += weights[k] * est[i, ky]
+                    uxi += wk * ei[kx]
+                    uyi += wk * ei[ky]
             if i != leader:
-                ux[i] -= k_a * gx[i]
-                uy[i] -= k_a * gy[i]
-            nu = np.sqrt(ux[i] * ux[i] + uy[i] * uy[i])
-            if nu > EPS_U:
-                tid[i] = np.arctan2(uy[i], ux[i])
-            else:
-                tid[i] = 0.0
-            te[i] = _wrap(pose[i, 2] - tid[i])
-            bc = np.cos(te[i])
-            bs = np.sin(te[i])
-            bux[i] = bc * (bc * ux[i] - bs * uy[i])
-            buy[i] = bc * (bs * ux[i] + bc * uy[i])
+                uxi -= k_a * gx[i]
+                uyi -= k_a * gy[i]
+            nu = math.sqrt(uxi * uxi + uyi * uyi)
+            tdi = math.atan2(uyi, uxi) if nu > EPS_U else 0.0
+            tei = _wrap(th - tdi)
+            bc = math.cos(tei)
+            bs = math.sin(tei)
+            ux[i] = uxi
+            uy[i] = uyi
+            tid[i] = tdi
+            te[i] = tei
+            bux[i] = bc * (bc * uxi - bs * uyi)
+            buy[i] = bc * (bs * uxi + bc * uyi)
+            udx[i] = udxi  # the estimates' part of udot
+            udy[i] = udyi
         # pass 2: control rates and commands
-        for i in range(n):
-            udx[i] = 0.0
-            udy[i] = 0.0
-            for k in range(m2 // 2):
-                udx[i] += weights[k] * rate[i, 2 * k]
-                udy[i] += weights[k] * rate[i, 2 * k + 1]
         if leader >= 0:  # the reference rates are a_T and v_T - B u_L
-            udx[leader] = (weights[0] * sig[step, 4]
-                           + weights[1] * (sig[step, 0] - bux[leader]))
-            udy[leader] = (weights[0] * sig[step, 5]
-                           + weights[1] * (sig[step, 1] - buy[leader]))
+            udx[leader] = (weights[0] * float(sig[step, 4])
+                           + weights[1] * (float(sig[step, 0]) - bux[leader]))
+            udy[leader] = (weights[0] * float(sig[step, 5])
+                           + weights[1] * (float(sig[step, 1]) - buy[leader]))
         for k in range(a):
-            i = edges[k, 0]
-            j = edges[k, 1]
+            i = edges[k][0]
+            j = edges[k][1]
             wx = bux[i] - bux[j]
             wy = buy[i] - buy[j]
-            m11 = zz[k] + 2.0 * pijx[k] * pijx[k]
-            m12 = 2.0 * pijx[k] * pijy[k]
-            m22 = zz[k] + 2.0 * pijy[k] * pijy[k]
+            px = pijx[k]
+            py = pijy[k]
+            m11 = zz[k] + 2.0 * px * px
+            m12 = 2.0 * px * py
+            m22 = zz[k] + 2.0 * py * py
             fx = k_a * (m11 * wx + m12 * wy)
             fy = k_a * (m12 * wx + m22 * wy)
             if i != leader:
@@ -209,43 +257,65 @@ def _rollout_loops(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
                 udx[j] += fx
                 udy[j] += fy
         for i in range(n):
-            nu2 = ux[i] * ux[i] + uy[i] * uy[i]
-            nu = np.sqrt(nu2)
+            uxi = ux[i]
+            uyi = uy[i]
+            nu2 = uxi * uxi + uyi * uyi
+            nu = math.sqrt(nu2)
             if nu > EPS_U:
-                tidd = (ux[i] * udy[i] - uy[i] * udx[i]) / nu2
+                tidd = (uxi * udy[i] - uyi * udx[i]) / nu2
             else:
                 tidd = 0.0
-            vc[i] = nu * np.cos(te[i])
+            vc[i] = nu * math.cos(te[i])
             wc[i] = -c[i] * te[i] + tidd
-        if step % sample_every == 0:
+        if step % sample_every == 0:  # one slice write per logged quantity
             out_t[row] = step * dt
-            for i in range(n):
-                out_pose[row, i, 0] = pose[i, 0]
-                out_pose[row, i, 1] = pose[i, 1]
-                out_pose[row, i, 2] = pose[i, 2]
-                out_cmd[row, i, 0] = vc[i]
-                out_cmd[row, i, 1] = wc[i]
-                out_u[row, i, 0] = ux[i]
-                out_u[row, i, 1] = uy[i]
-                out_tid[row, i] = tid[i]
-                for m in range(m2):
-                    out_est[row, i, m] = est[i, m]
+            out_pose[row] = pose
+            out_cmd[row, :, 0] = vc
+            out_cmd[row, :, 1] = wc
+            out_u[row, :, 0] = ux
+            out_u[row, :, 1] = uy
+            out_tid[row] = tid
+            out_est[row] = est
             row += 1
         if step == n_steps:
             break
         for i in range(n):
-            pose[i, 0] += vc[i] * np.cos(pose[i, 2]) * dt
-            pose[i, 1] += vc[i] * np.sin(pose[i, 2]) * dt
-            pose[i, 2] = _wrap(pose[i, 2] + wc[i] * dt)
-            ok = (math.isfinite(pose[i, 0]) and math.isfinite(pose[i, 1])
-                  and math.isfinite(pose[i, 2])
-                  and abs(pose[i, 0]) <= POS_LIMIT and abs(pose[i, 1]) <= POS_LIMIT)
+            pi = pose[i]
+            th = pi[2]
+            x = pi[0] + vc[i] * math.cos(th) * dt
+            y = pi[1] + vc[i] * math.sin(th) * dt
+            th = _wrap(th + wc[i] * dt)
+            pi[0] = x
+            pi[1] = y
+            pi[2] = th
+            # A comparison with nan is false: the bounds reject nan too.
+            ok = abs(x) <= POS_LIMIT and abs(y) <= POS_LIMIT and math.isfinite(th)
+            ei = est[i]
+            ri = rate[i]
             for m in range(m2):
-                est[i, m] += rate[i, m] * dt
-                ok = ok and math.isfinite(est[i, m])
+                e = ei[m] + ri[m] * dt
+                ei[m] = e
+                ok = ok and math.isfinite(e)
             if not ok:
                 return STATUS_DIVERGED, i, step + 1
     return STATUS_OK, -1, n_steps
+
+
+def _rollout_lists(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
+                   k_a, c, smooth_eps, dt, n_steps, sample_every, *outs):
+    """``_rollout_loops`` in CPython on lists: same arguments and effects.
+
+    Every argument array but the signal and the logs is copied with
+    ``tolist()``; pose and est are copied back at the end.
+    """
+    pose_l, est_l = pose.tolist(), est.tolist()
+    status = _rollout_loops(pose_l, est_l, sig, edges.tolist(), d2.tolist(),
+                            anchor.tolist(), leader, alphas.tolist(),
+                            weights.tolist(), k_a, c.tolist(), smooth_eps, dt,
+                            n_steps, sample_every, *outs)
+    pose[:] = pose_l
+    est[:] = est_l
+    return status
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +541,11 @@ def flock_rollout(pose, est, edges, d2, bflag, v0_seq, k_a, c, alpha,
 
     ``force`` overrides the environment default with "jit" or "numpy".
     Updates pose and est in place and fills the ``out_*`` logs.
-    Returns ``(kernel, status)``: the name of the implementation that
-    ran ("numba" or "numpy") and the rollout's status triple.
+    Returns ``(kernel, form, status)``: "numba" (compiled) or "numpy"
+    (uncompiled), the form that ran ("loops" or "law") and the
+    rollout's status triple.  Without numba, formations of at most
+    ``LIST_MAX_AGENTS`` agents run the loop form on Python floats unless
+    ``force`` is "numpy".
     """
     law = _flock_params(edges, d2, bflag, k_a, c, alpha, anchor_sign, smooth_eps)
     return _dispatch(force, pose, est, np.ascontiguousarray(v0_seq, dtype=float),
@@ -500,9 +573,12 @@ def intercept_rollout(pose, vthat, ethat, edges, d2, leader, pt_seq, vt_seq,
 
 def _dispatch(force, pose, est, sig, law, dt, n_steps, sample_every, outs):
     impl = _pick(rollout_jit, _rollout_numpy, force)
+    if force is None and impl is _rollout_numpy and len(pose) <= LIST_MAX_AGENTS:
+        impl = _rollout_lists
     status = impl(pose, est, sig, *law, float(dt), int(n_steps),
                   int(sample_every), *outs)
-    return ("numba" if impl is rollout_jit else "numpy"), status
+    return (("numba" if impl is rollout_jit else "numpy"),
+            ("law" if impl is _rollout_numpy else "loops"), status)
 
 
 def _pick(jit_impl, numpy_impl, force):

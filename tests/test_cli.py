@@ -112,7 +112,7 @@ def test_simulate_seed_changes_trajectory(tmp_path):
 
 
 def test_simulate_kernel_flag(tmp_path, capsys):
-    for kernel in ("jit", "numpy"):
+    for kernel in ("jit", "numpy", "auto"):
         out = tmp_path / kernel
         rc = main(["simulate", str(bundled_scenario_path("pentagon_flock")),
                    "--out", str(out), "--duration", "0.05",
@@ -126,7 +126,12 @@ def test_simulate_kernel_flag(tmp_path, capsys):
             continue
         assert rc == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["kernel"] == ("numba" if kernel == "jit" else "numpy")
+        if kernel == "auto":  # uncompiled, a pentagon runs the loop form
+            assert summary["kernel"] == ("numba" if kernels.USE_NUMBA else "numpy")
+            assert summary["form"] == "loops"
+        else:
+            assert summary["kernel"] == ("numba" if kernel == "jit" else "numpy")
+            assert summary["form"] == ("loops" if kernel == "jit" else "law")
 
 
 def test_simulate_invalid_scenario_exits_1(tmp_path, capsys):
@@ -173,6 +178,19 @@ def test_non_utf8_file_exits_1_without_traceback(tmp_path, command):
 @pytest.mark.parametrize("command", ["simulate", "check-rigidity"])
 def test_non_pair_edge_exits_1_without_traceback(tmp_path, command):
     path = flock_json(tmp_path, edges=[[1, 2], [1]])
+    argv = [command, str(path)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "o")]
+    out = run_child(argv)
+    assert_one_error_line(out)
+    assert out.stderr.startswith("error: edges:")
+
+
+@pytest.mark.parametrize("command", ["simulate", "check-rigidity"])
+def test_non_integer_node_id_exits_1_without_traceback(tmp_path, command):
+    # [1.5, 2] was once truncated to the edge (1, 2) and loaded.
+    path = flock_json(tmp_path, edges=[[1.5, 2], [1, 3], [1, 4], [1, 5],
+                                       [2, 3], [3, 4], [4, 5]])
     argv = [command, str(path)]
     if command == "simulate":
         argv += ["--out", str(tmp_path / "o")]

@@ -153,7 +153,8 @@ def test_step_world_divergence_reports_agent():
 def test_run_divergence_matches_step_world(monkeypatch):
     # The rollout checks one reduction per step and scans per agent only
     # when it fails; it must name the agent and time step_world names.
-    # The uncompiled loop form (the numba source) must name them too.
+    # The loop form must name them too, both uncompiled on arrays (the
+    # numba source) and on lists (the small-formation default).
     stretched = [[0.0, 0.0, 0.0], [3.5, 0.0, 0.0], [0.0, 4.0, 0.0]]
     # Only edge (2, 3) is off, so agent 1 is still sane when 2 and 3 blow up.
     off_23 = [3.0, 4.0, 5.5]
@@ -173,22 +174,23 @@ def test_run_divergence_matches_step_world(monkeypatch):
     for overrides, agent, time_s in cases:
         cfg = right_triangle_config(duration=0.01, **overrides)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(SimulationDiverged) as by_run:
-                run(cfg)
-            with monkeypatch.context() as m:
-                m.setattr(engine.kernels, "_rollout_numpy",
-                          engine.kernels._rollout_loops)
-                with pytest.raises(SimulationDiverged) as by_loops:
-                    run(cfg, force_kernel="numpy")
+            found = []
+            for impl in (None, engine.kernels._rollout_loops,
+                         engine.kernels._rollout_lists):
+                with monkeypatch.context() as m:
+                    if impl is not None:
+                        m.setattr(engine.kernels, "_rollout_numpy", impl)
+                    with pytest.raises(SimulationDiverged) as by_run:
+                        run(cfg, force_kernel="numpy")
+                found.append((by_run.value.agent, by_run.value.time_s))
             w = initial_state(cfg)
             with pytest.raises(SimulationDiverged) as by_step:
                 for _ in range(10):
                     w = step_world(w, cfg)
-        assert (by_run.value.agent == by_loops.value.agent
-                == by_step.value.agent == agent), overrides
-        assert (by_run.value.time_s == by_loops.value.time_s
-                == by_step.value.time_s), overrides
-        assert by_run.value.time_s == pytest.approx(time_s)
+            found.append((by_step.value.agent, by_step.value.time_s))
+        assert all(f == found[0] for f in found), (overrides, found)
+        assert found[0][0] == agent, overrides
+        assert found[0][1] == pytest.approx(time_s)
 
 
 # --- rollouts and logs -------------------------------------------------------

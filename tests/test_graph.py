@@ -22,7 +22,10 @@ def test_edge_array_is_zero_based():
 
 
 @pytest.mark.parametrize("edges", [[(1, 1)], [(0, 2)], [(1, 4)], [(1, 2), (2, 1)],
-                                   [(1,)], [(1, 2, 3)]])
+                                   [(1,)], [(1, 2, 3)],
+                                   # node ids are ints: no truncation, no coercion
+                                   [(1.5, 2)], [(1, 2.0)], [("1", "2")],
+                                   [(True, 2)], [(1, False)]])
 def test_invalid_edges_rejected(edges):
     with pytest.raises(ValueError):
         Graph(3, edges)

@@ -1,5 +1,6 @@
 """Tests for the rollout kernels: jit/numpy parity and dispatch."""
 
+import dataclasses
 import inspect
 import json
 import os
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rigidflock
 from rigidflock import engine, kernels
@@ -44,14 +47,14 @@ def test_intercept_kernels_agree():
     assert np.abs(jit_log.e_t_hat - np_log.e_t_hat).max() < 1e-9
 
 
-def henneberg_config(n, seed, steps, mode="flock"):
+def henneberg_config(n, seed, steps, mode="flock", smoothing_epsilon=0.01):
     """A seeded run on a minimally rigid graph grown by Henneberg type-I steps.
 
     Each new agent joins both ends of a random existing edge, placed
     near that edge's midpoint, so the graph has 2n - 3 edges.  The
-    observers use the smoothed signum, which the pentagons do not.  In
-    intercept mode the last agent is the free leader and chases a
-    circling target.
+    observers use the smoothed signum by default, which the pentagons
+    do not.  In intercept mode the last agent is the free leader and
+    chases a circling target.
     """
     rng = np.random.default_rng(seed)
     pos = [np.array([0.0, 0.0]), np.array([0.1, 0.0]), np.array([0.05, 0.09])]
@@ -75,7 +78,7 @@ def henneberg_config(n, seed, steps, mode="flock"):
         mode=mode, graph=g, distances=np.sqrt(edge_function(Framework(g, pos))),
         initial_poses=poses, signal=CirclePath([0.0, 0.0], 0.15, 0.3),
         dt=1e-3, duration=steps * 1e-3, sample_every=10, k_a=6.0, c=10.0,
-        smoothing_epsilon=0.01, target_positions=pos, **gains)
+        smoothing_epsilon=smoothing_epsilon, target_positions=pos, **gains)
 
 
 @pytest.mark.parametrize("case", ["pentagon_flock", "pentagon_intercept",
@@ -92,12 +95,66 @@ def test_loop_form_matches_numpy_rollout(case, monkeypatch):
         cfg = load_scenario(bundled_scenario_path(case),
                             duration=duration).to_run_config()
     numpy_log = engine.run(cfg, force_kernel="numpy")
-    monkeypatch.setattr(kernels, "_rollout_numpy", kernels._rollout_loops)
-    loop_log = engine.run(cfg, force_kernel="numpy")
-    ests = ("v_f_hat",) if cfg.mode == "flock" else ("v_t_hat", "e_t_hat")
+    # The loop form on arrays (the numba source uncompiled) and on lists.
+    for loops in (kernels._rollout_loops, kernels._rollout_lists):
+        monkeypatch.setattr(kernels, "_rollout_numpy", loops)
+        assert_logs_match(engine.run(cfg, force_kernel="numpy"), numpy_log)
+
+
+def assert_logs_match(log, ref):
+    ests = ("v_f_hat",) if log.mode == "flock" else ("v_t_hat", "e_t_hat")
     for name in ("poses", "commands") + ests:
-        diff = np.abs(getattr(loop_log, name) - getattr(numpy_log, name)).max()
+        diff = np.abs(getattr(log, name) - getattr(ref, name)).max()
         assert diff < 1e-9, (name, diff)
+
+
+def run_lists(cfg):
+    """``engine.run`` on the list runtime, whatever the formation size."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kernels, "_rollout_numpy", kernels._rollout_lists)
+        return engine.run(cfg, force_kernel="numpy")
+
+
+def estimates_near_references(cfg, seed):
+    """``cfg`` with every observer starting 0.01 m(/s) from its reference.
+
+    From zero estimates, an intercept follower near its slot has
+    |u| ~ 3e-4, and under the plain signum the heading rate
+    (u x udot) / |u|^2 amplifies rounding until two correct
+    implementations part by ~1e-4 within 300 steps.  Started near the
+    references, |u| stays of the order of the target's speed.
+    """
+    rng = np.random.default_rng(seed)
+    p, v, _ = cfg.signal.state(0.0)
+    near = [ref + rng.normal(scale=0.01, size=(cfg.n, 2))
+            for ref in (v, p - cfg.initial_poses[-1, :2])]
+    if cfg.mode == "flock":
+        return dataclasses.replace(cfg, initial_v_f_hat=near[0])
+    return dataclasses.replace(cfg, initial_v_t_hat=near[0], initial_e_t_hat=near[1])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(3, 30), seed=st.integers(0, 2**16),
+       mode=st.sampled_from(["flock", "intercept"]),
+       smoothing=st.sampled_from([0.0, 0.01]))
+def test_list_runtime_matches_law_on_random_rigid_graphs(n, seed, mode, smoothing):
+    # Sizes above LIST_MAX_AGENTS never reach the list runtime by
+    # dispatch; called directly, they are covered too.
+    cfg = estimates_near_references(
+        henneberg_config(n, seed, steps=300, mode=mode,
+                         smoothing_epsilon=smoothing), seed)
+    assert_logs_match(run_lists(cfg), engine.run(cfg, force_kernel="numpy"))
+
+
+def test_dispatch_picks_the_form_by_formation_size(monkeypatch):
+    monkeypatch.setattr(kernels, "USE_NUMBA", False)
+    limit = kernels.LIST_MAX_AGENTS
+    for n, form in ((limit, "loops"), (limit + 1, "law"), (200, "law")):
+        cfg = henneberg_config(n, seed=n, steps=2)
+        meta = engine.run(cfg).meta
+        assert (meta["kernel"], meta["form"]) == ("numpy", form), n
+        forced = engine.run(cfg, force_kernel="numpy").meta
+        assert (forced["kernel"], forced["form"]) == ("numpy", "law"), n
 
 
 def test_jit_arguments_are_numba_types(monkeypatch):
@@ -184,14 +241,14 @@ def test_numpy_fallback_runs_without_jit_selected():
         "from rigidflock.scenario import bundled_scenario_path, load_scenario\n"
         "scn = load_scenario(bundled_scenario_path('pentagon_flock'), duration=0.02)\n"
         "log = engine.run(scn.to_run_config())\n"
-        "print(log.meta['kernel'], log.rows)\n"
+        "print(log.meta['kernel'], log.meta['form'], log.rows)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, env=child_env("0"),
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["numpy", "3"]
+    assert out.stdout.split() == ["numpy", "loops", "3"]
 
 
 def test_divergence_status_from_kernel():

@@ -105,6 +105,29 @@ def test_intercept_scenario_fields():
                  "flock_velocity", id="flock_velocity-omega_radps-null"),
     pytest.param(lambda d: d["edges"].append([1]), "edges",
                  id="edges-singleton"),
+    # A number is a JSON number: booleans and numeric strings are rejected.
+    pytest.param(lambda d: d["gains"].update(k_a="6"), "gains.k_a",
+                 id="gains.k_a-numeric-str"),
+    pytest.param(lambda d: d["gains"].update(k_a=True), "gains.k_a",
+                 id="gains.k_a-bool"),
+    pytest.param(lambda d: d["sim"].update(dt_s="0.001"), "sim.dt_s",
+                 id="sim.dt_s-numeric-str"),
+    pytest.param(lambda d: d.update(smoothing_epsilon=False), "smoothing_epsilon",
+                 id="smoothing_epsilon-bool"),
+    pytest.param(lambda d: d.update(anchor_sign=True), "anchor_sign",
+                 id="anchor_sign-bool"),
+    pytest.param(lambda d: d.update(anchor_sign="1"), "anchor_sign",
+                 id="anchor_sign-numeric-str"),
+    pytest.param(lambda d: d["target_positions_m"][0].__setitem__(0, True),
+                 "target_positions_m", id="target_positions_m-bool"),
+    pytest.param(lambda d: d["target_positions_m"][0].__setitem__(1, "0.1"),
+                 "target_positions_m", id="target_positions_m-numeric-str"),
+    pytest.param(lambda d: d.update(target_positions_m=[[0.0, 0.0]] * 4 + [[0.0]]),
+                 "target_positions_m", id="target_positions_m-ragged"),
+    pytest.param(lambda d: d["edges"].append([1.5, 2]), "edges",
+                 id="edges-float-id"),
+    pytest.param(lambda d: d["edges"].append([True, 2]), "edges",
+                 id="edges-bool-id"),
     (lambda d: d.update(initial={}), "initial"),
     (lambda d: d["initial"].update(seed=-3), "initial.seed"),
     (lambda d: d["initial"].update(perturbation_radius_m=-0.1),
