@@ -30,6 +30,7 @@ from .unicycle import TWO_PI
 
 try:
     import numba
+    from numba.extending import overload, register_jitable
 except ImportError:  # pragma: no cover - exercised only without numba
     numba = None
 
@@ -41,10 +42,13 @@ POS_LIMIT = 1e6
 STATUS_OK = 0
 STATUS_DIVERGED = 1
 
-# Largest formation the uncompiled default runs as the loop form on
-# Python floats; larger ones run the numpy law.  Set from the measured
-# crossover (README, "Kernels and environment flags").
-LIST_MAX_AGENTS = 12
+# Most edges a formation may have for the uncompiled default to run it
+# as the loop form on Python floats; larger ones run the numpy law.  The
+# loop form's cost follows the edges, the law's barely moves, and a
+# rigid graph has at least 2n - 3 edges, so this also caps n at 12.
+# Set from the measured crossover (README, "Kernels and environment
+# flags").
+LIST_MAX_EDGES = 21
 
 
 def using_numba() -> bool:
@@ -52,13 +56,16 @@ def using_numba() -> bool:
     return USE_NUMBA
 
 
-def _njit(func):
-    if HAS_NUMBA:
-        return numba.njit(cache=True)(func)
-    return func
+def _jitable(func):
+    """``func`` unchanged, and compiled inline where numba compiles a caller.
+
+    CPython calls the plain function whether or not numba is installed,
+    so the list runtime runs the same code with numba disabled.
+    """
+    return register_jitable(func) if HAS_NUMBA else func
 
 
-@_njit
+@_jitable
 def _wrap(x):
     w = x % TWO_PI
     if w > np.pi:
@@ -66,7 +73,7 @@ def _wrap(x):
     return w
 
 
-@_njit
+@_jitable
 def _sgn(x, eps):
     if eps > 0.0:
         y = x / eps
@@ -93,8 +100,6 @@ def _zeros2(n, m):
 
 
 if HAS_NUMBA:
-    from numba.extending import overload
-
     @overload(_zeros)
     def _zeros_jit(n):
         return lambda n: np.zeros(n)
@@ -544,7 +549,7 @@ def flock_rollout(pose, est, edges, d2, bflag, v0_seq, k_a, c, alpha,
     Returns ``(kernel, form, status)``: "numba" (compiled) or "numpy"
     (uncompiled), the form that ran ("loops" or "law") and the
     rollout's status triple.  Without numba, formations of at most
-    ``LIST_MAX_AGENTS`` agents run the loop form on Python floats unless
+    ``LIST_MAX_EDGES`` edges run the loop form on Python floats unless
     ``force`` is "numpy".
     """
     law = _flock_params(edges, d2, bflag, k_a, c, alpha, anchor_sign, smooth_eps)
@@ -573,7 +578,7 @@ def intercept_rollout(pose, vthat, ethat, edges, d2, leader, pt_seq, vt_seq,
 
 def _dispatch(force, pose, est, sig, law, dt, n_steps, sample_every, outs):
     impl = _pick(rollout_jit, _rollout_numpy, force)
-    if force is None and impl is _rollout_numpy and len(pose) <= LIST_MAX_AGENTS:
+    if force is None and impl is _rollout_numpy and len(law[0]) <= LIST_MAX_EDGES:
         impl = _rollout_lists
     status = impl(pose, est, sig, *law, float(dt), int(n_steps),
                   int(sample_every), *outs)

@@ -153,8 +153,10 @@ def test_step_world_divergence_reports_agent():
 def test_run_divergence_matches_step_world(monkeypatch):
     # The rollout checks one reduction per step and scans per agent only
     # when it fails; it must name the agent and time step_world names.
-    # The loop form must name them too, both uncompiled on arrays (the
-    # numba source) and on lists (the small-formation default).
+    # Every runtime must name them: the unforced default (rollout_jit
+    # where numba is installed, the list runtime where it is not), the
+    # numpy law, and the loop form uncompiled on arrays (the numba
+    # source) and on lists.
     stretched = [[0.0, 0.0, 0.0], [3.5, 0.0, 0.0], [0.0, 4.0, 0.0]]
     # Only edge (2, 3) is off, so agent 1 is still sane when 2 and 3 blow up.
     off_23 = [3.0, 4.0, 5.5]
@@ -175,6 +177,9 @@ def test_run_divergence_matches_step_world(monkeypatch):
         cfg = right_triangle_config(duration=0.01, **overrides)
         with np.errstate(over="ignore", invalid="ignore"):
             found = []
+            with pytest.raises(SimulationDiverged) as by_run:
+                run(cfg)
+            found.append((by_run.value.agent, by_run.value.time_s))
             for impl in (None, engine.kernels._rollout_loops,
                          engine.kernels._rollout_lists):
                 with monkeypatch.context() as m:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import itertools
 import json
 import os
 import subprocess
@@ -101,9 +102,11 @@ def test_loop_form_matches_numpy_rollout(case, monkeypatch):
         assert_logs_match(engine.run(cfg, force_kernel="numpy"), numpy_log)
 
 
+LOGGED_ESTIMATES = {"flock": ("v_f_hat",), "intercept": ("v_t_hat", "e_t_hat")}
+
+
 def assert_logs_match(log, ref):
-    ests = ("v_f_hat",) if log.mode == "flock" else ("v_t_hat", "e_t_hat")
-    for name in ("poses", "commands") + ests:
+    for name in ("poses", "commands") + LOGGED_ESTIMATES[log.mode]:
         diff = np.abs(getattr(log, name) - getattr(ref, name)).max()
         assert diff < 1e-9, (name, diff)
 
@@ -138,7 +141,7 @@ def estimates_near_references(cfg, seed):
        mode=st.sampled_from(["flock", "intercept"]),
        smoothing=st.sampled_from([0.0, 0.01]))
 def test_list_runtime_matches_law_on_random_rigid_graphs(n, seed, mode, smoothing):
-    # Sizes above LIST_MAX_AGENTS never reach the list runtime by
+    # Formations above LIST_MAX_EDGES never reach the list runtime by
     # dispatch; called directly, they are covered too.
     cfg = estimates_near_references(
         henneberg_config(n, seed, steps=300, mode=mode,
@@ -146,15 +149,52 @@ def test_list_runtime_matches_law_on_random_rigid_graphs(n, seed, mode, smoothin
     assert_logs_match(run_lists(cfg), engine.run(cfg, force_kernel="numpy"))
 
 
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(3, 30), seed=st.integers(0, 2**16),
+       mode=st.sampled_from(["flock", "intercept"]),
+       smoothing=st.sampled_from([0.0, 0.01]))
+def test_list_runtime_equals_array_loop_form_from_zero_estimates(
+        n, seed, mode, smoothing):
+    # From zero estimates the closed loop amplifies rounding (see
+    # estimates_near_references), so the law is no reference there.  The
+    # two runtimes of the loop form run the same operations in the same
+    # order on IEEE doubles, so they must agree bit for bit.
+    cfg = henneberg_config(n, seed, steps=200, mode=mode,
+                           smoothing_epsilon=smoothing)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kernels, "_rollout_numpy", kernels._rollout_loops)
+        on_arrays = engine.run(cfg, force_kernel="numpy")
+    on_lists = run_lists(cfg)
+    for name in ("poses", "commands") + LOGGED_ESTIMATES[mode]:
+        np.testing.assert_array_equal(getattr(on_lists, name),
+                                      getattr(on_arrays, name), err_msg=name)
+
+
+def complete_config(cfg):
+    """``cfg`` on the complete graph over its target positions."""
+    g = Graph(cfg.n, list(itertools.combinations(range(1, cfg.n + 1), 2)))
+    return dataclasses.replace(
+        cfg, graph=g,
+        distances=np.sqrt(edge_function(Framework(g, cfg.target_positions))))
+
+
 def test_dispatch_picks_the_form_by_formation_size(monkeypatch):
+    # The loop form's cost follows the edge count, so a dense formation
+    # of few agents runs the law.
     monkeypatch.setattr(kernels, "USE_NUMBA", False)
-    limit = kernels.LIST_MAX_AGENTS
-    for n, form in ((limit, "loops"), (limit + 1, "law"), (200, "law")):
-        cfg = henneberg_config(n, seed=n, steps=2)
+    limit = kernels.LIST_MAX_EDGES
+    sparse = {n: henneberg_config(n, seed=n, steps=2) for n in (12, 13, 200)}
+    cases = [(sparse[12], "loops"), (sparse[13], "law"), (sparse[200], "law"),
+             (complete_config(henneberg_config(7, 7, 2)), "loops"),
+             (complete_config(henneberg_config(8, 8, 2)), "law"),
+             (complete_config(sparse[12]), "law")]
+    for cfg, form in cases:
+        edges = len(cfg.graph.edges)
+        assert (edges <= limit) == (form == "loops"), (cfg.n, edges)
         meta = engine.run(cfg).meta
-        assert (meta["kernel"], meta["form"]) == ("numpy", form), n
+        assert (meta["kernel"], meta["form"]) == ("numpy", form), (cfg.n, edges)
         forced = engine.run(cfg, force_kernel="numpy").meta
-        assert (forced["kernel"], forced["form"]) == ("numpy", "law"), n
+        assert (forced["kernel"], forced["form"]) == ("numpy", "law"), cfg.n
 
 
 def test_jit_arguments_are_numba_types(monkeypatch):
