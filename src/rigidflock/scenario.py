@@ -26,7 +26,7 @@ from .graph import Graph
 from .interception import convex_hull_contains
 from .observers import gain_check
 from .rigidity import Framework, TargetFormation, edge_function
-from .trajectories import make_trajectory
+from .trajectories import is_json_number, is_json_numeric_array, make_trajectory
 
 logger = logging.getLogger("rigidflock.scenario")
 
@@ -132,17 +132,8 @@ def _seeded_poses(anchor: np.ndarray, seed: int, radius: float) -> np.ndarray:
     return poses
 
 
-def _is_number(value) -> bool:
-    """True for a JSON number: an int or float, never a bool or a string."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _parse_array(value, shape, pointer: str) -> np.ndarray:
-    def numeric(v):
-        return (all(numeric(x) for x in v) if isinstance(v, (list, tuple))
-                else _is_number(v))
-
-    if not numeric(value):
+    if not is_json_numeric_array(value):
         _fail(pointer, "must be a numeric array")
     try:
         arr = np.array(value, dtype=float)
@@ -157,7 +148,7 @@ def _parse_array(value, shape, pointer: str) -> np.ndarray:
 
 def _number(value, pointer: str, *, positive: bool = False) -> float:
     """``value`` as a finite float >= 0, or > 0 when ``positive``."""
-    if not _is_number(value):
+    if not is_json_number(value):
         _fail(pointer, f"must be a number, got {value!r}")
     x = float(value)
     if not (np.isfinite(x) and (x > 0 if positive else x >= 0)):
@@ -232,7 +223,7 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
                           "must be < 1 for a stable heading loop")
 
     anchor_sign = data.get("anchor_sign", 1.0)
-    if not _is_number(anchor_sign) or anchor_sign not in (1.0, -1.0):
+    if not is_json_number(anchor_sign) or anchor_sign not in (1.0, -1.0):
         _fail("anchor_sign", f"must be +1 or -1, got {anchor_sign!r}")
     anchor_sign = float(anchor_sign)
     smoothing = _number(data.get("smoothing_epsilon", 0.0), "smoothing_epsilon")

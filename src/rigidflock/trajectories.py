@@ -3,13 +3,31 @@
 Every model exposes position, velocity, and acceleration at arbitrary
 times (scalar ``state`` and vectorized ``sample``), plus supremum
 bounds on speed and acceleration used to validate observer gains.
+
+``is_json_number`` is the scenario schema's one rule for numbers; it
+lives here because the scenario parser imports this module.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def is_json_number(value) -> bool:
+    """True for a JSON number that a float holds: never a bool or a string."""
+    return isinstance(value, float) or (
+        isinstance(value, int) and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max)
+
+
+def is_json_numeric_array(value) -> bool:
+    """True for a number or nested lists whose every leaf is a number."""
+    if isinstance(value, (list, tuple)):
+        return all(is_json_numeric_array(v) for v in value)
+    return is_json_number(value)
 
 
 def _vec2(value, name: str) -> np.ndarray:
@@ -185,29 +203,30 @@ def make_trajectory(spec: dict):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("trajectory spec must be a dict with a 'kind' field")
     kind = spec["kind"]
+
+    def number(key, default=None):
+        value = spec[key] if default is None else spec.get(key, default)
+        if not is_json_number(value):
+            raise ValueError(f"{key} must be a number, got {value!r}")
+        return float(value)
+
+    def array(key, default=None):
+        value = spec[key] if default is None else spec.get(key, default)
+        if not is_json_numeric_array(value):
+            raise ValueError(f"{key} must be a numeric array, got {value!r}")
+        return value
+
     try:
         if kind == "circle":
-            return CirclePath(
-                spec.get("center_m", (0.0, 0.0)),
-                float(spec["radius_m"]),
-                float(spec["omega_radps"]),
-                float(spec.get("phase_rad", 0.0)),
-            )
+            return CirclePath(array("center_m", (0.0, 0.0)), number("radius_m"),
+                              number("omega_radps"), number("phase_rad", 0.0))
         if kind == "line":
-            return LinePath(spec["start_m"], spec["velocity_mps"])
+            return LinePath(array("start_m"), array("velocity_mps"))
         if kind == "sine":
-            return SinePath(
-                spec["start_m"],
-                spec["velocity_mps"],
-                float(spec["amplitude_m"]),
-                float(spec["omega_radps"]),
-            )
+            return SinePath(array("start_m"), array("velocity_mps"),
+                            number("amplitude_m"), number("omega_radps"))
         if kind == "waypoints":
-            return WaypointPath(spec["points_m"], spec["times_s"])
+            return WaypointPath(array("points_m"), array("times_s"))
     except KeyError as exc:
         raise ValueError(f"trajectory kind '{kind}' missing field {exc}") from exc
-    except TypeError as exc:
-        raise ValueError(f"trajectory kind '{kind}' has a field of the wrong "
-                         f"type: {exc}") from exc
     raise ValueError(f"unknown trajectory kind '{kind}'")
-

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -18,8 +19,8 @@ from rigidflock.cli import main
 from rigidflock.scenario import bundled_scenario_path, load_scenario
 
 
-def flock_json(tmp_path, **changes):
-    with open(bundled_scenario_path("pentagon_flock")) as fh:
+def scenario_json(tmp_path, name="pentagon_flock", **changes):
+    with open(bundled_scenario_path(name)) as fh:
         data = json.load(fh)
     data.update(changes)
     path = tmp_path / "scenario.json"
@@ -149,12 +150,17 @@ def test_simulate_missing_file_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def run_child(argv):
-    """The CLI in a child interpreter, so a traceback reaches stderr as text."""
+def run_child(argv, code=None):
+    """The CLI in a child interpreter, so a traceback reaches stderr as text.
+
+    ``code``, when given, runs instead of ``-m rigidflock.cli`` with the
+    same arguments.
+    """
     src = str(Path(rigidflock.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "rigidflock.cli", *argv],
+    entry = ["-c", code] if code else ["-m", "rigidflock.cli"]
+    return subprocess.run([sys.executable, *entry, *argv],
                           capture_output=True, text=True, env=env)
 
 
@@ -177,7 +183,7 @@ def test_non_utf8_file_exits_1_without_traceback(tmp_path, command):
 
 @pytest.mark.parametrize("command", ["simulate", "check-rigidity"])
 def test_non_pair_edge_exits_1_without_traceback(tmp_path, command):
-    path = flock_json(tmp_path, edges=[[1, 2], [1]])
+    path = scenario_json(tmp_path, edges=[[1, 2], [1]])
     argv = [command, str(path)]
     if command == "simulate":
         argv += ["--out", str(tmp_path / "o")]
@@ -189,14 +195,30 @@ def test_non_pair_edge_exits_1_without_traceback(tmp_path, command):
 @pytest.mark.parametrize("command", ["simulate", "check-rigidity"])
 def test_non_integer_node_id_exits_1_without_traceback(tmp_path, command):
     # [1.5, 2] was once truncated to the edge (1, 2) and loaded.
-    path = flock_json(tmp_path, edges=[[1.5, 2], [1, 3], [1, 4], [1, 5],
-                                       [2, 3], [3, 4], [4, 5]])
+    path = scenario_json(tmp_path, edges=[[1.5, 2], [1, 3], [1, 4], [1, 5],
+                                          [2, 3], [3, 4], [4, 5]])
     argv = [command, str(path)]
     if command == "simulate":
         argv += ["--out", str(tmp_path / "o")]
     out = run_child(argv)
     assert_one_error_line(out)
     assert out.stderr.startswith("error: edges:")
+
+
+@pytest.mark.parametrize("name, key, field, value", [
+    pytest.param("pentagon_flock", "flock_velocity", "radius_m", "0.3",
+                 id="flock_velocity-radius_m-numeric-str"),
+    pytest.param("pentagon_intercept", "target", "omega_radps", True,
+                 id="target-omega_radps-bool"),
+])
+def test_non_number_path_field_exits_1_without_traceback(tmp_path, name, key,
+                                                         field, value):
+    with open(bundled_scenario_path(name)) as fh:
+        path_spec = json.load(fh)[key]
+    path = scenario_json(tmp_path, name, **{key: dict(path_spec, **{field: value})})
+    out = run_child(["simulate", str(path), "--out", str(tmp_path / "o")])
+    assert_one_error_line(out)
+    assert out.stderr.startswith(f"error: {key}: {field} must be a number")
 
 
 def test_impossible_horizon_exits_1_without_traceback(tmp_path):
@@ -276,9 +298,9 @@ def written_csvs(log, edges, tmp_path):
             (tmp_path / "metrics.csv").read_bytes())
 
 
-def simulated(name, duration):
+def simulated(name, duration, kernel="numpy"):
     scn = load_scenario(bundled_scenario_path(name), duration=duration)
-    return engine.run(scn.to_run_config(), force_kernel="numpy"), scn.graph.edges
+    return engine.run(scn.to_run_config(), force_kernel=kernel), scn.graph.edges
 
 
 def width(csv_bytes):
@@ -338,6 +360,129 @@ def test_writers_match_reference_on_extreme_values(tmp_path, name):
     for text in (b"-0,", b"4.9406564584124654e-324,", b"1e+308,",
                  b"0.33333333333333331,"):
         assert text in traj and text in metrics
+
+
+# ---------------------------------------------------------------------------
+# Tables split between the CLI and a forked writer
+# ---------------------------------------------------------------------------
+
+def counting_forks(monkeypatch):
+    calls = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
+
+
+# 2 and 3 rows split after the first row; at 251 and 151 rows the split
+# point rows // 2 falls inside a block of either table.
+@pytest.mark.parametrize("name, duration, rows", [
+    ("pentagon_flock", 0.01, 2), ("pentagon_intercept", 0.02, 3),
+    ("pentagon_flock", 2.5, 251), ("pentagon_intercept", 1.5, 151)])
+def test_split_writers_match_per_value_reference(tmp_path, monkeypatch, name,
+                                                 duration, rows):
+    monkeypatch.setattr(cli, "_SPLIT_MIN_VALUES", 0)
+    forks = counting_forks(monkeypatch)
+    log, edges = simulated(name, duration, kernel=None)
+    assert log.rows == rows
+    expected = reference_csvs(log, edges)
+    if rows > 3:
+        for blob in expected:
+            assert (rows // 2) % block_rows(blob) != 0
+    assert written_csvs(log, edges, tmp_path) == expected
+    assert len(forks) == 2
+
+
+def reference_table(header, values):
+    lines = [",".join(header)] + [",".join(format(x, ".17g") for x in row)
+                                  for row in values]
+    return "".join(line + "\r\n" for line in lines).encode()
+
+
+SPLIT_ROWS_AT_WIDTH_8 = -(-cli._SPLIT_MIN_VALUES // 8)
+
+
+@pytest.mark.parametrize("rows, width, split", [
+    pytest.param(SPLIT_ROWS_AT_WIDTH_8 - 1, 8, False, id="below-min-values"),
+    pytest.param(SPLIT_ROWS_AT_WIDTH_8, 8, True, id="at-min-values"),
+    pytest.param(1, cli._SPLIT_MIN_VALUES, False, id="one-row"),
+])
+def test_tables_split_from_min_values(tmp_path, monkeypatch, rows, width, split):
+    forks = counting_forks(monkeypatch)
+    values = np.arange(rows * width, dtype=float).reshape(rows, width) / 7
+    header = [f"c{j}" for j in range(width)]
+    path = tmp_path / "table.csv"
+    cli._write_table(path, header, rows, lambda r0, r1: values[r0:r1])
+    assert len(forks) == split
+    assert path.read_bytes() == reference_table(header, values)
+
+
+def test_tables_are_written_in_process_without_fork(tmp_path, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(cli, "_SPLIT_MIN_VALUES", 0)
+    log, edges = simulated("pentagon_intercept", 0.02)
+    assert written_csvs(log, edges, tmp_path) == reference_csvs(log, edges)
+
+
+@pytest.mark.parametrize("failure", ["raises", "killed"])
+def test_failed_writer_process_raises_oserror(tmp_path, monkeypatch, failure):
+    monkeypatch.setattr(cli, "_SPLIT_MIN_VALUES", 0)
+    parent, rows = os.getpid(), 10
+
+    def block(r0, r1):
+        if r0 >= rows // 2 and os.getpid() != parent:
+            if failure == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("writer failed")
+        return np.zeros((r1 - r0, 2))
+
+    path = tmp_path / "table.csv"
+    with pytest.raises(OSError, match=r"rows 5\.\.10 failed"):
+        cli._write_table(path, ["a", "b"], rows, block)
+    assert os.listdir(tmp_path) == ["table.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_failure_in_the_cli_process_reaps_the_writer(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_SPLIT_MIN_VALUES", 0)
+    parent = os.getpid()
+
+    def block(r0, r1):
+        if os.getpid() == parent:
+            raise RuntimeError("block failed")
+        return np.zeros((r1 - r0, 2))
+
+    with pytest.raises(RuntimeError, match="block failed"):
+        cli._write_table(tmp_path / "table.csv", ["a", "b"], 10, block)
+    assert os.listdir(tmp_path) == ["table.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# The CLI with every table split and a forked writer that fails.
+FAILING_WRITER = """
+import os, sys
+from rigidflock import cli
+cli._SPLIT_MIN_VALUES = 0
+parent, write_rows = os.getpid(), cli._write_rows
+
+def failing(out, *args):
+    if os.getpid() != parent:
+        raise OSError(28, "No space left on device")
+    write_rows(out, *args)
+
+cli._write_rows = failing
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_failed_writer_process_exits_1_without_traceback(tmp_path):
+    out = tmp_path / "o"
+    res = run_child(["simulate", str(bundled_scenario_path("pentagon_flock")),
+                     "--out", str(out), "--duration", "0.05"], code=FAILING_WRITER)
+    assert_one_error_line(res)
+    assert "trajectory.csv" in res.stderr
+    assert sorted(os.listdir(out)) == ["trajectory.csv"]
 
 
 def test_simulate_unwritable_out_exits_1(tmp_path, capsys):

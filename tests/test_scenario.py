@@ -105,11 +105,26 @@ def test_intercept_scenario_fields():
                  "flock_velocity", id="flock_velocity-omega_radps-null"),
     pytest.param(lambda d: d["edges"].append([1]), "edges",
                  id="edges-singleton"),
+    # The reference path follows the same number rule as the rest.
+    pytest.param(lambda d: d["flock_velocity"].update(radius_m="0.3"),
+                 "flock_velocity", id="flock_velocity-radius_m-numeric-str"),
+    pytest.param(lambda d: d["flock_velocity"].update(omega_radps=True),
+                 "flock_velocity", id="flock_velocity-omega_radps-bool"),
+    pytest.param(lambda d: d["flock_velocity"].update(phase_rad="1"),
+                 "flock_velocity", id="flock_velocity-phase_rad-numeric-str"),
+    pytest.param(lambda d: d["flock_velocity"].update(center_m=["0", True]),
+                 "flock_velocity", id="flock_velocity-center_m-str-and-bool"),
+    pytest.param(lambda d: d["flock_velocity"].update(radius_m=10**400),
+                 "flock_velocity", id="flock_velocity-radius_m-int-beyond-float"),
     # A number is a JSON number: booleans and numeric strings are rejected.
     pytest.param(lambda d: d["gains"].update(k_a="6"), "gains.k_a",
                  id="gains.k_a-numeric-str"),
     pytest.param(lambda d: d["gains"].update(k_a=True), "gains.k_a",
                  id="gains.k_a-bool"),
+    pytest.param(lambda d: d["gains"].update(k_a=10**400), "gains.k_a",
+                 id="gains.k_a-int-beyond-float"),
+    pytest.param(lambda d: d["target_positions_m"][0].__setitem__(0, -10**400),
+                 "target_positions_m", id="target_positions_m-int-beyond-float"),
     pytest.param(lambda d: d["sim"].update(dt_s="0.001"), "sim.dt_s",
                  id="sim.dt_s-numeric-str"),
     pytest.param(lambda d: d.update(smoothing_epsilon=False), "smoothing_epsilon",
@@ -167,6 +182,50 @@ def test_intercept_validation_errors():
     d["target_positions_m"][-1] = [5.0, 5.0]
     with pytest.raises(ScenarioError, match="hull"):
         scenario_from_dict(d)
+
+
+@pytest.mark.parametrize("target", [
+    pytest.param({"radius_m": "0.3"}, id="target-radius_m-numeric-str"),
+    pytest.param({"omega_radps": True}, id="target-omega_radps-bool"),
+    pytest.param({"phase_rad": "1"}, id="target-phase_rad-numeric-str"),
+    pytest.param({"center_m": ["0", True]}, id="target-center_m-str-and-bool"),
+    pytest.param({"radius_m": 10**400}, id="target-radius_m-int-beyond-float"),
+    pytest.param({"kind": "line", "start_m": [0.0, "1"], "velocity_mps": [0.1, 0.0]},
+                 id="target-line-start_m-numeric-str"),
+    pytest.param({"kind": "line", "start_m": [0.0, 0.0], "velocity_mps": [True, 0.0]},
+                 id="target-line-velocity_mps-bool"),
+    pytest.param({"kind": "sine", "start_m": [0.0, 0.0], "velocity_mps": [0.1, 0.0],
+                  "amplitude_m": True, "omega_radps": 1.0},
+                 id="target-sine-amplitude_m-bool"),
+    pytest.param({"kind": "sine", "start_m": [0.0, 0.0], "velocity_mps": [0.1, 0.0],
+                  "amplitude_m": 0.1, "omega_radps": "1"},
+                 id="target-sine-omega_radps-numeric-str"),
+    pytest.param({"kind": "waypoints", "points_m": [[0.0, 0.0], [1.0, "0"]],
+                  "times_s": [0.0, 10.0]}, id="target-waypoints-points_m-numeric-str"),
+    pytest.param({"kind": "waypoints", "points_m": [[0.0, 0.0], [1.0, 0.0]],
+                  "times_s": [False, 10.0]}, id="target-waypoints-times_s-bool"),
+])
+def test_intercept_target_errors_name_the_field(target):
+    d = intercept_dict()
+    d["target"].update(target)
+    with pytest.raises(ScenarioError, match=r"^target: "):
+        scenario_from_dict(d)
+
+
+@pytest.mark.parametrize("target", [
+    pytest.param({"radius_m": 1, "omega_radps": 0, "phase_rad": -2,
+                  "center_m": [0, 1]}, id="circle-ints"),
+    pytest.param({"kind": "line", "start_m": [0, 0], "velocity_mps": [0.1, 0]},
+                 id="line"),
+    pytest.param({"kind": "sine", "start_m": [0, 0], "velocity_mps": [0.1, 0],
+                  "amplitude_m": 0.1, "omega_radps": 1}, id="sine"),
+    pytest.param({"kind": "waypoints", "points_m": [[0, 0], [1, 0.5]],
+                  "times_s": [0, 10]}, id="waypoints"),
+])
+def test_intercept_target_accepts_json_numbers(target):
+    d = intercept_dict()
+    d["target"].update(target)
+    assert scenario_from_dict(d).signal.sup_speed() >= 0.0
 
 
 def test_distances_override_must_match_positions():
