@@ -6,7 +6,10 @@ Usage:
     rigidflock check-rigidity FILE.json
 
 ``simulate`` writes trajectory.csv, metrics.csv, and summary.json into
-OUTDIR.  Where ``os.fork`` exists, a large CSV is written by two
+OUTDIR, each under a temporary name that is renamed when complete.
+Where ``os.fork`` exists, a forked writer formats trajectory.csv while
+the rollout runs (once the rollout spans more than one chunk), and a
+large metrics.csv (or one-chunk trajectory.csv) is written by two
 processes, the CLI and one forked writer, each formatting half of the
 rows; the bytes are the same as from one process.  ``check-rigidity``
 prints a JSON rigidity report for a formation file (either a scenario
@@ -16,13 +19,15 @@ Exit codes: 0 success (for check-rigidity: infinitesimally and
 minimally rigid), 1 input/validation or I/O error (including a
 requested kernel that is unavailable, e.g. ``--kernel jit`` without
 numba, a horizon too long to allocate, and a failed writer process),
-2 formation not rigid, 3 simulation diverged.  Set
+2 formation not rigid, 3 simulation diverged.  OUTDIR is created before
+the rollout; a run that exits 1 or 3 leaves no output file in it.  Set
 RIGIDFLOCK_LOG=debug|info|warning|error to control log verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -67,62 +72,105 @@ def _write_rows(out, line: str, step: int, block, r0: int, r1: int) -> None:
                   .encode("ascii"))
 
 
+def _table_format(header: list[str]) -> tuple[bytes, str, int]:
+    """A CSV's header line, its row format and the rows per block.
+
+    Every value is written as ``%.17g`` (so a 0/1 flag reads ``0``/``1``)
+    with the csv module's CRLF line ends, about ``_BLOCK_VALUES`` values
+    at a time.
+    """
+    width = len(header)
+    return ((",".join(header) + "\r\n").encode("utf-8"),
+            ",".join(["%.17g"] * width) + "\r\n", max(1, _BLOCK_VALUES // width))
+
+
+@contextlib.contextmanager
+def _staged(path):
+    """A temporary name beside ``path``, renamed to ``path`` on success.
+
+    When the body raises, the temporary file is removed instead, so a
+    failed writer leaves no partial output.
+    """
+    path = os.path.abspath(path)
+    tmp = os.path.join(os.path.dirname(path),
+                       f".{os.path.basename(path)}.{os.getpid()}.part")
+    try:
+        yield tmp
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+    os.replace(tmp, path)
+
+
+@contextlib.contextmanager
+def _forked(work, what: str):
+    """Run ``work()`` in one forked child while the body of the ``with`` runs.
+
+    The child never returns into the caller: it ends in ``os._exit``,
+    with status 0 only if ``work`` returned, and flushes nothing it
+    inherited.  Leaving the body reaps the child, also when the body
+    raises; a child that failed (nonzero exit or a signal) then raises
+    ``OSError`` naming ``what``.
+
+    OpenBLAS starts a worker thread at ``import numpy``, and a fork of a
+    threaded process is unsafe in general: Python 3.12 and later warn
+    about it, and the writers have been run on 3.11 only.  A child only
+    slices arrays, formats and writes; it makes no BLAS call and takes
+    no lock that thread could hold.
+    """
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            work()
+            status = 0
+        finally:
+            os._exit(status)
+    try:
+        yield
+    finally:
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise OSError(f"{what} failed (exit status {code})")
+
+
 def _write_table(path, header: list[str], rows: int, block) -> None:
     """Write a CSV: ``header``, then ``block(r0, r1)`` for every row range.
 
-    ``block`` returns a (r1 - r0, len(header)) float array.  Every value
-    is written as ``%.17g`` (so a 0/1 flag reads ``0``/``1``) with the
-    csv module's CRLF line ends, about ``_BLOCK_VALUES`` values at a time.
+    ``block`` returns a (r1 - r0, len(header)) float array, formatted as
+    ``_table_format`` says.  The table is written under a temporary name
+    and renamed to ``path`` when complete.
 
     Formatting is CPU-bound, so a table of ``_SPLIT_MIN_VALUES`` or more
     is split where ``os.fork`` exists: this process writes the first
-    ``rows // 2`` rows to ``path`` while a forked child writes the rest
-    to an anonymous temporary file, whose bytes are then appended.  The
-    file is the same either way.  A failed child raises ``OSError``.
+    ``rows // 2`` rows while a forked child writes the rest to an
+    anonymous temporary file, whose bytes are then appended.  The file
+    is the same either way.  A failed child raises ``OSError``.
     """
-    width = len(header)
-    line = ",".join(["%.17g"] * width) + "\r\n"
-    step = max(1, _BLOCK_VALUES // width)
+    head, line, step = _table_format(header)
     split = rows
-    if rows > 1 and rows * width >= _SPLIT_MIN_VALUES and hasattr(os, "fork"):
+    if rows > 1 and rows * len(header) >= _SPLIT_MIN_VALUES and hasattr(os, "fork"):
         split = rows // 2
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\r\n").encode("utf-8"))
+    with _staged(path) as tmp, open(tmp, "wb") as fh:
+        fh.write(head)
         if split == rows:
             _write_rows(fh, line, step, block, 0, rows)
             return
-        outdir = os.path.dirname(os.path.abspath(path))
-        with tempfile.TemporaryFile(dir=outdir) as tail:
-            # OpenBLAS starts a worker thread at ``import numpy``, and a
-            # fork of a threaded process is unsafe in general: Python 3.12
-            # and later warn about it, and the split has been run on 3.11
-            # only.  The child only slices arrays, formats and writes; it
-            # makes no BLAS call and takes no lock that thread could hold.
-            # It never returns into the caller and flushes nothing it
-            # inherited.
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    _write_rows(tail, line, step, block, split, rows)
-                    tail.flush()
-                    status = 0
-                finally:
-                    os._exit(status)
-            try:
+        with tempfile.TemporaryFile(dir=os.path.dirname(tmp)) as tail:
+            def work():
+                _write_rows(tail, line, step, block, split, rows)
+                tail.flush()
+
+            with _forked(work, f"{path}: the process writing rows {split}..{rows}"):
                 _write_rows(fh, line, step, block, 0, split)
-            finally:
-                _, status = os.waitpid(pid, 0)
-            code = os.waitstatus_to_exitcode(status)
-            if code != 0:
-                raise OSError(f"{path}: the process writing rows {split}..{rows} "
-                              f"failed (exit status {code})")
             tail.seek(0)
             shutil.copyfileobj(tail, fh)
 
 
-def write_trajectory_csv(log: TrajectoryLog, path) -> None:
-    """Raw sampled state and commands, one row per sample time."""
+def _trajectory_table(log: TrajectoryLog) -> tuple[list[str], object]:
+    """trajectory.csv's header and its ``block(r0, r1)`` (see _write_table)."""
     agent_cols = ["x_m", "y_m", "theta_rad", "v_mps", "omega_radps", "ux", "uy"]
     if log.mode == "flock":
         agent_cols += ["vfhat_x", "vfhat_y"]
@@ -142,6 +190,88 @@ def write_trajectory_csv(log: TrajectoryLog, path) -> None:
         return np.hstack([log.t[r0:r1, None], agents.reshape(r1 - r0, -1),
                           *(a[r0:r1] for a in shared)])
 
+    return header, block
+
+
+class _TrajectoryStream:
+    """trajectory.csv formatted by one forked writer while the rollout runs.
+
+    Pass it as ``engine.run``'s ``on_rows``.  On the first report that
+    is not the whole table, and where ``os.fork`` exists, it forks a
+    writer that formats rows as the counts of final rows arrive over a
+    pipe; otherwise it does nothing and the table is written after the
+    run.  ``write_trajectory_csv`` finishes it.  Used as a context
+    manager, it reaps the writer and removes its file if the body raises.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self.started = False
+        self.counts = None  # the pipe's write end while the writer runs
+        self._stack = contextlib.ExitStack()
+
+    def __call__(self, log: TrajectoryLog, ready: int) -> None:
+        if not self.started:
+            if ready == log.rows or not hasattr(os, "fork"):
+                return
+            self._start(log)
+        try:
+            os.write(self.counts, b"%d\n" % ready)
+        except BrokenPipeError:
+            self.finish()  # the writer has failed: raise its error
+            raise
+
+    def _start(self, log: TrajectoryLog) -> None:
+        self.started = True
+        header, block = _trajectory_table(log)
+        head, line, step = _table_format(header)
+        tmp = self._stack.enter_context(_staged(self.path))
+        read_end, self.counts = os.pipe()
+
+        def work():
+            os.close(self.counts)
+            with open(read_end, "rb") as counts, open(tmp, "wb") as out:
+                out.write(head)
+                done = 0
+                for count in counts:
+                    ready = int(count)
+                    _write_rows(out, line, step, block, done, ready)
+                    done = ready
+
+        try:
+            self._stack.enter_context(_forked(
+                work, f"{self.path}: the process writing rows 0..{log.rows}"))
+        finally:
+            os.close(read_end)
+
+    def _close_pipe(self) -> None:
+        if self.counts is not None:
+            os.close(self.counts)
+            self.counts = None
+
+    def finish(self) -> None:
+        """Wait for the writer; rename its file to ``path`` if it succeeded."""
+        self._close_pipe()
+        self._stack.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._close_pipe()
+        return self._stack.__exit__(*exc)
+
+
+def write_trajectory_csv(log: TrajectoryLog, path, stream=None) -> None:
+    """Raw sampled state and commands, one row per sample time.
+
+    If ``stream`` (a ``_TrajectoryStream`` for ``path``) wrote the rows
+    during the rollout, this only waits for it to finish.
+    """
+    if stream is not None and stream.started:
+        stream.finish()
+        return
+    header, block = _trajectory_table(log)
     _write_table(path, header, log.rows, block)
 
 
@@ -194,15 +324,28 @@ def _cmd_simulate(args) -> int:
     force = None if args.kernel == "auto" else args.kernel
     scn = load_scenario(args.scenario, duration=args.duration, dt=args.dt,
                         seed=args.seed)
-    log = engine.run(scn.to_run_config(), force_kernel=force)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(log, outdir / "trajectory.csv")
-    write_metrics_csv(log, scn.graph.edges, outdir / "metrics.csv")
-    summary = build_summary(scn, log)
-    with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    trajectory = outdir / "trajectory.csv"
+    written = []
+    try:
+        with _TrajectoryStream(trajectory) as stream:
+            log = engine.run(scn.to_run_config(), force_kernel=force,
+                             on_rows=stream)
+            write_trajectory_csv(log, trajectory, stream)
+        written.append(trajectory)
+        write_metrics_csv(log, scn.graph.edges, outdir / "metrics.csv")
+        written.append(outdir / "metrics.csv")
+        summary = build_summary(scn, log)
+        with _staged(outdir / "summary.json") as tmp, \
+                open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(summary, fh, indent=2)
+            fh.write("\n")
+    except BaseException:
+        # A failed run leaves no output file behind.
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     if scn.mode == "flock":
         headline = f"final max edge error {summary['final_max_edge_error']:.3e} m"
     else:

@@ -115,13 +115,16 @@ if HAS_NUMBA:
 
 def _rollout_loops(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
                    k_a, c, smooth_eps, dt, n_steps, sample_every,
-                   out_t, out_pose, out_cmd, out_u, out_tid, out_est):
+                   out_pose, out_cmd, out_u, out_tid, out_est):
     """Explicit-Euler rollout of the closed loop, written as scalar loops.
 
     The law's parameters are those of ``_Law``, with ``leader`` -1 for
     none; row ``step`` of ``sig`` holds the references (see the module
-    docstring).  Updates pose and est in place, logs every
-    ``sample_every``-th step and returns (status, agent, steps).
+    docstring).  Updates pose and est in place, logs steps 0,
+    ``sample_every``, ... into rows 0, 1, ... of the ``out_*`` arrays and
+    returns (status, agent, steps), with steps counted from this call's
+    first step.  The caller keeps the times: a rollout may be run in
+    chunks, each one continuing from the state the last one left.
 
     One source, two runtimes.  numba compiles it with every argument an
     array, an int or a float.  CPython runs it with pose, est, edges,
@@ -273,7 +276,6 @@ def _rollout_loops(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
             vc[i] = nu * math.cos(te[i])
             wc[i] = -c[i] * te[i] + tidd
         if step % sample_every == 0:  # one slice write per logged quantity
-            out_t[row] = step * dt
             out_pose[row] = pose
             out_cmd[row, :, 0] = vc
             out_cmd[row, :, 1] = wc
@@ -440,7 +442,7 @@ def _state(pose, est):
 
 def _rollout_numpy(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
                    k_a, c, smooth_eps, dt, n_steps, sample_every,
-                   out_t, out_pose, out_cmd, out_u, out_tid, out_est):
+                   out_pose, out_cmd, out_u, out_tid, out_est):
     """The numpy form of ``_rollout_loops``: same arguments, same effects."""
     law = _Law(edges, d2, anchor, leader, alphas, weights, k_a, c, smooth_eps)
     X = _state(pose, est)
@@ -450,7 +452,6 @@ def _rollout_numpy(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
     for step in range(n_steps + 1):
         rate, u, tid, _te, v, omega, _udot = law(X, sig[step])
         if step % sample_every == 0:
-            out_t[row] = step * dt
             out_pose[row] = X[:, :3]
             out_cmd[row, :, 0] = v
             out_cmd[row, :, 1] = omega
@@ -540,7 +541,7 @@ class KernelUnavailable(RuntimeError):
 
 def flock_rollout(pose, est, edges, d2, bflag, v0_seq, k_a, c, alpha,
                   anchor_sign, smooth_eps, dt, n_steps, sample_every,
-                  out_t, out_pose, out_cmd, out_u, out_tid, out_est,
+                  out_pose, out_cmd, out_u, out_tid, out_est,
                   *, force: str | None = None):
     """Roll out the flocking loop in the selected implementation.
 
@@ -555,13 +556,13 @@ def flock_rollout(pose, est, edges, d2, bflag, v0_seq, k_a, c, alpha,
     law = _flock_params(edges, d2, bflag, k_a, c, alpha, anchor_sign, smooth_eps)
     return _dispatch(force, pose, est, np.ascontiguousarray(v0_seq, dtype=float),
                      law, dt, n_steps, sample_every,
-                     (out_t, out_pose, out_cmd, out_u, out_tid, out_est))
+                     (out_pose, out_cmd, out_u, out_tid, out_est))
 
 
 def intercept_rollout(pose, vthat, ethat, edges, d2, leader, pt_seq, vt_seq,
                       at_seq, k_a, k_t, c, alpha1, alpha2, smooth_eps, dt,
-                      n_steps, sample_every, out_t, out_pose, out_cmd, out_u,
-                      out_tid, out_vthat, out_ethat, *, force: str | None = None):
+                      n_steps, sample_every, out_pose, out_cmd, out_u, out_tid,
+                      out_vthat, out_ethat, *, force: str | None = None):
     """Roll out the interception loop (see flock_rollout)."""
     law = _intercept_params(len(pose), edges, d2, leader, k_a, k_t, c,
                             alpha1, alpha2, smooth_eps)
@@ -570,7 +571,7 @@ def intercept_rollout(pose, vthat, ethat, edges, d2, leader, pt_seq, vt_seq,
     result = _dispatch(force, pose, est,
                        np.concatenate([vt_seq, pt_seq, at_seq], axis=1),
                        law, dt, n_steps, sample_every,
-                       (out_t, out_pose, out_cmd, out_u, out_tid, out_est))
+                       (out_pose, out_cmd, out_u, out_tid, out_est))
     vthat[:], ethat[:] = est[:, :2], est[:, 2:]
     out_vthat[:], out_ethat[:] = out_est[..., :2], out_est[..., 2:]
     return result

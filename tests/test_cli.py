@@ -123,7 +123,7 @@ def test_simulate_kernel_flag(tmp_path, capsys):
             # A missing backend is an input error, not a traceback.
             assert rc == 1
             assert "error:" in err and "numba" in err
-            assert not (out / "summary.json").exists()
+            assert os.listdir(out) == []  # OUTDIR exists, with no output
             continue
         assert rc == 0
         summary = json.loads((out / "summary.json").read_text())
@@ -438,7 +438,7 @@ def test_failed_writer_process_raises_oserror(tmp_path, monkeypatch, failure):
     path = tmp_path / "table.csv"
     with pytest.raises(OSError, match=r"rows 5\.\.10 failed"):
         cli._write_table(path, ["a", "b"], rows, block)
-    assert os.listdir(tmp_path) == ["table.csv"]
+    assert os.listdir(tmp_path) == []  # no partial CSV
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -454,7 +454,7 @@ def test_failure_in_the_cli_process_reaps_the_writer(tmp_path, monkeypatch):
 
     with pytest.raises(RuntimeError, match="block failed"):
         cli._write_table(tmp_path / "table.csv", ["a", "b"], 10, block)
-    assert os.listdir(tmp_path) == ["table.csv"]
+    assert os.listdir(tmp_path) == []  # no partial CSV
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -482,7 +482,84 @@ def test_failed_writer_process_exits_1_without_traceback(tmp_path):
                      "--out", str(out), "--duration", "0.05"], code=FAILING_WRITER)
     assert_one_error_line(res)
     assert "trajectory.csv" in res.stderr
-    assert sorted(os.listdir(out)) == ["trajectory.csv"]
+    assert os.listdir(out) == []  # no partial CSV
+
+
+def test_failed_stream_writer_exits_1_without_traceback(tmp_path):
+    # Two-row chunks: the trajectory is streamed by a writer forked during
+    # the rollout, and that writer fails.
+    out = tmp_path / "o"
+    res = run_child(["simulate", str(bundled_scenario_path("pentagon_flock")),
+                     "--out", str(out), "--duration", "0.05"],
+                    code="from rigidflock import engine\nengine._CHUNK_ROWS = 2\n"
+                    + FAILING_WRITER)
+    assert_one_error_line(res)
+    assert "trajectory.csv: the process writing rows 0..6 failed" in res.stderr
+    assert os.listdir(out) == []
+
+
+# ---------------------------------------------------------------------------
+# trajectory.csv streamed while the rollout runs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "without-fork"])
+@pytest.mark.parametrize("name", ["pentagon_flock", "pentagon_intercept"])
+def test_streamed_trajectory_matches_per_value_reference(tmp_path, monkeypatch,
+                                                         name, fork):
+    # 51 rows in chunks of 10: the writer gets 5 reports, the last one
+    # for a chunk of 11 rows.
+    monkeypatch.setattr(engine, "_CHUNK_ROWS", 10)
+    if fork:
+        forks = counting_forks(monkeypatch)
+    else:
+        monkeypatch.delattr(os, "fork")
+    out = tmp_path / "o"
+    assert main(["simulate", str(bundled_scenario_path(name)), "--out", str(out),
+                 "--duration", "0.5"]) == 0
+    log, edges = simulated(name, 0.5, kernel=None)
+    assert log.rows == 51 > 3 * engine._CHUNK_ROWS
+    assert ((out / "trajectory.csv").read_bytes(),
+            (out / "metrics.csv").read_bytes()) == reference_csvs(log, edges)
+    assert sorted(os.listdir(out)) == ["metrics.csv", "summary.json",
+                                       "trajectory.csv"]
+    if fork:
+        # The trajectory writer only: the metrics table is below the split.
+        assert 51 * width(reference_csvs(log, edges)[1]) < cli._SPLIT_MIN_VALUES
+        assert len(forks) == 1
+
+
+def test_divergence_after_the_writer_forked_leaves_no_output(tmp_path, monkeypatch,
+                                                             capsys):
+    # One row per step and per chunk: the writer forks after step 1, and
+    # the formation diverges at step 2.
+    with open(bundled_scenario_path("pentagon_flock")) as fh:
+        data = json.load(fh)
+    data["gains"]["k_a"] = 1e7
+    data["sim"]["sample_every"] = 1
+    path = tmp_path / "diverging.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    monkeypatch.setattr(engine, "_CHUNK_ROWS", 1)
+    forks = counting_forks(monkeypatch)
+    out = tmp_path / "o"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["simulate", str(path), "--out", str(out), "--duration", "0.01"])
+    assert rc == 3
+    assert "diverged at t = 0.002 s" in capsys.readouterr().err
+    assert len(forks) == 1
+    assert os.listdir(out) == []
+
+
+def test_failure_after_the_trajectory_removes_it(tmp_path, monkeypatch, capsys):
+    def failing(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_metrics_csv", failing)
+    out = tmp_path / "o"
+    rc = main(["simulate", str(bundled_scenario_path("pentagon_flock")),
+               "--out", str(out), "--duration", "0.05"])
+    assert rc == 1
+    assert "No space left" in capsys.readouterr().err
+    assert os.listdir(out) == []
 
 
 def test_simulate_unwritable_out_exits_1(tmp_path, capsys):
@@ -504,6 +581,7 @@ def test_simulate_divergence_exits_3(tmp_path, capsys):
                "--duration", "1.0"])
     assert rc == 3
     assert "diverged" in capsys.readouterr().err
+    assert os.listdir(tmp_path / "o") == []
 
 
 def test_check_rigidity_pentagon(tmp_path, capsys):

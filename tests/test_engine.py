@@ -1,5 +1,7 @@
 """Tests for the simulation engine: stepping, rollouts, metrics, sensing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -150,31 +152,35 @@ def test_step_world_divergence_reports_agent():
     assert err.value.time_s > 0.0
 
 
-def test_run_divergence_matches_step_world(monkeypatch):
-    # The rollout checks one reduction per step and scans per agent only
-    # when it fails; it must name the agent and time step_world names.
-    # Every runtime must name them: the unforced default (rollout_jit
-    # where numba is installed, the list runtime where it is not), the
-    # numpy law, and the loop form uncompiled on arrays (the numba
-    # source) and on lists.
-    stretched = [[0.0, 0.0, 0.0], [3.5, 0.0, 0.0], [0.0, 4.0, 0.0]]
-    # Only edge (2, 3) is off, so agent 1 is still sane when 2 and 3 blow up.
-    off_23 = [3.0, 4.0, 5.5]
-    cases = [  # (overrides, agent, time_s)
-        (dict(k_a=1e12, initial_poses=stretched), 1, 0.001),
-        (dict(k_a=1e7, initial_poses=stretched), 1, 0.002),
-        (dict(mode="intercept", k_a=1e12, initial_poses=stretched), 1, 0.001),
-        (dict(k_a=1e12, distances=off_23), 2, 0.001),
-        (dict(mode="intercept", k_a=1e12, distances=off_23), 2, 0.001),
-        # An infinite observer gain breaks the estimates a step before any
-        # pose; a huge finite one is not yet a divergence on its own.
-        (dict(mode="intercept", alpha1=np.inf, alpha2=np.inf,
-              initial_poses=stretched), 1, 0.001),
-        (dict(mode="intercept", alpha1=1e300, alpha2=1e300,
-              initial_poses=stretched), 1, 0.003),
-    ]
-    for overrides, agent, time_s in cases:
-        cfg = right_triangle_config(duration=0.01, **overrides)
+# Only edge (2, 3) is off in OFF_23, so agent 1 is still sane when 2 and
+# 3 blow up.
+STRETCHED = [[0.0, 0.0, 0.0], [3.5, 0.0, 0.0], [0.0, 4.0, 0.0]]
+OFF_23 = [3.0, 4.0, 5.5]
+DIVERGENCE_CASES = [  # (overrides, agent, time_s)
+    (dict(k_a=1e12, initial_poses=STRETCHED), 1, 0.001),
+    (dict(k_a=1e7, initial_poses=STRETCHED), 1, 0.002),
+    (dict(mode="intercept", k_a=1e12, initial_poses=STRETCHED), 1, 0.001),
+    (dict(k_a=1e12, distances=OFF_23), 2, 0.001),
+    (dict(mode="intercept", k_a=1e12, distances=OFF_23), 2, 0.001),
+    # An infinite observer gain breaks the estimates a step before any
+    # pose; a huge finite one is not yet a divergence on its own.
+    (dict(mode="intercept", alpha1=np.inf, alpha2=np.inf,
+          initial_poses=STRETCHED), 1, 0.001),
+    (dict(mode="intercept", alpha1=1e300, alpha2=1e300,
+          initial_poses=STRETCHED), 1, 0.003),
+]
+
+
+def assert_divergences_match_step_world(monkeypatch, sample_every=10):
+    """Every runtime of ``run`` names the agent and time step_world names.
+
+    The runtimes are the unforced default (rollout_jit where numba is
+    installed, the list runtime where it is not), the numpy law, and the
+    loop form uncompiled on arrays (the numba source) and on lists.
+    """
+    for overrides, agent, time_s in DIVERGENCE_CASES:
+        cfg = right_triangle_config(duration=0.01, sample_every=sample_every,
+                                    **overrides)
         with np.errstate(over="ignore", invalid="ignore"):
             found = []
             with pytest.raises(SimulationDiverged) as by_run:
@@ -196,6 +202,74 @@ def test_run_divergence_matches_step_world(monkeypatch):
         assert all(f == found[0] for f in found), (overrides, found)
         assert found[0][0] == agent, overrides
         assert found[0][1] == pytest.approx(time_s)
+
+
+def test_run_divergence_matches_step_world(monkeypatch):
+    # The rollout checks one reduction per step and scans per agent only
+    # when it fails; it must name the agent and time step_world names.
+    assert_divergences_match_step_world(monkeypatch)
+
+
+def test_chunked_run_divergence_matches_step_world(monkeypatch):
+    # One row per step and per chunk: the divergences at steps 1 to 3
+    # happen in the first, second and third chunk, whose kernels count
+    # steps from their own start.
+    monkeypatch.setattr(engine, "_CHUNK_ROWS", 1)
+    assert_divergences_match_step_world(monkeypatch, sample_every=1)
+
+
+# --- chunked rollouts ---------------------------------------------------------
+
+def log_arrays(log):
+    """Every array a log holds, by field name."""
+    return {f.name: getattr(log, f.name) for f in dataclasses.fields(log)
+            if isinstance(getattr(log, f.name), np.ndarray)}
+
+
+TRAJECTORY_FIELDS = {"flock": ("t", "poses", "commands", "u", "v_f_hat", "v0"),
+                     "intercept": ("t", "poses", "commands", "u", "v_t_hat",
+                                   "e_t_hat", "target_pos", "target_vel")}
+
+
+@pytest.mark.parametrize("sample_every", [1, 3])
+@pytest.mark.parametrize("form", ["lists", "loops", "law"])
+@pytest.mark.parametrize("mode", ["flock", "intercept"])
+def test_chunked_run_equals_one_chunk(monkeypatch, mode, form, sample_every):
+    # 40 steps: with sample_every 3 the last row is step 39, and one more
+    # step is integrated after it.
+    cfg = dataclasses.replace(
+        load_scenario(bundled_scenario_path(f"pentagon_{mode}"),
+                      duration=0.04 if mode == "flock" else 0.01).to_run_config(),
+        sample_every=sample_every)
+    assert round(cfg.duration / cfg.dt) == 40
+    impl = {"lists": engine.kernels._rollout_lists,
+            "loops": engine.kernels._rollout_loops}.get(form)
+    if impl is not None:
+        monkeypatch.setattr(engine.kernels, "_rollout_numpy", impl)
+    monkeypatch.setattr(engine, "_CHUNK_ROWS", 10**9)
+    whole = run(cfg, force_kernel="numpy")
+    expected = log_arrays(whole)
+    assert len(expected) == {"flock": 11, "intercept": 16}[mode]  # all of them
+    for rows in (1, 2, 3):
+        monkeypatch.setattr(engine, "_CHUNK_ROWS", rows)
+        reports = []
+
+        def on_rows(log, ready):
+            # Rows [0, ready) are final: copy them now, compare at the end.
+            reports.append((ready, {k: getattr(log, k)[:ready].copy()
+                                    for k in TRAJECTORY_FIELDS[mode]}))
+
+        chunked = run(cfg, force_kernel="numpy", on_rows=on_rows)
+        got = log_arrays(chunked)
+        assert got.keys() == expected.keys()
+        for name, value in expected.items():
+            np.testing.assert_array_equal(got[name], value, err_msg=(rows, name))
+        readies = [ready for ready, _ in reports]
+        assert readies == [*range(rows, whole.rows - 1, rows), whole.rows]
+        for ready, early in reports:
+            for name, value in early.items():
+                np.testing.assert_array_equal(value, expected[name][:ready],
+                                              err_msg=(rows, ready, name))
 
 
 # --- rollouts and logs -------------------------------------------------------

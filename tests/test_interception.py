@@ -3,10 +3,14 @@
 from itertools import combinations
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rigidflock import engine
 from rigidflock.engine import TrajectoryLog, hull_containment
 from rigidflock.flocking import u_dot
 from rigidflock.interception import (
+    _hull_indices,
     convex_hull_contains,
     follower_u,
     follower_u_dot,
@@ -219,3 +223,72 @@ def test_hull_containment_matches_per_row_test_on_degenerate_rows():
     flags = hull_containment(log)
     per_row = [convex_hull_contains(pts, q) for pts, q, _ in cases]
     assert flags.tolist() == per_row == [want for _, _, want in cases]
+
+
+# Small integers give coincident and collinear followers; floats give
+# general position.
+COORD = st.one_of(st.integers(-6, 6).map(float),
+                  st.floats(-10, 10, allow_nan=False, allow_infinity=False))
+
+
+def draw_row(data, m):
+    """Followers (m, 2) and a target of a drawn kind relative to them."""
+    kind = data.draw(st.sampled_from(
+        ["inside", "outside", "vertex", "edge", "collinear"]))
+    pts = np.array(data.draw(st.lists(st.tuples(COORD, COORD),
+                                      min_size=m, max_size=m)))
+    if kind == "inside":
+        w = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m,
+                                        max_size=m)))
+        w = w / w.sum() if w.sum() > 0 else np.full(m, 1.0 / m)
+        return pts, w @ pts
+    if kind == "outside":
+        return pts, np.array(data.draw(st.tuples(COORD, COORD))) * 2.0
+    if kind == "vertex":
+        return pts, pts[data.draw(st.integers(0, m - 1))]
+    if kind == "edge":  # on a hull edge, or just outside or inside it
+        hull = _hull_indices(pts.tolist())
+        k = data.draw(st.integers(0, len(hull) - 1))
+        a, b = pts[hull[k]], pts[hull[(k + 1) % len(hull)]]
+        q = a + data.draw(st.sampled_from([0.0, 0.25, 0.5, 1 / 3])) * (b - a)
+        out = np.array([b[1] - a[1], a[0] - b[0]])  # the hull runs CCW
+        if out.any():
+            q = q + data.draw(st.sampled_from([0.0, 1e-8, -1e-8, 1e-6])) \
+                * out / np.hypot(*out)
+        return pts, q
+    # Followers on one line, the target on it or beside it.
+    origin = np.array(data.draw(st.tuples(COORD, COORD)))
+    step = np.array(data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3))),
+                    dtype=float)
+    s = np.array(data.draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m)))
+    side = data.draw(st.sampled_from([0.0, 1e-12, 1e-3, 0.5]))
+    at = data.draw(st.integers(-6, 6)) / 2
+    return (origin + s[:, None] * step,
+            origin + at * step + side * np.array([-step[1], step[0]]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), m=st.integers(2, 12), rows=st.integers(1, 6))
+def test_hull_containment_matches_per_row_test(data, m, rows):
+    drawn = [draw_row(data, m) for _ in range(rows)]
+    followers = np.array([pts for pts, _ in drawn])
+    targets = np.array([q for _, q in drawn])
+    flags = hull_containment(intercept_log(followers, targets))
+    assert flags.tolist() == [convex_hull_contains(pts, q) for pts, q in drawn]
+
+
+def test_hull_containment_tests_clear_rows_at_once(monkeypatch):
+    # Rows well inside or well outside a hull; only the outside ones,
+    # which the test over all rows does not find inside, are tested again.
+    per_row = []
+    monkeypatch.setattr(engine, "convex_hull_contains",
+                        lambda pts, q: per_row.append(1) or convex_hull_contains(pts, q))
+    rng = np.random.default_rng(3)
+    angles = np.sort(rng.uniform(0, 2 * np.pi, size=(200, 5)), axis=1)
+    followers = np.stack([np.cos(angles), np.sin(angles)], axis=2)
+    followers[:, ::2] *= 2.0  # not every row is a cyclic polygon
+    centers = followers.mean(axis=1)
+    inside = hull_containment(intercept_log(followers, centers))
+    assert inside.all() and not per_row
+    outside = hull_containment(intercept_log(followers, centers + 5.0))
+    assert not outside.any() and len(per_row) == 200
