@@ -62,6 +62,8 @@ _BLOCK_VALUES = 4096
 # faults, waitpid, the copy).  Timed on 2 vCPUs, the split broke even
 # between 22,000 and 45,000 values and won by 30% at 140,000.
 _SPLIT_MIN_VALUES = 32_768
+# Longest exception text a failed writer process reports.
+_REASON_CHARS = 1000
 
 
 def _write_rows(out, line: str, step: int, block, r0: int, r1: int) -> None:
@@ -111,7 +113,8 @@ def _forked(work, what: str):
     with status 0 only if ``work`` returned, and flushes nothing it
     inherited.  Leaving the body reaps the child, also when the body
     raises; a child that failed (nonzero exit or a signal) then raises
-    ``OSError`` naming ``what``.
+    ``OSError`` naming ``what``, the exit status and, if ``work`` raised,
+    the child's ``Type: message``, which it sends back over a pipe.
 
     OpenBLAS starts a worker thread at ``import numpy``, and a fork of a
     threaded process is unsafe in general: Python 3.12 and later warn
@@ -119,21 +122,37 @@ def _forked(work, what: str):
     slices arrays, formats and writes; it makes no BLAS call and takes
     no lock that thread could hold.
     """
-    pid = os.fork()
+    reasons, report = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(reasons)
+        os.close(report)
+        raise
     if pid == 0:
         status = 1
         try:
+            os.close(reasons)
             work()
             status = 0
+        except Exception as exc:  # reported to the parent, which raises
+            with contextlib.suppress(OSError):
+                os.write(report, f"{type(exc).__name__}: {exc}"[:_REASON_CHARS]
+                         .encode("utf-8", "replace"))
         finally:
             os._exit(status)
-    try:
-        yield
-    finally:
-        _, status = os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        raise OSError(f"{what} failed (exit status {code})")
+    os.close(report)
+    with open(reasons, "rb", buffering=0) as why:
+        try:
+            yield
+        finally:
+            _, status = os.waitpid(pid, 0)
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            # Only the child held the pipe's write end, so this reads to EOF.
+            reason = why.read().decode("utf-8", "replace")
+            raise OSError(f"{what} failed (exit status {code})"
+                          + (f": {reason}" if reason else ""))
 
 
 def _write_table(path, header: list[str], rows: int, block) -> None:

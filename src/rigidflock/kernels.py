@@ -26,7 +26,7 @@ import numpy as np
 
 from .flocking import EPS_U
 from .observers import signum_rates
-from .unicycle import TWO_PI
+from .unicycle import TWO_PI, wrap_angle
 
 try:
     import numba
@@ -45,10 +45,10 @@ STATUS_DIVERGED = 1
 # Most edges a formation may have for the uncompiled default to run it
 # as the loop form on Python floats; larger ones run the numpy law.  The
 # loop form's cost follows the edges, the law's barely moves, and a
-# rigid graph has at least 2n - 3 edges, so this also caps n at 12.
+# rigid graph has at least 2n - 3 edges, so this also caps n at 9.
 # Set from the measured crossover (README, "Kernels and environment
 # flags").
-LIST_MAX_EDGES = 21
+LIST_MAX_EDGES = 15
 
 
 def using_numba() -> bool:
@@ -341,93 +341,163 @@ class _Law:
     of the true references (v_T, e_T = p_T - p_L), with rates a_T and
     v_T - B u_L.
 
-    The state is X = [x, y, theta, 0, est_1, ..., est_K], (n, 4 + 2K):
-    the zero puts each planar pair on a complex slot, so a rotation into
-    a body frame is one product.  The distance gradient and all
-    consensus sums are one ``np.bincount`` over an index fixed per
-    graph; the formation part of udot is a second one.
+    The state X is one flat array: the rows [x, y, est_1, ..., est_K]
+    of Z, (n, 2 + 2K), then the n headings theta.  Viewed as complex,
+    column 0 of Z is the position and columns 1..K the estimates, so a
+    rotation into a body frame is one product, and ``self.delta``, laid
+    out like X, holds [q v, rate_1, ..., rate_K] and omega (q = exp(i
+    theta)), so an explicit-Euler step is one update of X.  The
+    distance gradient and all consensus sums are one ``np.bincount``
+    over the rows of Z, with an index fixed per graph; the formation
+    part of udot is a second one.
+
+    The heading error comes from q conj(u) = |u| exp(i theta_err): one
+    arctan2 gives theta_err in [-pi, pi] without a wrap, v = |u|
+    cos(theta_err) is its real part, and B u = cos(theta_err)
+    exp(i theta_err) u needs no cosine or sine.  Parked agents
+    (|u| <= EPS_U), which have no heading to aim for, and an error of
+    exactly -pi, which belongs at +pi, are rare: one reduction each
+    tells whether ``_parked`` must run.  theta_id is only logged, so
+    ``theta_id()`` computes it on demand.
     """
 
     def __init__(self, edges, d2, anchor, leader, alphas, weights, k_a, c,
                  smooth_eps):
-        n, a = len(anchor), len(edges)
-        cols = 4 + 2 * len(weights)
-        self.a, self.d2, self.k_a, self.c = a, d2, k_a, c
+        n, a, nk = len(anchor), len(edges), len(weights)
+        self.a, self.d2, self.k_a, self.neg_c = a, d2, k_a, -c
         self.w = np.asarray(weights, dtype=complex)
         self.neg_alpha = -np.asarray(alphas, dtype=complex)
         self.anchor = np.asarray(anchor, dtype=complex)[:, None]
         self.leader, self.smooth_eps = leader, smooth_eps
-        # Edge k adds its row to agent i's sums and subtracts it from j's.
+        self.n, self.width = n, 2 + 2 * nk
+        # Edge k adds its row of Z to agent i's sums and subtracts it from j's.
         self.ends = np.concatenate([edges[:, 0], edges[:, 1]]).astype(np.intp)
-        self.sum_idx = (self.ends[:, None] * cols + np.arange(cols)).ravel()
+        self.sum_idx = (self.ends[:, None] * self.width
+                        + np.arange(self.width)).ravel()
         self.udot_idx = (self.ends[:, None] * 2 + np.arange(2)).ravel()
-        self.x_ends = np.empty((2 * a, cols))
-        self.sum_w, self.udot_w = np.empty((2, a, cols)), np.empty((2, a), complex)
-        # exp(i theta) and exp(i theta_err), rewritten by every call
-        self.q, self.e = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
-        self.ref = np.empty(len(weights), dtype=complex)
+        self.sum_w = np.empty((2, a, self.width))
+        self.udot_w = np.empty((2, a), complex)
+        # exp(i theta) and the state's rate of change, rewritten by every call
+        self.q, self.delta = np.empty(n, dtype=complex), np.empty(n * (self.width + 1))
+        d_z, self.d_theta = self.split(self.delta)
+        self.d_pos, self.d_est = d_z.view(complex)[:, 0], d_z.view(complex)[:, 1:]
+        self.ref = np.empty(nk, dtype=complex)
+        self.u, self.live = None, None
+        self._x = self._views = None  # the last state evaluated, and its views
+
+    def split(self, X):
+        """Views of a state laid out as X: Z, real (n, 2 + 2K), and theta."""
+        nz = self.n * self.width
+        return X[:nz].reshape(self.n, self.width), X[nz:]
+
+    def state(self, pose, est):
+        """The state X from poses (n, 3) and the estimates (n, 2K)."""
+        return np.concatenate([np.concatenate([pose[:, :2], est], axis=1).ravel(),
+                               pose[:, 2]])
 
     def __call__(self, X, sig):
-        """Evaluate at state X (read only) under the signal row ``sig``.
+        """Evaluate at state X (read only) under the signal row ``sig``,
+        complex: [v_0] for flock, [v_T, p_T, a_T] for intercept.
 
-        Returns (rate, u, theta_id, theta_err, v, omega, udot): rate
-        complex (n, K), u and udot real (n, 2), the rest real (n,).
-        ``self.q`` holds exp(i theta) until the next call.
+        Returns (rate, u, theta_err, v, omega, udot): rate complex
+        (n, K), u and udot complex (n,), the rest real (n,).  rate and
+        omega are views of ``self.delta``, which holds the state's rate
+        of change until the next call.
         """
         a, w, L = self.a, self.w, self.leader
-        Xc = X.view(complex)
+        n, width = self.n, self.width
+        if X is not self._x:
+            Z, th = self.split(X)
+            self._x, self._views = X, (Z, Z.view(complex), th)
+        Z, zc, th = self._views
+        est = zc[:, 1:]
+        ref = self.ref
+        ref[0] = sig[0]
+        if L >= 0:  # e_T = p_T - p_L
+            ref[1] = sig[1] - zc[L, 0]
         if a:
-            x = np.take(X, self.ends, axis=0, out=self.x_ends)
+            x = Z.take(self.ends, axis=0)
             rows = np.subtract(x[:a], x[a:], out=self.sum_w[0])
             p = rows.view(complex)[:, 0]
             pij = p.copy()
-            z = p.real * p.real + p.imag * p.imag - self.d2
+            m = (pij * pij.conj()).real  # |p_i - p_j|^2
+            z = m - self.d2
             p *= z
             np.negative(rows, out=self.sum_w[1])
             sums = np.bincount(self.sum_idx, self.sum_w.ravel(),
-                               minlength=X.size).reshape(X.shape)
+                               minlength=n * width).reshape(n, width).view(complex)
         else:  # np.bincount of nothing is an int array
-            sums = np.zeros(X.shape)
-        sums = sums.view(complex)
-        ref = _planar(self.ref)
-        ref[0] = sig[:2]
-        if L >= 0:  # e_T = p_T - p_L
-            np.subtract(sig[2:4], X[L, :2], out=ref[1])
-        sums[:, 2:] += self.anchor * (Xc[:, 2:] - self.ref)
-        q, th = self.q, X[:, 2]
-        np.cos(th, out=_planar(q)[:, 0])
-        np.sin(th, out=_planar(q)[:, 1])
-        rate = signum_rates(sums[:, 2:], q, self.neg_alpha, self.smooth_eps)
+            sums = np.zeros((n, width // 2), complex)
+        cons = sums[:, 1:]
+        cons += self.anchor * (est - ref)
+        q = self.q
+        np.cos(th, out=q.real)
+        np.sin(th, out=q.imag)
+        rate = signum_rates(cons, q, self.neg_alpha, self.smooth_eps,
+                            out=self.d_est)
 
-        u = Xc[:, 2:] @ w - self.k_a * sums[:, 0]
+        u = np.dot(est, w)
+        u -= self.k_a * sums[:, 0]
         if L >= 0:
-            u[L] = self.ref @ w
-        uf = _planar(u)
-        nu2 = np.einsum("ij,ij->i", uf, uf)
-        nu = np.sqrt(nu2)
-        live = nu > EPS_U
-        tid = np.where(live, np.arctan2(uf[:, 1], uf[:, 0]), 0.0)
-        te = np.mod(th - tid, TWO_PI)
-        te -= TWO_PI * (te > np.pi)
-        bc = np.cos(te, out=_planar(self.e)[:, 0])
-        np.sin(te, out=_planar(self.e)[:, 1])
-        bu = u * self.e * bc
+            u[L] = np.dot(ref, w)
+        uc = u.conj()
+        nu2 = (u * uc).real
+        qu = q * uc  # |u| exp(i theta_err)
+        te = np.arctan2(qu.imag, qu.real)
+        # sqrt is monotonic: this is min |u| > EPS_U, and false for a nan
+        if math.sqrt(nu2.min()) > EPS_U and te.min() > -np.pi:
+            self.live = None
+            v = qu.real
+            bu = u * qu * (v / nu2)  # B u = cos(theta_err) exp(i theta_err) u
+        else:
+            v, bu = self._parked(u, nu2, qu, q, th, te)
+        self.u = u
 
-        udot = rate @ w
+        udot = np.dot(rate, w)
         if a:
             b = bu.take(self.ends)
             dbu = b[:a] - b[a:]
-            f = self.k_a * (dbu * z + pij * (2.0 * (pij.conj() * dbu).real))
-            np.negative(f, out=self.udot_w[0])
-            self.udot_w[1] = f
+            # k_a (z I + 2 p p^T) dbu, with p p^T w = (|p|^2 w + p^2 conj(w)) / 2
+            f = (z + m) * dbu + pij * pij * dbu.conj()
+            np.multiply(f, -self.k_a, out=self.udot_w[0])
+            np.multiply(f, self.k_a, out=self.udot_w[1])
             udot += np.bincount(self.udot_idx, self.udot_w.view(float).ravel(),
-                                minlength=2 * len(u)).view(complex)
-        udf = _planar(udot)
+                                minlength=2 * n).view(complex)
         if L >= 0:  # the reference rates are a_T and v_T - B u_L
-            udf[L] = w.real[0] * sig[4:6] + w.real[1] * (sig[:2] - _planar(bu)[L])
-        # A parked agent (|u| <= EPS_U) has no heading rate: x / inf = 0.
-        tidd = (u.conj() * udot).imag / np.where(live, nu2, np.inf)
-        return rate, uf, tid, te, nu * bc, -self.c * te + tidd, udf
+            udot[L] = w[0] * sig[2] + w[1] * (sig[0] - bu[L])
+        omega = np.multiply(self.neg_c, te, out=self.d_theta)
+        if self.live is None:
+            omega += (uc * udot).imag / nu2
+        else:  # a parked agent has no heading rate
+            omega += np.divide((uc * udot).imag, nu2, out=np.zeros_like(nu2),
+                               where=self.live)
+        np.multiply(q, v, out=self.d_pos)
+        return rate, u, te, v, omega, udot
+
+    def _parked(self, u, nu2, qu, q, th, te):
+        """``__call__``'s v and B u when some agent is parked (|u| <= EPS_U,
+        or nan) or has an error of -pi, which belongs at +pi.
+
+        A parked agent has theta_id = 0, so theta_err = wrap(theta) (set
+        in ``te``) and exp(i theta_err) = q; ``qu`` is set to q |u|.
+        """
+        nu = np.sqrt(nu2)
+        self.live = live = nu > EPS_U
+        parked = ~live
+        te[parked] = wrap_angle(th[parked])
+        te[te == -np.pi] = np.pi
+        qu[parked] = q[parked] * nu[parked]
+        v = qu.real
+        bu = u * qu * np.divide(v, nu2, out=np.zeros_like(nu2), where=live)
+        bu[parked] = u[parked] * q[parked] * q.real[parked]
+        return v, bu
+
+    def theta_id(self):
+        """The heading the last call aimed for: atan2(u), 0 when parked."""
+        tid = np.arctan2(self.u.imag, self.u.real)
+        if self.live is not None:
+            tid[~self.live] = 0.0
+        return tid
 
 
 def _planar(x):
@@ -435,46 +505,50 @@ def _planar(x):
     return x.view(float).reshape(*x.shape, 2)
 
 
-def _state(pose, est):
-    """The law's state X from poses (n, 3) and the estimates (n, 2K)."""
-    return np.concatenate([pose, np.zeros((len(pose), 1)), est], axis=1)
-
-
 def _rollout_numpy(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
                    k_a, c, smooth_eps, dt, n_steps, sample_every,
                    out_pose, out_cmd, out_u, out_tid, out_est):
     """The numpy form of ``_rollout_loops``: same arguments, same effects."""
     law = _Law(edges, d2, anchor, leader, alphas, weights, k_a, c, smooth_eps)
-    X = _state(pose, est)
-    Xc, th, E = X.view(complex), X[:, 2], X[:, 4:]
+    X = law.state(pose, est)
+    Z, th = law.split(X)
+    delta, mag = law.delta, np.empty_like(X)
+    _, mag_th = law.split(mag)
     status = (STATUS_OK, -1, n_steps)
     row = 0
+    sig = sig.view(complex)
     for step in range(n_steps + 1):
-        rate, u, tid, _te, v, omega, _udot = law(X, sig[step])
+        _rate, u, _te, v, omega, _udot = law(X, sig[step])
         if step % sample_every == 0:
-            out_pose[row] = X[:, :3]
+            out_pose[row, :, :2] = Z[:, :2]
+            out_pose[row, :, 2] = th
             out_cmd[row, :, 0] = v
             out_cmd[row, :, 1] = omega
-            out_u[row] = u
-            out_tid[row] = tid
-            out_est[row] = E
+            out_u[row] = _planar(u)
+            out_tid[row] = law.theta_id()
+            out_est[row] = Z[:, 2:]
             row += 1
         if step == n_steps:
             break
-        Xc[:, 0] += law.q * v * dt
-        th += omega * dt
-        np.mod(th, TWO_PI, out=th)
-        th -= TWO_PI * (th > np.pi)
-        Xc[:, 2:] += rate * dt
-        # One reduction per step (|theta| <= pi); the per-agent scan runs
-        # only when it fails, and an estimate that is merely large passes.
-        if not np.abs(X).max() <= POS_LIMIT:
-            bad = ~np.isfinite(X).all(axis=1) | (np.abs(X[:, :2]) > POS_LIMIT).any(axis=1)
+        delta *= dt
+        X += delta
+        np.abs(X, out=mag)
+        # A heading leaves (-pi, pi) only when it turns through pi.
+        # Wrapped, it is still below POS_LIMIT in mag (and nan stays nan).
+        if not mag_th.max() < np.pi:
+            turned = ~(mag_th < np.pi)
+            th[turned] = wrap_angle(th[turned])
+        # One reduction per step; the per-agent scan runs only when it
+        # fails, and an estimate that is merely large passes.
+        if not mag.max() <= POS_LIMIT:
+            bad = (~np.isfinite(Z).all(axis=1) | ~np.isfinite(th)
+                   | (np.abs(Z[:, :2]) > POS_LIMIT).any(axis=1))
             if bad.any():
                 status = (STATUS_DIVERGED, int(np.argmax(bad)), step + 1)
                 break
-    pose[:] = X[:, :3]
-    est[:] = E
+    pose[:, :2] = Z[:, :2]
+    pose[:, 2] = th
+    est[:] = Z[:, 2:]
     return status
 
 
@@ -518,8 +592,10 @@ def flock_eval(pose, est, v0, edges, d2, bflag,
     """
     law = _Law(*_flock_params(edges, d2, bflag, k_a, c, alpha, anchor_sign,
                               smooth_eps))
-    rate, *rest = law(_state(pose, est), np.asarray(v0, dtype=float))
-    return (_planar(rate)[:, 0], *rest)
+    rate, u, te, v, omega, udot = law(law.state(pose, est),
+                                      np.ascontiguousarray(v0, dtype=float).view(complex))
+    return (_planar(rate)[:, 0], _planar(u), law.theta_id(), te, v, omega,
+            _planar(udot))
 
 
 def intercept_eval(pose, vthat, ethat, target_pos, target_vel, target_acc,
@@ -530,9 +606,11 @@ def intercept_eval(pose, vthat, ethat, target_pos, target_vel, target_acc,
     """
     law = _Law(*_intercept_params(len(pose), edges, d2, leader, k_a, k_t, c,
                                   alpha1, alpha2, smooth_eps))
-    rate, *rest = law(_state(pose, np.concatenate([vthat, ethat], axis=1)),
-                      np.concatenate([target_vel, target_pos, target_acc]))
-    return (_planar(rate)[:, 0], _planar(rate)[:, 1], *rest)
+    rate, u, te, v, omega, udot = law(
+        law.state(pose, np.concatenate([vthat, ethat], axis=1)),
+        np.concatenate([target_vel, target_pos, target_acc]).view(complex))
+    return (_planar(rate)[:, 0], _planar(rate)[:, 1], _planar(u), law.theta_id(),
+            te, v, omega, _planar(udot))
 
 
 class KernelUnavailable(RuntimeError):

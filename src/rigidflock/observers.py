@@ -152,7 +152,7 @@ def consensus_observer_rate(
 
 
 def signum_rates(arg: np.ndarray, q: np.ndarray, neg_alpha,
-                 smoothing_epsilon: float) -> np.ndarray:
+                 smoothing_epsilon: float, out: np.ndarray | None = None) -> np.ndarray:
     """Observer rates -alpha q sgn(conj(q) arg) for K channels at once.
 
     ``arg`` is complex (n, K): each agent's consensus-plus-anchor sum
@@ -160,10 +160,15 @@ def signum_rates(arg: np.ndarray, q: np.ndarray, neg_alpha,
     agent's frame, and ``neg_alpha`` the negated gain per channel.  The
     signum is taken in each agent's frame and the result rotated back,
     which keeps the closed loop equivariant under global rotations.
+    The rates are written to ``out`` (complex (n, K)) when it is given.
     """
     body = (arg * q.conj()[:, None]).view(float)
     if smoothing_epsilon > 0.0:
-        np.clip(body / smoothing_epsilon, -1.0, 1.0, out=body)
+        np.divide(body, smoothing_epsilon, out=body)
+        # np.clip's result, without its Python-level argument handling
+        np.minimum(np.maximum(body, -1.0, out=body), 1.0, out=body)
     else:
         np.sign(body, out=body)
-    return body.view(complex) * q[:, None] * neg_alpha
+    rate = np.multiply(body.view(complex), q[:, None], out=out)
+    rate *= neg_alpha
+    return rate

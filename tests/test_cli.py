@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -443,6 +444,29 @@ def test_failed_writer_process_raises_oserror(tmp_path, monkeypatch, failure):
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("failure, reason", [
+    ("raises", f"rows 5..10 failed (exit status 1): OSError: [Errno {errno.ENOSPC}] "
+               "No space left on device"),
+    ("killed", f"rows 5..10 failed (exit status {-signal.SIGKILL})"),
+], ids=["raises", "killed"])
+def test_failed_writer_process_reports_why(tmp_path, monkeypatch, failure, reason):
+    # The child's exception reaches the parent's OSError; a killed child
+    # raised nothing, so only its status is reported.
+    monkeypatch.setattr(cli, "_SPLIT_MIN_VALUES", 0)
+    parent = os.getpid()
+
+    def block(r0, r1):
+        if os.getpid() != parent:
+            if failure == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return np.zeros((r1 - r0, 2))
+
+    with pytest.raises(OSError) as err:
+        cli._write_table(tmp_path / "table.csv", ["a", "b"], 10, block)
+    assert str(err.value).endswith(reason), str(err.value)
+
+
 def test_failure_in_the_cli_process_reaps_the_writer(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_SPLIT_MIN_VALUES", 0)
     parent = os.getpid()
@@ -483,6 +507,38 @@ def test_failed_writer_process_exits_1_without_traceback(tmp_path):
     assert_one_error_line(res)
     assert "trajectory.csv" in res.stderr
     assert os.listdir(out) == []  # no partial CSV
+
+
+def no_space_writer(chunk_rows):
+    """The CLI with rollout chunks of ``chunk_rows`` rows, every table
+    split, and a forked writer that finds the disk full."""
+    return f"""
+import errno, os, sys
+from rigidflock import cli, engine
+engine._CHUNK_ROWS = {chunk_rows}
+cli._SPLIT_MIN_VALUES = 0
+parent, write_rows = os.getpid(), cli._write_rows
+
+def failing(out, *args):
+    if os.getpid() != parent:
+        raise OSError(errno.ENOSPC, "No space left on device")
+    write_rows(out, *args)
+
+cli._write_rows = failing
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("chunk_rows", [2, 512], ids=["streamed", "split"])
+def test_failed_writer_error_line_says_why(tmp_path, chunk_rows):
+    out = tmp_path / "o"
+    res = run_child(["simulate", str(bundled_scenario_path("pentagon_flock")),
+                     "--out", str(out), "--duration", "0.05"],
+                    code=no_space_writer(chunk_rows))
+    assert_one_error_line(res)
+    assert "trajectory.csv: the process writing rows" in res.stderr
+    assert f"OSError: [Errno {errno.ENOSPC}] No space left on device" in res.stderr
+    assert os.listdir(out) == []
 
 
 def test_failed_stream_writer_exits_1_without_traceback(tmp_path):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import rigidflock
 from rigidflock import engine, kernels
+from rigidflock.flocking import EPS_U
 from rigidflock.graph import Graph
 from rigidflock.rigidity import Framework, edge_function, is_minimally_rigid
 from rigidflock.scenario import bundled_scenario_path, load_scenario
@@ -83,7 +84,8 @@ def henneberg_config(n, seed, steps, mode="flock", smoothing_epsilon=0.01):
 
 
 @pytest.mark.parametrize("case", ["pentagon_flock", "pentagon_intercept",
-                                  "henneberg_30", "henneberg_30_intercept"])
+                                  "henneberg_30", "henneberg_30_intercept",
+                                  "henneberg_200"])
 def test_loop_form_matches_numpy_rollout(case, monkeypatch):
     # The loop form is plain Python (only rollout_jit is compiled), so it
     # is checked against the numpy law in every environment.
@@ -91,6 +93,8 @@ def test_loop_form_matches_numpy_rollout(case, monkeypatch):
         cfg = henneberg_config(30, seed=8, steps=200)
     elif case == "henneberg_30_intercept":
         cfg = henneberg_config(30, seed=9, steps=200, mode="intercept")
+    elif case == "henneberg_200":  # the benchmark's wide_formation scale
+        cfg = henneberg_config(200, seed=10, steps=100)
     else:
         duration = 0.5 if case == "pentagon_flock" else 0.125
         cfg = load_scenario(bundled_scenario_path(case),
@@ -134,6 +138,53 @@ def estimates_near_references(cfg, seed):
     if cfg.mode == "flock":
         return dataclasses.replace(cfg, initial_v_f_hat=near[0])
     return dataclasses.replace(cfg, initial_v_t_hat=near[0], initial_e_t_hat=near[1])
+
+
+def parked_beside_live_config(mode, seed, smoothing):
+    """A seeded 30-agent Henneberg formation started near its references,
+    beside four agents that stay parked (|u| <= EPS_U) all run long.
+
+    The parked agents come first, with zero estimates and no access to
+    a reference: two without an edge (u = 0) and a pair whose edge is
+    off by rounding only (|u| ~ 1e-18).  They stay apart from the
+    formation on purpose: a parked agent that moving neighbours wake
+    becomes live with |u| just above EPS_U, where the heading rate
+    (u x udot) / |u|^2 amplifies rounding until two correct forms part
+    by far more than 1e-9.
+    """
+    live = estimates_near_references(
+        henneberg_config(30, seed, steps=100, mode=mode,
+                         smoothing_epsilon=smoothing), seed)
+    pos = np.array([[-1.0, 0.0], [-1.0, 0.5], [1.0, -1.0], [1.06, -0.92]])
+    m = len(pos)
+    headings = np.random.default_rng(seed).uniform(-np.pi, np.pi, m)
+    names = (("initial_v_f_hat", "access_flags") if mode == "flock"
+             else ("initial_v_t_hat", "initial_e_t_hat"))
+    parked = {name: np.concatenate([np.zeros((m,) + getattr(live, name).shape[1:]),
+                                    getattr(live, name)]) for name in names}
+    return dataclasses.replace(
+        live, graph=Graph(live.n + m, [(3, 4)] + [(i + m, j + m)
+                                                 for i, j in live.graph.edges]),
+        distances=np.concatenate([[0.1], live.distances]),
+        initial_poses=np.concatenate([np.column_stack([pos, headings]),
+                                      live.initial_poses]),
+        target_positions=np.concatenate([pos, live.target_positions]),
+        c=10.0, sample_every=1, **parked)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("smoothing", [0.0, 0.01])
+@pytest.mark.parametrize("mode", ["flock", "intercept"])
+def test_law_matches_loop_form_with_parked_and_live_agents(mode, smoothing):
+    # Every step has parked and live agents, so the law's parked branch
+    # runs on each one (and must not divide by a parked |u|).
+    cfg = parked_beside_live_config(mode, seed=12, smoothing=smoothing)
+    lists = run_lists(cfg)
+    nu = np.hypot(lists.u[..., 0], lists.u[..., 1])
+    assert lists.rows == 101
+    assert (nu[:, :4] <= EPS_U).all() and (nu[:, 4:] > EPS_U).all()
+    assert 0 < nu[:, 2:4].min()
+    assert_logs_match(engine.run(cfg, force_kernel="numpy"), lists)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -183,11 +234,11 @@ def test_dispatch_picks_the_form_by_formation_size(monkeypatch):
     # of few agents runs the law.
     monkeypatch.setattr(kernels, "USE_NUMBA", False)
     limit = kernels.LIST_MAX_EDGES
-    sparse = {n: henneberg_config(n, seed=n, steps=2) for n in (12, 13, 200)}
-    cases = [(sparse[12], "loops"), (sparse[13], "law"), (sparse[200], "law"),
-             (complete_config(henneberg_config(7, 7, 2)), "loops"),
-             (complete_config(henneberg_config(8, 8, 2)), "law"),
-             (complete_config(sparse[12]), "law")]
+    sparse = {n: henneberg_config(n, seed=n, steps=2) for n in (9, 10, 200)}
+    cases = [(sparse[9], "loops"), (sparse[10], "law"), (sparse[200], "law"),
+             (complete_config(henneberg_config(6, 6, 2)), "loops"),
+             (complete_config(henneberg_config(7, 7, 2)), "law"),
+             (complete_config(sparse[9]), "law")]
     for cfg, form in cases:
         edges = len(cfg.graph.edges)
         assert (edges <= limit) == (form == "loops"), (cfg.n, edges)
@@ -195,6 +246,18 @@ def test_dispatch_picks_the_form_by_formation_size(monkeypatch):
         assert (meta["kernel"], meta["form"]) == ("numpy", form), (cfg.n, edges)
         forced = engine.run(cfg, force_kernel="numpy").meta
         assert (forced["kernel"], forced["form"]) == ("numpy", "law"), cfg.n
+
+
+def test_law_heading_error_of_pi_is_plus_pi():
+    # Heading 0 and u = (-1, 0): arctan2 of q conj(u) = -1 - 0j is -pi,
+    # which (-pi, pi] puts at +pi, as the loop form's wrap does.
+    rate, u, tid, te, v, omega, udot = kernels.flock_eval(
+        np.zeros((1, 3)), np.array([[-1.0, 0.0]]), np.zeros(2),
+        np.zeros((0, 2), dtype=np.intp), np.zeros(0), np.zeros(1), 1.0,
+        np.ones(1), 1.0, 1.0, 0.0)
+    assert tid[0] == np.pi
+    assert te[0] == kernels._wrap(0.0 - tid[0]) == np.pi
+    assert omega[0] == -np.pi
 
 
 def test_jit_arguments_are_numba_types(monkeypatch):
