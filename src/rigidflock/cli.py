@@ -7,21 +7,21 @@ Usage:
 
 ``simulate`` writes trajectory.csv, metrics.csv, and summary.json into
 OUTDIR, each under a temporary name that is renamed when complete.
-Where ``os.fork`` exists, a forked writer formats trajectory.csv while
-the rollout runs (once the rollout spans more than one chunk), and a
-large metrics.csv (or one-chunk trajectory.csv) is written by two
-processes, the CLI and one forked writer, each formatting half of the
-rows; the bytes are the same as from one process.  ``check-rigidity``
-prints a JSON rigidity report for a formation file (either a scenario
-file or a minimal {"n", "edges", "positions_m"} object).
+Where ``os.fork`` exists and the rollout spans more than one chunk, one
+forked writer formats the rows of both CSVs while the rollout runs;
+otherwise this process writes them after the rollout.  The bytes are
+the same either way.  ``check-rigidity`` prints a JSON rigidity report
+for a formation file (either a scenario file or a minimal {"n",
+"edges", "positions_m"} object).
 
 Exit codes: 0 success (for check-rigidity: infinitesimally and
 minimally rigid), 1 input/validation or I/O error (including a
 requested kernel that is unavailable, e.g. ``--kernel jit`` without
-numba, a horizon too long to allocate, and a failed writer process),
-2 formation not rigid, 3 simulation diverged.  OUTDIR is created before
-the rollout; a run that exits 1 or 3 leaves no output file in it.  Set
-RIGIDFLOCK_LOG=debug|info|warning|error to control log verbosity.
+numba, a horizon too long to allocate or to index, and a failed writer
+process), 2 formation not rigid, 3 simulation diverged.  OUTDIR is
+created before the rollout; a run that exits 1 or 3 leaves no output
+file in it.  Set RIGIDFLOCK_LOG=debug|info|warning|error to control log
+verbosity.
 """
 
 from __future__ import annotations
@@ -31,9 +31,7 @@ import contextlib
 import json
 import logging
 import os
-import shutil
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -56,12 +54,6 @@ EXIT_DIVERGED = 3
 # Values per formatted block: bounds the transient lists and strings
 # whether a row holds 40 values or 2,000.
 _BLOCK_VALUES = 4096
-# Tables with at least this many values are split between this process
-# and one forked writer.  Formatting costs about 1 us per value; the
-# split costs about 10 ms at the CLI's ~50 MB (fork, copy-on-write
-# faults, waitpid, the copy).  Timed on 2 vCPUs, the split broke even
-# between 22,000 and 45,000 values and won by 30% at 140,000.
-_SPLIT_MIN_VALUES = 32_768
 # Longest exception text a failed writer process reports.
 _REASON_CHARS = 1000
 
@@ -86,16 +78,21 @@ def _table_format(header: list[str]) -> tuple[bytes, str, int]:
             ",".join(["%.17g"] * width) + "\r\n", max(1, _BLOCK_VALUES // width))
 
 
+def _part(path) -> str:
+    """The temporary name beside ``path`` that it is written under."""
+    path = os.path.abspath(path)
+    return os.path.join(os.path.dirname(path),
+                        f".{os.path.basename(path)}.{os.getpid()}.part")
+
+
 @contextlib.contextmanager
 def _staged(path):
-    """A temporary name beside ``path``, renamed to ``path`` on success.
+    """``_part(path)``, renamed to ``path`` on success.
 
     When the body raises, the temporary file is removed instead, so a
     failed writer leaves no partial output.
     """
-    path = os.path.abspath(path)
-    tmp = os.path.join(os.path.dirname(path),
-                       f".{os.path.basename(path)}.{os.getpid()}.part")
+    tmp = _part(path)
     try:
         yield tmp
     except BaseException:
@@ -105,87 +102,24 @@ def _staged(path):
     os.replace(tmp, path)
 
 
-@contextlib.contextmanager
-def _forked(work, what: str):
-    """Run ``work()`` in one forked child while the body of the ``with`` runs.
+def _write_table(log: TrajectoryLog, path, table, stream) -> None:
+    """Write ``table(log)`` to ``path`` unless ``stream`` already does.
 
-    The child never returns into the caller: it ends in ``os._exit``,
-    with status 0 only if ``work`` returned, and flushes nothing it
-    inherited.  Leaving the body reaps the child, also when the body
-    raises; a child that failed (nonzero exit or a signal) then raises
-    ``OSError`` naming ``what``, the exit status and, if ``work`` raised,
-    the child's ``Type: message``, which it sends back over a pipe.
-
-    OpenBLAS starts a worker thread at ``import numpy``, and a fork of a
-    threaded process is unsafe in general: Python 3.12 and later warn
-    about it, and the writers have been run on 3.11 only.  A child only
-    slices arrays, formats and writes; it makes no BLAS call and takes
-    no lock that thread could hold.
+    ``table(log)`` gives the CSV's header and ``block(r0, r1)``, which
+    returns a (r1 - r0, len(header)) float array, formatted as
+    ``_table_format`` says.  If ``stream`` (a ``_CsvStream`` with a
+    table for ``path``) wrote the rows during the rollout, this only
+    waits for it to finish.  Otherwise this process writes the table
+    under a temporary name, renamed to ``path`` when complete.
     """
-    reasons, report = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(reasons)
-        os.close(report)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(reasons)
-            work()
-            status = 0
-        except Exception as exc:  # reported to the parent, which raises
-            with contextlib.suppress(OSError):
-                os.write(report, f"{type(exc).__name__}: {exc}"[:_REASON_CHARS]
-                         .encode("utf-8", "replace"))
-        finally:
-            os._exit(status)
-    os.close(report)
-    with open(reasons, "rb", buffering=0) as why:
-        try:
-            yield
-        finally:
-            _, status = os.waitpid(pid, 0)
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0:
-            # Only the child held the pipe's write end, so this reads to EOF.
-            reason = why.read().decode("utf-8", "replace")
-            raise OSError(f"{what} failed (exit status {code})"
-                          + (f": {reason}" if reason else ""))
-
-
-def _write_table(path, header: list[str], rows: int, block) -> None:
-    """Write a CSV: ``header``, then ``block(r0, r1)`` for every row range.
-
-    ``block`` returns a (r1 - r0, len(header)) float array, formatted as
-    ``_table_format`` says.  The table is written under a temporary name
-    and renamed to ``path`` when complete.
-
-    Formatting is CPU-bound, so a table of ``_SPLIT_MIN_VALUES`` or more
-    is split where ``os.fork`` exists: this process writes the first
-    ``rows // 2`` rows while a forked child writes the rest to an
-    anonymous temporary file, whose bytes are then appended.  The file
-    is the same either way.  A failed child raises ``OSError``.
-    """
+    if stream is not None and stream.started:
+        stream.finish(path)
+        return
+    header, block = table(log)
     head, line, step = _table_format(header)
-    split = rows
-    if rows > 1 and rows * len(header) >= _SPLIT_MIN_VALUES and hasattr(os, "fork"):
-        split = rows // 2
     with _staged(path) as tmp, open(tmp, "wb") as fh:
         fh.write(head)
-        if split == rows:
-            _write_rows(fh, line, step, block, 0, rows)
-            return
-        with tempfile.TemporaryFile(dir=os.path.dirname(tmp)) as tail:
-            def work():
-                _write_rows(tail, line, step, block, split, rows)
-                tail.flush()
-
-            with _forked(work, f"{path}: the process writing rows {split}..{rows}"):
-                _write_rows(fh, line, step, block, 0, split)
-            tail.seek(0)
-            shutil.copyfileobj(tail, fh)
+        _write_rows(fh, line, step, block, 0, log.rows)
 
 
 def _trajectory_table(log: TrajectoryLog) -> tuple[list[str], object]:
@@ -212,90 +146,8 @@ def _trajectory_table(log: TrajectoryLog) -> tuple[list[str], object]:
     return header, block
 
 
-class _TrajectoryStream:
-    """trajectory.csv formatted by one forked writer while the rollout runs.
-
-    Pass it as ``engine.run``'s ``on_rows``.  On the first report that
-    is not the whole table, and where ``os.fork`` exists, it forks a
-    writer that formats rows as the counts of final rows arrive over a
-    pipe; otherwise it does nothing and the table is written after the
-    run.  ``write_trajectory_csv`` finishes it.  Used as a context
-    manager, it reaps the writer and removes its file if the body raises.
-    """
-
-    def __init__(self, path):
-        self.path = path
-        self.started = False
-        self.counts = None  # the pipe's write end while the writer runs
-        self._stack = contextlib.ExitStack()
-
-    def __call__(self, log: TrajectoryLog, ready: int) -> None:
-        if not self.started:
-            if ready == log.rows or not hasattr(os, "fork"):
-                return
-            self._start(log)
-        try:
-            os.write(self.counts, b"%d\n" % ready)
-        except BrokenPipeError:
-            self.finish()  # the writer has failed: raise its error
-            raise
-
-    def _start(self, log: TrajectoryLog) -> None:
-        self.started = True
-        header, block = _trajectory_table(log)
-        head, line, step = _table_format(header)
-        tmp = self._stack.enter_context(_staged(self.path))
-        read_end, self.counts = os.pipe()
-
-        def work():
-            os.close(self.counts)
-            with open(read_end, "rb") as counts, open(tmp, "wb") as out:
-                out.write(head)
-                done = 0
-                for count in counts:
-                    ready = int(count)
-                    _write_rows(out, line, step, block, done, ready)
-                    done = ready
-
-        try:
-            self._stack.enter_context(_forked(
-                work, f"{self.path}: the process writing rows 0..{log.rows}"))
-        finally:
-            os.close(read_end)
-
-    def _close_pipe(self) -> None:
-        if self.counts is not None:
-            os.close(self.counts)
-            self.counts = None
-
-    def finish(self) -> None:
-        """Wait for the writer; rename its file to ``path`` if it succeeded."""
-        self._close_pipe()
-        self._stack.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._close_pipe()
-        return self._stack.__exit__(*exc)
-
-
-def write_trajectory_csv(log: TrajectoryLog, path, stream=None) -> None:
-    """Raw sampled state and commands, one row per sample time.
-
-    If ``stream`` (a ``_TrajectoryStream`` for ``path``) wrote the rows
-    during the rollout, this only waits for it to finish.
-    """
-    if stream is not None and stream.started:
-        stream.finish()
-        return
-    header, block = _trajectory_table(log)
-    _write_table(path, header, log.rows, block)
-
-
-def write_metrics_csv(log: TrajectoryLog, edges, path) -> None:
-    """Derived error series, one row per sample time."""
+def _metrics_table(log: TrajectoryLog, edges) -> tuple[list[str], object]:
+    """metrics.csv's header and its ``block(r0, r1)`` (see _write_table)."""
     if log.mode == "flock":
         agent_cols = ["theta_err", "vf_err"]
         shared_cols = ["shape_dist_m"]
@@ -313,7 +165,139 @@ def write_metrics_csv(log: TrajectoryLog, edges, path) -> None:
     def block(r0, r1):
         return np.hstack([c[r0:r1].reshape(r1 - r0, -1) for c in columns])
 
-    _write_table(path, header, log.rows, block)
+    return header, block
+
+
+def _stream_rows(counts: int, formats) -> None:
+    """Each ``(file, head, line, step, block)`` table's rows up to every
+    count of final rows read from the pipe ``counts``, until its EOF."""
+    with contextlib.ExitStack() as files:
+        counts = files.enter_context(open(counts, "rb"))
+        outs = [files.enter_context(open(tmp, "wb")) for tmp, *_ in formats]
+        for out, (_, head, *_) in zip(outs, formats):
+            out.write(head)
+        done = 0
+        for count in counts:
+            ready = int(count)
+            for out, (_, _, line, step, block) in zip(outs, formats):
+                _write_rows(out, line, step, block, done, ready)
+            done = ready
+
+
+class _CsvStream:
+    """CSVs formatted by one forked writer while the rollout runs.
+
+    ``tables`` lists ``(path, table)`` pairs, ``table(log)`` giving a
+    header and ``block`` (see ``_write_table``).  As ``engine.run``'s
+    ``on_rows``, the first report that is not the whole log forks the
+    writer (where ``os.fork`` exists; else the tables are written after
+    the run), and every report sends it the count of final rows.
+    ``finish(path)`` waits for it and renames ``path``'s file; leaving
+    the ``with`` block reaps it and removes the files not renamed.  A
+    failed writer (nonzero exit or a signal) raises ``OSError`` naming
+    the files, its status and, if it raised, its ``Type: message``.
+
+    OpenBLAS starts a worker thread at ``import numpy``, and a fork of a
+    threaded process is unsafe in general: Python 3.12 and later warn
+    about it, and the writer has been run on 3.11 only.  It only slices
+    arrays, formats and writes; it makes no BLAS call and takes no lock
+    that thread could hold.
+    """
+
+    def __init__(self, tables):
+        self.tables = tables
+        self.started = False
+        self._pid = self._counts = self._reasons = None
+        self._parts = {}  # path -> the writer's file, until renamed
+
+    def __call__(self, log: TrajectoryLog, ready: int) -> None:
+        if not self.started:
+            if ready == log.rows or not hasattr(os, "fork"):
+                return
+            self._start(log)
+        try:
+            os.write(self._counts, b"%d\n" % ready)
+        except BrokenPipeError:
+            self._wait(check=True)  # the writer has failed: raise its error
+            raise
+
+    def _start(self, log: TrajectoryLog) -> None:
+        self.started = True
+        formats = []
+        for path, table in self.tables:
+            header, block = table(log)
+            self._parts[path] = _part(path)
+            formats.append((self._parts[path], *_table_format(header), block))
+        paths = ", ".join(str(path) for path, _ in self.tables)
+        self._what = f"{paths}: the process writing rows 0..{log.rows}"
+        counts, self._counts = os.pipe()
+        self._reasons, report = os.pipe()
+        try:
+            self._pid = os.fork()
+        except OSError:
+            for fd in (counts, self._counts, self._reasons, report):
+                os.close(fd)
+            self._counts = None
+            raise
+        if self._pid:
+            os.close(counts)
+            os.close(report)
+            return
+        status = 1
+        try:
+            os.close(self._counts)
+            os.close(self._reasons)
+            _stream_rows(counts, formats)
+            status = 0
+        except Exception as exc:  # reported to the parent, which raises
+            with contextlib.suppress(OSError):
+                os.write(report, f"{type(exc).__name__}: {exc}"[:_REASON_CHARS]
+                         .encode("utf-8", "replace"))
+        finally:
+            os._exit(status)  # never return into the caller or flush its buffers
+
+    def _wait(self, check: bool) -> None:
+        """Reap the writer, if any; if ``check``, raise if it failed."""
+        if self._counts is not None:
+            os.close(self._counts)  # the writer reads to EOF and exits
+            self._counts = None
+        if self._pid is None:
+            return
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        code = os.waitstatus_to_exitcode(status)
+        # Only the writer held the pipe's write end, so this reads to EOF.
+        with open(self._reasons, "rb", buffering=0) as why:
+            reason = why.read().decode("utf-8", "replace") if code else ""
+        if check and code != 0:
+            raise OSError(f"{self._what} failed (exit status {code})"
+                          + (f": {reason}" if reason else ""))
+
+    def finish(self, path) -> None:
+        """Wait for the writer; rename ``path``'s file if it succeeded."""
+        self._wait(check=True)
+        os.replace(self._parts.pop(path), path)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        try:
+            self._wait(check=exc[0] is None)
+        finally:
+            for tmp in self._parts.values():
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(tmp)
+
+
+def write_trajectory_csv(log: TrajectoryLog, path, stream=None) -> None:
+    """Raw sampled state and commands, one row per sample time."""
+    _write_table(log, path, _trajectory_table, stream)
+
+
+def write_metrics_csv(log: TrajectoryLog, edges, path, stream=None) -> None:
+    """Derived error series, one row per sample time."""
+    _write_table(log, path, lambda log: _metrics_table(log, edges), stream)
 
 
 def build_summary(scn: Scenario, log: TrajectoryLog) -> dict:
@@ -345,16 +329,18 @@ def _cmd_simulate(args) -> int:
                         seed=args.seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    trajectory = outdir / "trajectory.csv"
+    trajectory, metrics = outdir / "trajectory.csv", outdir / "metrics.csv"
+    edges = scn.graph.edges
     written = []
     try:
-        with _TrajectoryStream(trajectory) as stream:
+        with _CsvStream([(trajectory, _trajectory_table),
+                         (metrics, lambda log: _metrics_table(log, edges))]) as stream:
             log = engine.run(scn.to_run_config(), force_kernel=force,
                              on_rows=stream)
             write_trajectory_csv(log, trajectory, stream)
-        written.append(trajectory)
-        write_metrics_csv(log, scn.graph.edges, outdir / "metrics.csv")
-        written.append(outdir / "metrics.csv")
+            written.append(trajectory)
+            write_metrics_csv(log, edges, metrics, stream)
+            written.append(metrics)
         summary = build_summary(scn, log)
         with _staged(outdir / "summary.json") as tmp, \
                 open(tmp, "w", encoding="utf-8") as fh:

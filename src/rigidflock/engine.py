@@ -256,7 +256,8 @@ class TrajectoryLog:
     """Sampled closed-loop history plus derived error series.
 
     Rows are sampled every ``sample_every`` steps starting at t = 0; a
-    zero-duration run yields the initial row only.
+    zero-duration run yields the initial row only.  ``hull_inside`` holds
+    1.0 where the target is inside the followers' hull, else 0.0.
     """
 
     mode: str
@@ -329,6 +330,29 @@ def _shared_arrays(shapes: dict) -> dict:
     return out
 
 
+def _derive_rows(log: TrajectoryLog, config: RunConfig, rows: slice) -> None:
+    """Fill the derived series of ``rows`` from those rows of the log alone."""
+    xy = log.poses[rows, :, :2]
+    if config.graph.edge_count:
+        rel = xy[:, config._edges[:, 0]] - xy[:, config._edges[:, 1]]
+        log.edge_errors[rows] = np.abs(np.sqrt(np.einsum("rkj,rkj->rk", rel, rel))
+                                       - config.distances[None, :])
+    log.heading_errors[rows] = wrap_angle(log.poses[rows, :, 2] - log.theta_id[rows])
+    if config.target_positions is not None:
+        log.shape_dist[rows] = _shape_dist_rows(xy, config.target_positions)
+    if log.mode == "flock":
+        dv = log.v_f_hat[rows] - log.v0[rows, None, :]
+        log.est_errors[rows] = np.sqrt(np.einsum("rij,rij->ri", dv, dv))
+        return
+    e_t = log.target_pos[rows] - log.poses[rows, config.leader - 1, :2]
+    log.e_t_norm[rows] = np.hypot(e_t[:, 0], e_t[:, 1])
+    dv = log.v_t_hat[rows] - log.target_vel[rows, None, :]
+    log.v_t_err[rows] = np.sqrt(np.einsum("rij,rij->ri", dv, dv))
+    de = log.e_t_hat[rows] - e_t[:, None, :]
+    log.e_t_err[rows] = np.sqrt(np.einsum("rij,rij->ri", de, de))
+    log.hull_inside[rows] = hull_containment(log, rows)
+
+
 def run(config: RunConfig, force_kernel: str | None = None,
         on_rows=None) -> TrajectoryLog:
     """Roll out the closed loop for the configured duration.
@@ -338,15 +362,15 @@ def run(config: RunConfig, force_kernel: str | None = None,
     kernels.KernelUnavailable.  Raises SimulationDiverged when any agent
     leaves the sane range.
 
-    The rollout runs in chunks of ``_CHUNK_ROWS`` rows.  After each one,
+    The rollout runs in chunks of ``_CHUNK_ROWS`` rows, and each chunk's
+    rows of the derived series (edge, heading and estimate errors, e_T,
+    shape distance, hull flag) are computed as soon as it returns.  Then
     ``on_rows(log, ready)`` (if given) learns that rows ``[0, ready)`` of
-    the log's trajectory fields (``t``, poses, commands, ``u``, the
-    estimates and the references) are final; the last call has ``ready
-    == log.rows`` and comes before the derived series are computed.
-    Those arrays live in one shared anonymous mapping.
+    every array of the log are final; the last call has ``ready ==
+    log.rows``.  Those arrays live in one shared anonymous mapping, and
+    only ``meta`` is set after the last call.
     """
     n = config.n
-    a = config.graph.edge_count
     dt = config.dt
     n_steps = int(round(config.duration / dt))
     sample_every = config.sample_every
@@ -356,36 +380,45 @@ def run(config: RunConfig, force_kernel: str | None = None,
     flock = config.mode == "flock"
 
     shapes = {"t": (rows,), "poses": (rows, n, 3), "commands": (rows, n, 2),
-              "u": (rows, n, 2), "theta_id": (rows, n)}
-    est_names = ("v_f_hat",) if flock else ("v_t_hat", "e_t_hat")
-    shapes.update({k: (rows, n, 2) for k in est_names})
-    shapes.update({k: (rows, 2) for k in (("v0",) if flock
-                                          else ("target_pos", "target_vel"))})
+              "u": (rows, n, 2), "theta_id": (rows, n),
+              "est": (rows, n, 2 if flock else 4),
+              "edge_errors": (rows, config.graph.edge_count),
+              "heading_errors": (rows, n)}
+    if config.target_positions is not None:
+        shapes["shape_dist"] = (rows,)
+    if flock:
+        shapes.update(v0=(rows, 2), est_errors=(rows, n))
+    else:
+        shapes.update(target_pos=(rows, 2), target_vel=(rows, 2), e_t_norm=(rows,),
+                      v_t_err=(rows, n), e_t_err=(rows, n), hull_inside=(rows,))
     arrays = _shared_arrays(shapes)
     arrays["t"][:] = times[sampled_steps]
-    log = TrajectoryLog(config.mode, edge_errors=None, heading_errors=None,
-                        shape_dist=None, **arrays)
+    est_log = arrays.pop("est")
+    arrays.setdefault("shape_dist", None)
+    log = TrajectoryLog(config.mode, **arrays)
     pose = config.initial_poses.copy()
     if flock:
         _, v0_seq, _ = config.signal.sample(times)
         log.v0[:] = v0_seq[sampled_steps]
-        ests = (config.initial_v_f_hat.copy(),)
+        log.v_f_hat = est_log
+        est = config.initial_v_f_hat.copy()
         rollout = kernels.flock_rollout
         fixed = (config._edges, config._d2, config.access_flags)
         gains = (config.k_a, config.c, config.alpha, config.anchor_sign,
                  config.smoothing_epsilon)
-        signals = (v0_seq,)
+        signal = v0_seq
     else:
         pt_seq, vt_seq, at_seq = config.signal.sample(times)
         log.target_pos[:] = pt_seq[sampled_steps]
         log.target_vel[:] = vt_seq[sampled_steps]
-        ests = (config.initial_v_t_hat.copy(), config.initial_e_t_hat.copy())
+        log.v_t_hat, log.e_t_hat = est_log[..., :2], est_log[..., 2:]
+        est = np.concatenate([config.initial_v_t_hat, config.initial_e_t_hat], axis=1)
         rollout = kernels.intercept_rollout
         fixed = (config._edges, config._d2, config.leader - 1)
         gains = (config.k_a, config.k_t, config.c, config.alpha1, config.alpha2,
                  config.smoothing_epsilon)
-        signals = (pt_seq, vt_seq, at_seq)
-    outs = [arrays[k] for k in ("poses", "commands", "u", "theta_id", *est_names)]
+        signal = np.concatenate([vt_seq, pt_seq, at_seq], axis=1)
+    outs = (log.poses, log.commands, log.u, log.theta_id, est_log)
 
     runtime = 0.0
     r0 = 0
@@ -393,23 +426,21 @@ def run(config: RunConfig, force_kernel: str | None = None,
         r1 = r0 + _CHUNK_ROWS
         last = r1 >= rows - 1
         s0, s1 = r0 * sample_every, (n_steps if last else r1 * sample_every)
-        logged = slice(r0, rows if last else r1 + 1)
+        ready = rows if last else r1
         tic = _time.perf_counter()
         kernel_name, form, status = rollout(
-            pose, *ests, *fixed, *(s[s0:s1 + 1] for s in signals), *gains, dt,
-            s1 - s0, sample_every, *(o[logged] for o in outs),
-            force=force_kernel)
+            pose, est, *fixed, signal[s0:s1 + 1], *gains, dt, s1 - s0,
+            sample_every, *(o[r0:ready + 1] for o in outs), force=force_kernel)
         runtime += _time.perf_counter() - tic
         if status[0] != kernels.STATUS_OK:
             raise SimulationDiverged(int(status[1]) + 1,
                                      float(s0 + int(status[2])) * dt)
+        _derive_rows(log, config, slice(r0, ready))
+        if on_rows is not None:
+            on_rows(log, ready)
         if last:
             break
-        if on_rows is not None:
-            on_rows(log, r1)
         r0 = r1
-    if on_rows is not None:
-        on_rows(log, rows)
 
     log.meta = {
         "mode": config.mode,
@@ -421,27 +452,6 @@ def run(config: RunConfig, force_kernel: str | None = None,
         "form": form,
         "runtime_s": runtime,
     }
-    xy = log.poses[:, :, :2]
-    if a:
-        rel = xy[:, config._edges[:, 0]] - xy[:, config._edges[:, 1]]
-        log.edge_errors = np.abs(np.sqrt(np.einsum("rkj,rkj->rk", rel, rel))
-                                 - config.distances[None, :])
-    else:
-        log.edge_errors = np.zeros((rows, 0))
-    log.heading_errors = wrap_angle(log.poses[:, :, 2] - log.theta_id)
-    if config.target_positions is not None:
-        log.shape_dist = _shape_dist_rows(xy, config.target_positions)
-    if flock:
-        dv = log.v_f_hat - log.v0[:, None, :]
-        log.est_errors = np.sqrt(np.einsum("rij,rij->ri", dv, dv))
-    else:
-        e_t = log.target_pos - log.poses[:, config.leader - 1, :2]
-        log.e_t_norm = np.hypot(e_t[:, 0], e_t[:, 1])
-        dv = log.v_t_hat - log.target_vel[:, None, :]
-        log.v_t_err = np.sqrt(np.einsum("rij,rij->ri", dv, dv))
-        de = log.e_t_hat - e_t[:, None, :]
-        log.e_t_err = np.sqrt(np.einsum("rij,rij->ri", de, de))
-        log.hull_inside = hull_containment(log)
     return log
 
 
@@ -507,14 +517,8 @@ def velocity_tracking_errors(log: TrajectoryLog) -> np.ndarray:
     return np.sqrt(np.einsum("rij,rij->ri", dv, dv)).max(axis=1)
 
 
-# Rows tested at once by ``_strictly_inside``.  It keeps about five
-# values per follower and row; all 8,001 rows of dense_log at once raised
-# the CLI's peak RSS from 47.9 to 49.1 MB.
-_HULL_ROWS = 1024
-
-
-def hull_containment(log: TrajectoryLog) -> np.ndarray:
-    """Per-row flag: target inside the hull of the follower positions.
+def hull_containment(log: TrajectoryLog, rows: slice = slice(None)) -> np.ndarray:
+    """Per-row flag of ``rows``: target inside the hull of the follower positions.
 
     Every row is tested at once by ``_strictly_inside``; only the rows it
     does not find inside go to ``convex_hull_contains``, which owns the
@@ -522,12 +526,11 @@ def hull_containment(log: TrajectoryLog) -> np.ndarray:
     """
     if log.mode != "intercept":
         raise ValueError("hull containment is an intercept-mode metric")
-    followers = log.poses[:, : log.n - 1, :2]
-    out = np.concatenate([
-        _strictly_inside(followers[r:r + _HULL_ROWS], log.target_pos[r:r + _HULL_ROWS])
-        for r in range(0, log.rows, _HULL_ROWS)])
+    followers = log.poses[rows, : log.n - 1, :2]
+    targets = log.target_pos[rows]
+    out = _strictly_inside(followers, targets)
     for r in np.flatnonzero(~out):
-        out[r] = convex_hull_contains(followers[r], log.target_pos[r])
+        out[r] = convex_hull_contains(followers[r], targets[r])
     return out
 
 

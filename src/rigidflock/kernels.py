@@ -637,22 +637,19 @@ def flock_rollout(pose, est, edges, d2, bflag, v0_seq, k_a, c, alpha,
                      (out_pose, out_cmd, out_u, out_tid, out_est))
 
 
-def intercept_rollout(pose, vthat, ethat, edges, d2, leader, pt_seq, vt_seq,
-                      at_seq, k_a, k_t, c, alpha1, alpha2, smooth_eps, dt,
-                      n_steps, sample_every, out_pose, out_cmd, out_u, out_tid,
-                      out_vthat, out_ethat, *, force: str | None = None):
-    """Roll out the interception loop (see flock_rollout)."""
+def intercept_rollout(pose, est, edges, d2, leader, sig, k_a, k_t, c, alpha1,
+                      alpha2, smooth_eps, dt, n_steps, sample_every, out_pose,
+                      out_cmd, out_u, out_tid, out_est, *, force: str | None = None):
+    """Roll out the interception loop (see flock_rollout).
+
+    ``est`` (n, 4) and ``out_est`` (rows, n, 4) hold [v_T hat, e_T hat]
+    per agent, and ``sig`` (steps, 6) holds [v_T, p_T, a_T] per step.
+    """
     law = _intercept_params(len(pose), edges, d2, leader, k_a, k_t, c,
                             alpha1, alpha2, smooth_eps)
-    est = np.concatenate([vthat, ethat], axis=1)
-    out_est = np.zeros(out_vthat.shape[:2] + (4,))
-    result = _dispatch(force, pose, est,
-                       np.concatenate([vt_seq, pt_seq, at_seq], axis=1),
-                       law, dt, n_steps, sample_every,
-                       (out_pose, out_cmd, out_u, out_tid, out_est))
-    vthat[:], ethat[:] = est[:, :2], est[:, 2:]
-    out_vthat[:], out_ethat[:] = out_est[..., :2], out_est[..., 2:]
-    return result
+    return _dispatch(force, pose, est, np.ascontiguousarray(sig, dtype=float),
+                     law, dt, n_steps, sample_every,
+                     (out_pose, out_cmd, out_u, out_tid, out_est))
 
 
 def _dispatch(force, pose, est, sig, law, dt, n_steps, sample_every, outs):

@@ -215,6 +215,11 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
                      positive=True)
     dur_val = _number(sim.get("duration_s") if duration is None else duration,
                       "sim.duration_s")
+    # The rollout's time axis takes 8 bytes a step; a longer one is not
+    # addressable, and a step count of inf is no integer at all.
+    if not dur_val / dt_val < np.iinfo(np.intp).max // 8:
+        _fail("sim.dt_s", f"duration_s / dt_s = {dur_val / dt_val:g} steps "
+                          "is too many to index")
     se = sim.get("sample_every", 1)
     if not isinstance(se, int) or isinstance(se, bool) or se < 1:
         _fail("sim.sample_every", f"must be an integer >= 1, got {se!r}")

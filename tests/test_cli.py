@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ def test_simulate_intercept_outputs(tmp_path, monkeypatch):
     hull_calls = []
     hull = engine.hull_containment
     monkeypatch.setattr(engine, "hull_containment",
-                        lambda log: hull_calls.append(1) or hull(log))
+                        lambda log, rows: hull_calls.append(1) or hull(log, rows))
     out = tmp_path / "out"
     rc = main(["simulate", str(bundled_scenario_path("pentagon_intercept")),
                "--out", str(out), "--duration", "0.1"])
@@ -77,7 +78,8 @@ def test_simulate_intercept_outputs(tmp_path, monkeypatch):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["leader"] == 6
     assert "final_e_t_norm" in summary
-    # The hull series is computed once per run; the CSV and summary share it.
+    # The hull series is computed once per chunk (this run is one chunk);
+    # the CSV and summary share it.
     assert len(hull_calls) == 1
     assert mrows[-1][mrows[0].index("hull_contains")] == str(
         int(summary["hull_contains_final"]))
@@ -222,13 +224,21 @@ def test_non_number_path_field_exits_1_without_traceback(tmp_path, name, key,
     assert out.stderr.startswith(f"error: {key}: {field} must be a number")
 
 
-def test_impossible_horizon_exits_1_without_traceback(tmp_path):
+@pytest.mark.parametrize("flag, value, error", [
     # 1e15 steps: the first array of the rollout (petabytes) cannot be
     # allocated, so this fails at once without touching real memory.
+    pytest.param("--duration", "1e12", "error: out of memory", id="duration-1e12"),
+    # 1e300 steps do not fit an index, and with the smallest subnormal
+    # dt the step count is inf: the parser rejects both.
+    pytest.param("--dt", "1e-300", "error: sim.dt_s:", id="dt-1e-300"),
+    pytest.param("--dt", "5e-324", "error: sim.dt_s:", id="dt-5e-324"),
+])
+def test_impossible_horizon_exits_1_without_traceback(tmp_path, flag, value, error):
     out = tmp_path / "o"
-    assert_one_error_line(run_child([
-        "simulate", str(bundled_scenario_path("pentagon_flock")),
-        "--out", str(out), "--duration", "1e12"]))
+    res = run_child(["simulate", str(bundled_scenario_path("pentagon_flock")),
+                     "--out", str(out), "--duration", "1", flag, value])
+    assert_one_error_line(res)
+    assert res.stderr.startswith(error)
     assert not (out / "summary.json").exists()
 
 
@@ -363,70 +373,33 @@ def test_writers_match_reference_on_extreme_values(tmp_path, name):
         assert text in traj and text in metrics
 
 
-# ---------------------------------------------------------------------------
-# Tables split between the CLI and a forked writer
-# ---------------------------------------------------------------------------
-
-def counting_forks(monkeypatch):
-    calls = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
-    return calls
-
-
-# 2 and 3 rows split after the first row; at 251 and 151 rows the split
-# point rows // 2 falls inside a block of either table.
-@pytest.mark.parametrize("name, duration, rows", [
-    ("pentagon_flock", 0.01, 2), ("pentagon_intercept", 0.02, 3),
-    ("pentagon_flock", 2.5, 251), ("pentagon_intercept", 1.5, 151)])
-def test_split_writers_match_per_value_reference(tmp_path, monkeypatch, name,
-                                                 duration, rows):
-    monkeypatch.setattr(cli, "_SPLIT_MIN_VALUES", 0)
-    forks = counting_forks(monkeypatch)
-    log, edges = simulated(name, duration, kernel=None)
-    assert log.rows == rows
-    expected = reference_csvs(log, edges)
-    if rows > 3:
-        for blob in expected:
-            assert (rows // 2) % block_rows(blob) != 0
-    assert written_csvs(log, edges, tmp_path) == expected
-    assert len(forks) == 2
-
-
-def reference_table(header, values):
-    lines = [",".join(header)] + [",".join(format(x, ".17g") for x in row)
-                                  for row in values]
-    return "".join(line + "\r\n" for line in lines).encode()
-
-
-SPLIT_ROWS_AT_WIDTH_8 = -(-cli._SPLIT_MIN_VALUES // 8)
-
-
-@pytest.mark.parametrize("rows, width, split", [
-    pytest.param(SPLIT_ROWS_AT_WIDTH_8 - 1, 8, False, id="below-min-values"),
-    pytest.param(SPLIT_ROWS_AT_WIDTH_8, 8, True, id="at-min-values"),
-    pytest.param(1, cli._SPLIT_MIN_VALUES, False, id="one-row"),
-])
-def test_tables_split_from_min_values(tmp_path, monkeypatch, rows, width, split):
-    forks = counting_forks(monkeypatch)
-    values = np.arange(rows * width, dtype=float).reshape(rows, width) / 7
-    header = [f"c{j}" for j in range(width)]
-    path = tmp_path / "table.csv"
-    cli._write_table(path, header, rows, lambda r0, r1: values[r0:r1])
-    assert len(forks) == split
-    assert path.read_bytes() == reference_table(header, values)
-
-
 def test_tables_are_written_in_process_without_fork(tmp_path, monkeypatch):
     monkeypatch.delattr(os, "fork")
-    monkeypatch.setattr(cli, "_SPLIT_MIN_VALUES", 0)
     log, edges = simulated("pentagon_intercept", 0.02)
     assert written_csvs(log, edges, tmp_path) == reference_csvs(log, edges)
 
 
+# ---------------------------------------------------------------------------
+# A forked writer that fails
+# ---------------------------------------------------------------------------
+
+def stream_table(tmp_path, block, body=None, rows=10):
+    """Stream a two-column table of ``rows`` rows to table.csv in two reports.
+
+    The first report forks the writer; ``body`` (if given) runs after it
+    in this process.
+    """
+    path, log = tmp_path / "table.csv", SimpleNamespace(rows=rows)
+    with cli._CsvStream([(path, lambda log: (["a", "b"], block))]) as stream:
+        stream(log, rows // 2)
+        if body is not None:
+            body()
+        stream(log, rows)
+        stream.finish(path)
+
+
 @pytest.mark.parametrize("failure", ["raises", "killed"])
-def test_failed_writer_process_raises_oserror(tmp_path, monkeypatch, failure):
-    monkeypatch.setattr(cli, "_SPLIT_MIN_VALUES", 0)
+def test_failed_writer_process_raises_oserror(tmp_path, failure):
     parent, rows = os.getpid(), 10
 
     def block(r0, r1):
@@ -436,23 +409,22 @@ def test_failed_writer_process_raises_oserror(tmp_path, monkeypatch, failure):
             raise RuntimeError("writer failed")
         return np.zeros((r1 - r0, 2))
 
-    path = tmp_path / "table.csv"
-    with pytest.raises(OSError, match=r"rows 5\.\.10 failed"):
-        cli._write_table(path, ["a", "b"], rows, block)
+    with pytest.raises(OSError, match=r"table\.csv: the process writing rows "
+                                      r"0\.\.10 failed"):
+        stream_table(tmp_path, block, rows=rows)
     assert os.listdir(tmp_path) == []  # no partial CSV
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("failure, reason", [
-    ("raises", f"rows 5..10 failed (exit status 1): OSError: [Errno {errno.ENOSPC}] "
+    ("raises", f"rows 0..10 failed (exit status 1): OSError: [Errno {errno.ENOSPC}] "
                "No space left on device"),
-    ("killed", f"rows 5..10 failed (exit status {-signal.SIGKILL})"),
+    ("killed", f"rows 0..10 failed (exit status {-signal.SIGKILL})"),
 ], ids=["raises", "killed"])
-def test_failed_writer_process_reports_why(tmp_path, monkeypatch, failure, reason):
+def test_failed_writer_process_reports_why(tmp_path, failure, reason):
     # The child's exception reaches the parent's OSError; a killed child
     # raised nothing, so only its status is reported.
-    monkeypatch.setattr(cli, "_SPLIT_MIN_VALUES", 0)
     parent = os.getpid()
 
     def block(r0, r1):
@@ -463,36 +435,34 @@ def test_failed_writer_process_reports_why(tmp_path, monkeypatch, failure, reaso
         return np.zeros((r1 - r0, 2))
 
     with pytest.raises(OSError) as err:
-        cli._write_table(tmp_path / "table.csv", ["a", "b"], 10, block)
+        stream_table(tmp_path, block)
     assert str(err.value).endswith(reason), str(err.value)
+    assert os.listdir(tmp_path) == []
 
 
-def test_failure_in_the_cli_process_reaps_the_writer(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_SPLIT_MIN_VALUES", 0)
-    parent = os.getpid()
+def test_failure_in_the_cli_process_reaps_the_writer(tmp_path):
+    def body():
+        raise RuntimeError("rollout failed")
 
-    def block(r0, r1):
-        if os.getpid() == parent:
-            raise RuntimeError("block failed")
-        return np.zeros((r1 - r0, 2))
-
-    with pytest.raises(RuntimeError, match="block failed"):
-        cli._write_table(tmp_path / "table.csv", ["a", "b"], 10, block)
+    with pytest.raises(RuntimeError, match="rollout failed"):
+        stream_table(tmp_path, lambda r0, r1: np.zeros((r1 - r0, 2)), body)
     assert os.listdir(tmp_path) == []  # no partial CSV
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-# The CLI with every table split and a forked writer that fails.
-FAILING_WRITER = """
-import os, sys
-from rigidflock import cli
-cli._SPLIT_MIN_VALUES = 0
+def failing_writer(table, failure="raise OSError(errno.ENOSPC, 'No space left on device')"):
+    """The CLI in rollout chunks of two rows, whose forked writer runs
+    ``failure`` (by default: finds the disk full) when it writes ``table``."""
+    return f"""
+import errno, os, signal, sys
+from rigidflock import cli, engine
+engine._CHUNK_ROWS = 2
 parent, write_rows = os.getpid(), cli._write_rows
 
 def failing(out, *args):
-    if os.getpid() != parent:
-        raise OSError(28, "No space left on device")
+    if os.getpid() != parent and {table!r} in out.name:
+        {failure}
     write_rows(out, *args)
 
 cli._write_rows = failing
@@ -502,61 +472,52 @@ sys.exit(cli.main(sys.argv[1:]))
 
 def test_failed_writer_process_exits_1_without_traceback(tmp_path):
     out = tmp_path / "o"
-    res = run_child(["simulate", str(bundled_scenario_path("pentagon_flock")),
-                     "--out", str(out), "--duration", "0.05"], code=FAILING_WRITER)
+    res = run_child(["simulate", str(bundled_scenario_path("pentagon_intercept")),
+                     "--out", str(out), "--duration", "0.05"],
+                    code=failing_writer("metrics.csv"))
     assert_one_error_line(res)
-    assert "trajectory.csv" in res.stderr
+    assert "metrics.csv" in res.stderr
     assert os.listdir(out) == []  # no partial CSV
 
 
-def no_space_writer(chunk_rows):
-    """The CLI with rollout chunks of ``chunk_rows`` rows, every table
-    split, and a forked writer that finds the disk full."""
-    return f"""
-import errno, os, sys
-from rigidflock import cli, engine
-engine._CHUNK_ROWS = {chunk_rows}
-cli._SPLIT_MIN_VALUES = 0
-parent, write_rows = os.getpid(), cli._write_rows
-
-def failing(out, *args):
-    if os.getpid() != parent:
-        raise OSError(errno.ENOSPC, "No space left on device")
-    write_rows(out, *args)
-
-cli._write_rows = failing
-sys.exit(cli.main(sys.argv[1:]))
-"""
-
-
-@pytest.mark.parametrize("chunk_rows", [2, 512], ids=["streamed", "split"])
-def test_failed_writer_error_line_says_why(tmp_path, chunk_rows):
+@pytest.mark.parametrize("table", ["trajectory.csv", "metrics.csv"],
+                         ids=["streamed", "streamed-metrics"])
+def test_failed_writer_error_line_says_why(tmp_path, table):
     out = tmp_path / "o"
     res = run_child(["simulate", str(bundled_scenario_path("pentagon_flock")),
                      "--out", str(out), "--duration", "0.05"],
-                    code=no_space_writer(chunk_rows))
+                    code=failing_writer(table))
     assert_one_error_line(res)
-    assert "trajectory.csv: the process writing rows" in res.stderr
+    assert (f"{out / 'trajectory.csv'}, {out / 'metrics.csv'}: the process "
+            "writing rows 0..6 failed (exit status 1)") in res.stderr
     assert f"OSError: [Errno {errno.ENOSPC}] No space left on device" in res.stderr
     assert os.listdir(out) == []
 
 
 def test_failed_stream_writer_exits_1_without_traceback(tmp_path):
-    # Two-row chunks: the trajectory is streamed by a writer forked during
-    # the rollout, and that writer fails.
+    # Two-row chunks: both tables are streamed by one writer forked during
+    # the rollout, and that writer is killed.
     out = tmp_path / "o"
     res = run_child(["simulate", str(bundled_scenario_path("pentagon_flock")),
                      "--out", str(out), "--duration", "0.05"],
-                    code="from rigidflock import engine\nengine._CHUNK_ROWS = 2\n"
-                    + FAILING_WRITER)
+                    code=failing_writer("trajectory.csv",
+                                        "os.kill(os.getpid(), signal.SIGKILL)"))
     assert_one_error_line(res)
-    assert "trajectory.csv: the process writing rows 0..6 failed" in res.stderr
+    assert (f"{out / 'trajectory.csv'}, {out / 'metrics.csv'}: the process "
+            f"writing rows 0..6 failed (exit status {-signal.SIGKILL})") in res.stderr
     assert os.listdir(out) == []
 
 
 # ---------------------------------------------------------------------------
-# trajectory.csv streamed while the rollout runs
+# Both CSVs streamed while the rollout runs
 # ---------------------------------------------------------------------------
+
+def counting_forks(monkeypatch):
+    calls = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
+
 
 @pytest.mark.parametrize("fork", [True, False], ids=["forked", "without-fork"])
 @pytest.mark.parametrize("name", ["pentagon_flock", "pentagon_intercept"])
@@ -579,9 +540,7 @@ def test_streamed_trajectory_matches_per_value_reference(tmp_path, monkeypatch,
     assert sorted(os.listdir(out)) == ["metrics.csv", "summary.json",
                                        "trajectory.csv"]
     if fork:
-        # The trajectory writer only: the metrics table is below the split.
-        assert 51 * width(reference_csvs(log, edges)[1]) < cli._SPLIT_MIN_VALUES
-        assert len(forks) == 1
+        assert len(forks) == 1  # one writer for both tables
 
 
 def test_divergence_after_the_writer_forked_leaves_no_output(tmp_path, monkeypatch,

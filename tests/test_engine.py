@@ -226,11 +226,6 @@ def log_arrays(log):
             if isinstance(getattr(log, f.name), np.ndarray)}
 
 
-TRAJECTORY_FIELDS = {"flock": ("t", "poses", "commands", "u", "v_f_hat", "v0"),
-                     "intercept": ("t", "poses", "commands", "u", "v_t_hat",
-                                   "e_t_hat", "target_pos", "target_vel")}
-
-
 @pytest.mark.parametrize("sample_every", [1, 3])
 @pytest.mark.parametrize("form", ["lists", "loops", "law"])
 @pytest.mark.parametrize("mode", ["flock", "intercept"])
@@ -255,9 +250,10 @@ def test_chunked_run_equals_one_chunk(monkeypatch, mode, form, sample_every):
         reports = []
 
         def on_rows(log, ready):
-            # Rows [0, ready) are final: copy them now, compare at the end.
-            reports.append((ready, {k: getattr(log, k)[:ready].copy()
-                                    for k in TRAJECTORY_FIELDS[mode]}))
+            # Rows [0, ready) of every array, the derived series included,
+            # are final: copy them now, compare at the end.
+            reports.append((ready, {k: v[:ready].copy()
+                                    for k, v in log_arrays(log).items()}))
 
         chunked = run(cfg, force_kernel="numpy", on_rows=on_rows)
         got = log_arrays(chunked)
@@ -267,6 +263,7 @@ def test_chunked_run_equals_one_chunk(monkeypatch, mode, form, sample_every):
         readies = [ready for ready, _ in reports]
         assert readies == [*range(rows, whole.rows - 1, rows), whole.rows]
         for ready, early in reports:
+            assert early.keys() == expected.keys()
             for name, value in early.items():
                 np.testing.assert_array_equal(value, expected[name][:ready],
                                               err_msg=(rows, ready, name))
