@@ -38,10 +38,11 @@ import numpy as np
 
 from . import engine
 from .engine import SimulationDiverged, TrajectoryLog
-from .graph import Graph, is_connected
+from .graph import is_connected
 from .kernels import KernelUnavailable
-from .rigidity import Framework, rigidity_rank
-from .scenario import Scenario, ScenarioError, load_scenario, read_json
+from .rigidity import rigidity_rank
+from .scenario import (Scenario, ScenarioError, framework_from_dict,
+                       load_scenario, read_json)
 
 logger = logging.getLogger("rigidflock.cli")
 
@@ -366,22 +367,12 @@ def _cmd_check_rigidity(args) -> int:
     if not isinstance(data, dict):
         raise ScenarioError("formation file must be a JSON object")
     if "positions_m" in data:
-        keys = ("n", "edges", "positions_m")
+        fw = framework_from_dict(data, ("n", "edges", "positions_m"))
     elif "target_positions_m" in data:
-        keys = ("agents", "edges", "target_positions_m")
+        fw = framework_from_dict(data)
     else:
         raise ScenarioError("formation file needs positions_m or target_positions_m")
-    n, edges, pos = (data.get(k) for k in keys)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 3:
-        raise ScenarioError(f"{keys[0]}: must be an integer >= 3, got {n!r}")
-    try:
-        g = Graph(n, [tuple(e) for e in edges])
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"edges: {exc}") from exc
-    try:
-        fw = Framework(g, np.array(pos, dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{keys[2]}: {exc}") from exc
+    n, g = fw.n, fw.graph
     rank = rigidity_rank(fw)
     rigid = rank == 2 * n - 3
     report = {

@@ -84,7 +84,7 @@ class WorldState:
 class RunConfig:
     """Everything a rollout needs, already flattened to arrays.
 
-    Built by ``Scenario.to_run_config`` for file-driven runs; tests can
+    A parsed ``scenario.Scenario`` is one for file-driven runs; tests can
     construct it directly for reduced setups (single agents, custom
     graphs) that a scenario file would reject.
     """
@@ -205,46 +205,45 @@ def initial_state(config: RunConfig) -> WorldState:
 # single-step evaluation and stepping
 # ---------------------------------------------------------------------------
 
-def _check_sane(poses, ests, time_s):
-    finite = np.all(np.isfinite(poses), axis=1)
-    for e in ests:
-        finite &= np.all(np.isfinite(e), axis=1)
-    bad = ~(finite & (np.abs(poses[:, 0]) <= kernels.POS_LIMIT)
-            & (np.abs(poses[:, 1]) <= kernels.POS_LIMIT))
-    if bad.any():
-        raise SimulationDiverged(int(np.argmax(bad)) + 1, time_s)
-
-
-def step_world(world: WorldState, config: RunConfig, dt: float | None = None) -> WorldState:
-    """Advance the world one explicit-Euler step; returns a new state."""
+def _euler_step(world: WorldState, config: RunConfig, dt: float | None,
+                v, omega, **rates) -> WorldState:
+    """``world`` advanced one explicit-Euler step under commands (v, omega)
+    and the estimate ``rates``, keyed by WorldState field."""
     dt = config.dt if dt is None else dt
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive")
     out = world.copy()
+    out.poses[:, 0] += v * np.cos(world.poses[:, 2]) * dt
+    out.poses[:, 1] += v * np.sin(world.poses[:, 2]) * dt
+    out.poses[:, 2] = wrap_angle(world.poses[:, 2] + omega * dt)
+    finite = np.all(np.isfinite(out.poses), axis=1)
+    for name, rate in rates.items():
+        setattr(out, name, getattr(world, name) + rate * dt)
+        finite &= np.all(np.isfinite(getattr(out, name)), axis=1)
+    out.time = world.time + dt
+    bad = ~(finite & (np.abs(out.poses[:, 0]) <= kernels.POS_LIMIT)
+            & (np.abs(out.poses[:, 1]) <= kernels.POS_LIMIT))
+    if bad.any():
+        raise SimulationDiverged(int(np.argmax(bad)) + 1, out.time)
+    return out
+
+
+def step_world(world: WorldState, config: RunConfig, dt: float | None = None) -> WorldState:
+    """Advance the world one explicit-Euler step; returns a new state."""
     if config.mode == "flock":
         _, v0, _ = config.signal.state(world.time)
         rate, u, tid, te, v, omega, udot = kernels.flock_eval(
             world.poses, world.v_f_hat, v0, config._edges, config._d2,
             config.access_flags, config.k_a, config.c, config.alpha,
             config.anchor_sign, config.smoothing_epsilon)
-        out.v_f_hat = world.v_f_hat + rate * dt
-        ests = (out.v_f_hat,)
-    else:
-        pt, vt, at = config.signal.state(world.time)
-        rate_v, rate_e, u, tid, te, v, omega, udot = kernels.intercept_eval(
-            world.poses, world.v_t_hat, world.e_t_hat, pt, vt, at,
-            config._edges, config._d2, config.leader - 1, config.k_a,
-            config.k_t, config.c, config.alpha1, config.alpha2,
-            config.smoothing_epsilon)
-        out.v_t_hat = world.v_t_hat + rate_v * dt
-        out.e_t_hat = world.e_t_hat + rate_e * dt
-        ests = (out.v_t_hat, out.e_t_hat)
-    out.poses[:, 0] += v * np.cos(world.poses[:, 2]) * dt
-    out.poses[:, 1] += v * np.sin(world.poses[:, 2]) * dt
-    out.poses[:, 2] = wrap_angle(world.poses[:, 2] + omega * dt)
-    out.time = world.time + dt
-    _check_sane(out.poses, ests, out.time)
-    return out
+        return _euler_step(world, config, dt, v, omega, v_f_hat=rate)
+    pt, vt, at = config.signal.state(world.time)
+    rate_v, rate_e, u, tid, te, v, omega, udot = kernels.intercept_eval(
+        world.poses, world.v_t_hat, world.e_t_hat, pt, vt, at,
+        config._edges, config._d2, config.leader - 1, config.k_a,
+        config.k_t, config.c, config.alpha1, config.alpha2,
+        config.smoothing_epsilon)
+    return _euler_step(world, config, dt, v, omega, v_t_hat=rate_v, e_t_hat=rate_e)
 
 
 # ---------------------------------------------------------------------------
@@ -725,19 +724,6 @@ def measurement_commands(world: WorldState, config: RunConfig):
 def measurement_step(world: WorldState, config: RunConfig,
                      dt: float | None = None) -> WorldState:
     """step_world computed entirely through the measurement path."""
-    dt = config.dt if dt is None else dt
     commands, rates = measurement_commands(world, config)
-    out = world.copy()
-    out.poses[:, 0] += commands[:, 0] * np.cos(world.poses[:, 2]) * dt
-    out.poses[:, 1] += commands[:, 0] * np.sin(world.poses[:, 2]) * dt
-    out.poses[:, 2] = wrap_angle(world.poses[:, 2] + commands[:, 1] * dt)
-    if config.mode == "flock":
-        out.v_f_hat = world.v_f_hat + rates["v_f"] * dt
-        ests = (out.v_f_hat,)
-    else:
-        out.v_t_hat = world.v_t_hat + rates["v_t"] * dt
-        out.e_t_hat = world.e_t_hat + rates["e_t"] * dt
-        ests = (out.v_t_hat, out.e_t_hat)
-    out.time = world.time + dt
-    _check_sane(out.poses, ests, out.time)
-    return out
+    return _euler_step(world, config, dt, commands[:, 0], commands[:, 1],
+                       **{key + "_hat": rate for key, rate in rates.items()})

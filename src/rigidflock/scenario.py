@@ -1,4 +1,4 @@
-"""Scenario files: schema, validation, seeding, RunConfig conversion.
+"""Scenario files: schema, validation, seeding.
 
 A scenario JSON fixes the mode ("flock" or "intercept"), the target
 formation (graph + embedded positions, optionally explicit distances),
@@ -6,6 +6,10 @@ gains, the reference signal (flocking velocity or moving target),
 initial conditions (explicit poses or seed + perturbation radius), and
 integration parameters.  Field names carry SI suffixes (``_m``,
 ``_s``, ``_mps``, ``_radps``) where they denote physical quantities.
+
+A parsed ``Scenario`` is the run's ``engine.RunConfig``: it adds only
+the fields the run report reads (name, notes, seed, target formation,
+v0_access and the observer rate bounds).
 
 Validation failures raise ScenarioError with the offending field path;
 soft conditions (observer gain bounds) only log warnings to stderr.
@@ -55,67 +59,30 @@ def _need(data: dict, key: str, pointer: str = ""):
 
 
 @dataclass
-class Scenario:
-    """A fully validated simulation setup."""
+class Scenario(RunConfig):
+    """A validated setup: the run's RunConfig plus the fields its report reads."""
 
-    name: str
-    mode: str
-    notes: str
-    graph: Graph
-    target: TargetFormation
-    signal: object
-    # k_a, c, alpha (flock) or k_a, k_t, c, alpha1, alpha2 (intercept)
-    gains: SimpleNamespace
-    dt: float
-    duration: float
-    sample_every: int
-    anchor_sign: float
-    smoothing_epsilon: float
-    initial_poses: np.ndarray
-    seed: int | None
+    name: str = "scenario"
+    notes: str = ""
+    seed: int | None = None
+    target: TargetFormation | None = None
     # flock mode
     v0_access: tuple[int, ...] = ()
     gamma0: float = 0.0
-    initial_v_f_hat: np.ndarray | None = None
     # intercept mode
     gamma_t1: float = 0.0
     gamma_t2: float = 0.0
-    initial_v_t_hat: np.ndarray | None = None
-    initial_e_t_hat: np.ndarray | None = None
 
     @property
-    def n(self) -> int:
-        return self.graph.n
-
-    @property
-    def leader(self) -> int:
-        return self.graph.n
+    def gains(self) -> SimpleNamespace:
+        """k_a, c, alpha (flock) or k_a, k_t, c, alpha1, alpha2 (intercept)."""
+        if self.mode == "flock":
+            return SimpleNamespace(k_a=self.k_a, c=self.c, alpha=self.alpha)
+        return SimpleNamespace(k_a=self.k_a, k_t=self.k_t, c=self.c,
+                               alpha1=self.alpha1, alpha2=self.alpha2)
 
     def to_run_config(self) -> RunConfig:
-        common = dict(
-            mode=self.mode,
-            graph=self.graph,
-            distances=self.target.distances,
-            initial_poses=self.initial_poses,
-            signal=self.signal,
-            dt=self.dt,
-            duration=self.duration,
-            sample_every=self.sample_every,
-            k_a=self.gains.k_a,
-            c=self.gains.c,
-            smoothing_epsilon=self.smoothing_epsilon,
-            target_positions=self.target.framework.positions,
-        )
-        if self.mode == "flock":
-            flags = np.zeros(self.n)
-            flags[[i - 1 for i in self.v0_access]] = 1.0
-            return RunConfig(alpha=self.gains.alpha, access_flags=flags,
-                             anchor_sign=self.anchor_sign,
-                             initial_v_f_hat=self.initial_v_f_hat, **common)
-        return RunConfig(k_t=self.gains.k_t, alpha1=self.gains.alpha1,
-                         alpha2=self.gains.alpha2,
-                         initial_v_t_hat=self.initial_v_t_hat,
-                         initial_e_t_hat=self.initial_e_t_hat, **common)
+        return self
 
 
 def _seeded_poses(anchor: np.ndarray, seed: int, radius: float) -> np.ndarray:
@@ -157,6 +124,21 @@ def _number(value, pointer: str, *, positive: bool = False) -> float:
     return x
 
 
+def framework_from_dict(data: dict, keys: tuple[str, str, str] = (
+        "agents", "edges", "target_positions_m")) -> Framework:
+    """The formation under ``keys``: node count, edge list and positions."""
+    n_key, edges_key, pos_key = keys
+    n = _need(data, n_key)
+    if not isinstance(n, int) or isinstance(n, bool) or n < 3:
+        _fail(n_key, f"must be an integer >= 3, got {n!r}")
+    edges = _need(data, edges_key)
+    try:
+        graph = Graph(n, [tuple(e) for e in edges])
+    except (TypeError, ValueError) as exc:
+        _fail(edges_key, str(exc))
+    return Framework(graph, _parse_array(_need(data, pos_key), (n, 2), pos_key))
+
+
 def scenario_from_dict(data: dict, *, duration: float | None = None,
                        dt: float | None = None,
                        seed: int | None = None) -> Scenario:
@@ -172,27 +154,15 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
     name = str(data.get("name", "scenario"))
     notes = str(data.get("notes", ""))
 
-    n = _need(data, "agents")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 3:
-        _fail("agents", f"must be an integer >= 3, got {n!r}")
-    edges = _need(data, "edges")
+    fw = framework_from_dict(data)
+    graph, n, pos = fw.graph, fw.n, fw.positions
+    if "target_distances_m" in data:
+        dists = _parse_array(data["target_distances_m"],
+                             (graph.edge_count,), "target_distances_m")
+    else:
+        dists = np.sqrt(edge_function(fw))
     try:
-        graph = Graph(n, [tuple(e) for e in edges])
-    except (TypeError, ValueError) as exc:
-        _fail("edges", str(exc))
-
-    pos = _parse_array(_need(data, "target_positions_m"), (n, 2),
-                       "target_positions_m")
-    try:
-        fw = Framework(graph, pos)
-        if "target_distances_m" in data:
-            dists = _parse_array(data["target_distances_m"],
-                                 (graph.edge_count,), "target_distances_m")
-        else:
-            dists = np.sqrt(edge_function(fw))
         target = TargetFormation(fw, dists)
-    except ScenarioError:
-        raise
     except ValueError as exc:
         _fail("target_positions_m", str(exc))
 
@@ -201,9 +171,11 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
         _fail("gains", "must be an object")
     k_a = _number(gains_d.get("k_a"), "gains.k_a", positive=True)
     c_raw = _need(gains_d, "c", "gains.")
+    if not is_json_numeric_array(c_raw):
+        _fail("gains.c", f"must be a number or a list of numbers, got {c_raw!r}")
     try:
         c_arr = np.broadcast_to(np.array(c_raw, dtype=float), (n,)).copy()
-    except (TypeError, ValueError):
+    except ValueError:
         _fail("gains.c", f"must be a number or a length-{n} list")
     if not (np.all(np.isfinite(c_arr)) and np.all(c_arr > 0)):
         _fail("gains.c", f"heading gains must be finite and > 0, got {c_raw!r}")
@@ -240,7 +212,6 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
         except ValueError as exc:
             _fail("flock_velocity", str(exc))
         alpha = _number(gains_d.get("alpha"), "gains.alpha", positive=True)
-        gains = SimpleNamespace(k_a=k_a, c=c_arr, alpha=alpha)
         access = _need(data, "v0_access")
         if (not isinstance(access, list) or not access
                 or len(set(access)) != len(access)
@@ -265,8 +236,6 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
         k_t = _number(gains_d.get("k_t"), "gains.k_t", positive=True)
         alpha1 = _number(gains_d.get("alpha1"), "gains.alpha1", positive=True)
         alpha2 = _number(gains_d.get("alpha2"), "gains.alpha2", positive=True)
-        gains = SimpleNamespace(k_a=k_a, k_t=k_t, c=c_arr, alpha1=alpha1,
-                                alpha2=alpha2)
         # The designated interception point (the leader's spot in the
         # target formation) must lie inside the followers' hull so the
         # converged formation surrounds the target.
@@ -296,42 +265,47 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
                          "initial.perturbation_radius_m")
         poses = _seeded_poses(pos, seed_val, radius)
 
-    kw = dict(name=name, mode=mode, notes=notes, graph=graph, target=target,
-              signal=signal, gains=gains, dt=dt_val, duration=dur_val,
-              sample_every=se, anchor_sign=anchor_sign,
-              smoothing_epsilon=smoothing, initial_poses=poses, seed=seed_val)
     if mode == "flock":
+        flags = np.isin(np.arange(1, n + 1), access).astype(float)
         vfh = (_parse_array(init["v_f_hat"], (n, 2), "initial.v_f_hat")
-               if "v_f_hat" in init else np.zeros((n, 2)))
-        return Scenario(v0_access=tuple(access), gamma0=gamma0,
-                        initial_v_f_hat=vfh, **kw)
-    vth = (_parse_array(init["v_t_hat"], (n, 2), "initial.v_t_hat")
-           if "v_t_hat" in init else np.zeros((n, 2)))
-    eth = (_parse_array(init["e_t_hat"], (n, 2), "initial.e_t_hat")
-           if "e_t_hat" in init else np.zeros((n, 2)))
-    # The leader measures the target velocity, so its estimate starts
-    # exact; anything else in the file is overridden.
-    _, vt0, _ = signal.state(0.0)
-    if "v_t_hat" in init and not np.allclose(vth[n - 1], vt0):
-        logger.warning("initial.v_t_hat: leader row replaced by the target "
-                       "velocity at t = 0")
-    vth[n - 1] = vt0
-    gamma_t1 = _number(data.get("gamma_t1", signal.sup_accel()), "gamma_t1")
-    if "gamma_t2" in data:
-        gamma_t2 = _number(data["gamma_t2"], "gamma_t2")
+               if "v_f_hat" in init else None)
+        by_mode = dict(alpha=alpha, access_flags=flags, initial_v_f_hat=vfh,
+                       v0_access=tuple(access), gamma0=gamma0)
     else:
-        # Bound on |edot_T| at t = 0: |v_T| + |u_n| <= 2 sup|v_T| + k_T |e_T(0)|.
-        pt0 = signal.state(0.0)[0]
-        e0 = float(np.hypot(*(pt0 - poses[n - 1, :2])))
-        gamma_t2 = 2.0 * signal.sup_speed() + gains.k_t * e0
-    if not gain_check(gains.alpha1, gamma_t1):
-        logger.warning("gains.alpha1 = %g does not dominate gamma_t1 = %g",
-                       gains.alpha1, gamma_t1)
-    if not gain_check(gains.alpha2, gamma_t2):
-        logger.warning("gains.alpha2 = %g does not dominate gamma_t2 = %g",
-                       gains.alpha2, gamma_t2)
-    return Scenario(gamma_t1=gamma_t1, gamma_t2=gamma_t2,
-                    initial_v_t_hat=vth, initial_e_t_hat=eth, **kw)
+        vth = (_parse_array(init["v_t_hat"], (n, 2), "initial.v_t_hat")
+               if "v_t_hat" in init else np.zeros((n, 2)))
+        eth = (_parse_array(init["e_t_hat"], (n, 2), "initial.e_t_hat")
+               if "e_t_hat" in init else None)
+        # The leader measures the target velocity, so its estimate starts
+        # exact; anything else in the file is overridden.
+        _, vt0, _ = signal.state(0.0)
+        if "v_t_hat" in init and not np.allclose(vth[n - 1], vt0):
+            logger.warning("initial.v_t_hat: leader row replaced by the target "
+                           "velocity at t = 0")
+        vth[n - 1] = vt0
+        gamma_t1 = _number(data.get("gamma_t1", signal.sup_accel()), "gamma_t1")
+        if "gamma_t2" in data:
+            gamma_t2 = _number(data["gamma_t2"], "gamma_t2")
+        else:
+            # Bound on |edot_T| at t = 0: |v_T| + |u_n| <= 2 sup|v_T| + k_T |e_T(0)|.
+            pt0 = signal.state(0.0)[0]
+            e0 = float(np.hypot(*(pt0 - poses[n - 1, :2])))
+            gamma_t2 = 2.0 * signal.sup_speed() + k_t * e0
+        if not gain_check(alpha1, gamma_t1):
+            logger.warning("gains.alpha1 = %g does not dominate gamma_t1 = %g",
+                           alpha1, gamma_t1)
+        if not gain_check(alpha2, gamma_t2):
+            logger.warning("gains.alpha2 = %g does not dominate gamma_t2 = %g",
+                           alpha2, gamma_t2)
+        by_mode = dict(k_t=k_t, alpha1=alpha1, alpha2=alpha2,
+                       initial_v_t_hat=vth, initial_e_t_hat=eth,
+                       gamma_t1=gamma_t1, gamma_t2=gamma_t2)
+    return Scenario(mode=mode, graph=graph, distances=target.distances,
+                    initial_poses=poses, signal=signal, dt=dt_val,
+                    duration=dur_val, sample_every=se, k_a=k_a, c=c_arr,
+                    anchor_sign=anchor_sign, smoothing_epsilon=smoothing,
+                    target_positions=pos, name=name, notes=notes, seed=seed_val,
+                    target=target, **by_mode)
 
 
 def read_json(path):

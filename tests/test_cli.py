@@ -634,6 +634,22 @@ def test_check_rigidity_collinear(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["infinitesimally_rigid"] is False
 
 
+@pytest.mark.parametrize("n_key, pos_key", [("n", "positions_m"),
+                                            ("agents", "target_positions_m")])
+def test_check_rigidity_rejects_non_number_positions(tmp_path, n_key, pos_key):
+    # check-rigidity reads a formation by the scenario parser's rules:
+    # neither a numeric string nor a bool is a coordinate.
+    path = tmp_path / "formation.json"
+    path.write_text(json.dumps({
+        n_key: 3,
+        "edges": [[1, 2], [1, 3], [2, 3]],
+        pos_key: [["0", "0"], [True, 0], [0, "1"]],
+    }), encoding="utf-8")
+    out = run_child(["check-rigidity", str(path)])
+    assert_one_error_line(out)
+    assert out.stderr.startswith(f"error: {pos_key}:")
+
+
 def test_check_rigidity_bad_file(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("[1, 2, 3]", encoding="utf-8")

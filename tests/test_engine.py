@@ -136,8 +136,10 @@ def test_exact_equilibrium_is_bitwise_stationary():
 
 def test_step_world_rejects_bad_dt():
     cfg = right_triangle_config()
-    with pytest.raises(ValueError):
-        step_world(initial_state(cfg), cfg, dt=-1e-3)
+    for stepper in (step_world, measurement_step):
+        for dt in (-1e-3, 0.0, float("nan")):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                stepper(initial_state(cfg), cfg, dt=dt)
 
 
 def test_step_world_divergence_reports_agent():

@@ -4,19 +4,28 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from rigidflock.scenario import bundled_scenario_path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_perfbench_install_wraps_every_layer(monkeypatch):
-    # ``perfbench/run.py --trace 1`` exits 2 when a layer function it wraps
-    # is gone; a renamed layer fails here instead.
+def load_perfbench_run(monkeypatch):
+    """``perfbench/run.py`` as a module, leaving sys.path as it was."""
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
+    return run
+
+
+def test_perfbench_install_wraps_every_layer(monkeypatch):
+    # ``perfbench/run.py --trace 1`` exits 2 when a layer function it wraps
+    # is gone; a renamed layer fails here instead.
+    run = load_perfbench_run(monkeypatch)
     layers = [(run._resolve(owner), attr) for owner, attr, _ in run.SPANS]
     originals = [vars(owner)[attr] if isinstance(owner, type) else getattr(owner, attr)
                  for owner, attr in layers]
@@ -32,3 +41,13 @@ def test_perfbench_install_wraps_every_layer(monkeypatch):
         tracer.restore()
     assert [vars(owner)[attr] if isinstance(owner, type) else getattr(owner, attr)
             for owner, attr in layers] == originals
+
+
+@pytest.mark.parametrize("name", ["pentagon_flock", "pentagon_intercept"])
+def test_perfbench_eval_closure_reads_the_parsed_config(monkeypatch, name):
+    # The traced benchmark's eval_us reads attributes of the parsed config
+    # (``_edges``, ``_d2``, ``access_flags``, ...); one that went missing
+    # fails here instead of only under ``--trace 1``.
+    run = load_perfbench_run(monkeypatch)
+    out = run.eval_closure(bundled_scenario_path(name))()
+    assert all(np.all(np.isfinite(a)) for a in out)

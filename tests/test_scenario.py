@@ -1,12 +1,13 @@
 """Tests for scenario loading and validation."""
 
+import inspect
 import json
 import logging
 
 import numpy as np
 import pytest
 
-from rigidflock.engine import run
+from rigidflock.engine import RunConfig, run
 from rigidflock.scenario import (
     Scenario,
     ScenarioError,
@@ -79,6 +80,15 @@ def test_intercept_scenario_fields():
                  id="gains.c-negative"),
     pytest.param(lambda d: d["gains"].update(c=float("inf")), "gains.c",
                  id="gains.c-inf-not-sim.dt_s"),
+    # gains.c follows the JSON-number rule of every other gain.
+    pytest.param(lambda d: d["gains"].update(c="10"), "gains.c",
+                 id="gains.c-numeric-str"),
+    pytest.param(lambda d: d["gains"].update(c=True), "gains.c",
+                 id="gains.c-bool"),
+    pytest.param(lambda d: d["gains"].update(c=["10", 10, 10, 10, 10]), "gains.c",
+                 id="gains.c-list-with-numeric-str"),
+    pytest.param(lambda d: d["gains"].update(c=[10, 10, True, 10, 10]), "gains.c",
+                 id="gains.c-list-with-bool"),
     (lambda d: d["gains"].update(alpha=0.0), "gains.alpha"),
     (lambda d: d["sim"].update(dt_s=-1.0), "sim.dt_s"),
     (lambda d: d["sim"].update(duration_s=-5.0), "sim.duration_s"),
@@ -316,6 +326,27 @@ def test_unknown_field_warns(caplog):
     with caplog.at_level(logging.WARNING, logger="rigidflock.scenario"):
         scenario_from_dict(d)
     assert any("unknown field" in r.message for r in caplog.records)
+
+
+def test_scenario_is_its_run_config():
+    # Beyond RunConfig, a Scenario declares only what the run report reads.
+    assert issubclass(Scenario, RunConfig)
+    assert list(inspect.get_annotations(Scenario)) == [
+        "name", "notes", "seed", "target", "v0_access", "gamma0",
+        "gamma_t1", "gamma_t2"]
+    for name in ("pentagon_flock", "pentagon_intercept"):
+        scn = load_scenario(bundled_scenario_path(name))
+        assert scn.to_run_config() is scn
+
+
+@pytest.mark.parametrize("name, keys", [
+    ("pentagon_flock", ["k_a", "c", "alpha"]),
+    ("pentagon_intercept", ["k_a", "k_t", "c", "alpha1", "alpha2"]),
+])
+def test_gains_keep_the_summary_order(name, keys):
+    # summary.json writes the "gains" block in this order.
+    scn = load_scenario(bundled_scenario_path(name))
+    assert list(vars(scn.gains)) == keys
 
 
 def test_run_config_round_trip_runs():
