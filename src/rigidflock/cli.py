@@ -6,7 +6,8 @@ Usage:
     rigidflock check-rigidity FILE.json
 
 ``simulate`` writes trajectory.csv, metrics.csv, and summary.json into
-OUTDIR, each under a temporary name that is renamed when complete.
+OUTDIR, each under a temporary name; all three are renamed together
+once all three are complete.
 Where ``os.fork`` exists and the rollout spans more than one chunk, one
 forked writer formats the rows of both CSVs while the rollout runs;
 otherwise this process writes them after the rollout.  The bytes are
@@ -19,9 +20,10 @@ minimally rigid), 1 input/validation or I/O error (including a
 requested kernel that is unavailable, e.g. ``--kernel jit`` without
 numba, a horizon too long to allocate or to index, and a failed writer
 process), 2 formation not rigid, 3 simulation diverged.  OUTDIR is
-created before the rollout; a run that exits 1 or 3 leaves no output
-file in it.  Set RIGIDFLOCK_LOG=debug|info|warning|error to control log
-verbosity.
+created before the rollout; a run that exits 1 or 3 renames nothing,
+so it leaves OUTDIR's earlier files as they were.  Only a kill the
+process cannot catch leaves its ``.NAME.PID.part`` files behind.  Set
+RIGIDFLOCK_LOG=debug|info|warning|error to control log verbosity.
 """
 
 from __future__ import annotations
@@ -67,16 +69,18 @@ def _write_rows(out, line: str, step: int, block, r0: int, r1: int) -> None:
                   .encode("ascii"))
 
 
-def _table_format(header: list[str]) -> tuple[bytes, str, int]:
-    """A CSV's header line, its row format and the rows per block.
+def _table_format(table, log: TrajectoryLog) -> tuple[bytes, str, int, object]:
+    """``table(log)``'s header line, row format, rows per block and block.
 
-    Every value is written as ``%.17g`` (so a 0/1 flag reads ``0``/``1``)
-    with the csv module's CRLF line ends, about ``_BLOCK_VALUES`` values
-    at a time.
+    ``table(log)`` gives a CSV's header and ``block(r0, r1)``, which
+    returns a (r1 - r0, len(header)) float array.  Every value is written
+    as ``%.17g`` (so a 0/1 flag reads ``0``/``1``) with the csv module's
+    CRLF line ends, about ``_BLOCK_VALUES`` values at a time.
     """
+    header, block = table(log)
     width = len(header)
     return ((",".join(header) + "\r\n").encode("utf-8"),
-            ",".join(["%.17g"] * width) + "\r\n", max(1, _BLOCK_VALUES // width))
+            ",".join(["%.17g"] * width) + "\r\n", max(1, _BLOCK_VALUES // width), block)
 
 
 def _part(path) -> str:
@@ -86,45 +90,8 @@ def _part(path) -> str:
                         f".{os.path.basename(path)}.{os.getpid()}.part")
 
 
-@contextlib.contextmanager
-def _staged(path):
-    """``_part(path)``, renamed to ``path`` on success.
-
-    When the body raises, the temporary file is removed instead, so a
-    failed writer leaves no partial output.
-    """
-    tmp = _part(path)
-    try:
-        yield tmp
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
-    os.replace(tmp, path)
-
-
-def _write_table(log: TrajectoryLog, path, table, stream) -> None:
-    """Write ``table(log)`` to ``path`` unless ``stream`` already does.
-
-    ``table(log)`` gives the CSV's header and ``block(r0, r1)``, which
-    returns a (r1 - r0, len(header)) float array, formatted as
-    ``_table_format`` says.  If ``stream`` (a ``_CsvStream`` with a
-    table for ``path``) wrote the rows during the rollout, this only
-    waits for it to finish.  Otherwise this process writes the table
-    under a temporary name, renamed to ``path`` when complete.
-    """
-    if stream is not None and stream.started:
-        stream.finish(path)
-        return
-    header, block = table(log)
-    head, line, step = _table_format(header)
-    with _staged(path) as tmp, open(tmp, "wb") as fh:
-        fh.write(head)
-        _write_rows(fh, line, step, block, 0, log.rows)
-
-
 def _trajectory_table(log: TrajectoryLog) -> tuple[list[str], object]:
-    """trajectory.csv's header and its ``block(r0, r1)`` (see _write_table)."""
+    """trajectory.csv's header and its ``block(r0, r1)`` (see _table_format)."""
     agent_cols = ["x_m", "y_m", "theta_rad", "v_mps", "omega_radps", "ux", "uy"]
     if log.mode == "flock":
         agent_cols += ["vfhat_x", "vfhat_y"]
@@ -148,7 +115,7 @@ def _trajectory_table(log: TrajectoryLog) -> tuple[list[str], object]:
 
 
 def _metrics_table(log: TrajectoryLog, edges) -> tuple[list[str], object]:
-    """metrics.csv's header and its ``block(r0, r1)`` (see _write_table)."""
+    """metrics.csv's header and its ``block(r0, r1)`` (see _table_format)."""
     if log.mode == "flock":
         agent_cols = ["theta_err", "vf_err"]
         shared_cols = ["shape_dist_m"]
@@ -169,32 +136,34 @@ def _metrics_table(log: TrajectoryLog, edges) -> tuple[list[str], object]:
     return header, block
 
 
-def _stream_rows(counts: int, formats) -> None:
-    """Each ``(file, head, line, step, block)`` table's rows up to every
-    count of final rows read from the pipe ``counts``, until its EOF."""
+def _write_tables(parts, formats, counts) -> None:
+    """Each ``(head, line, step, block)`` table to its file in ``parts``:
+    the header, then the rows up to every count of final rows in ``counts``."""
     with contextlib.ExitStack() as files:
-        counts = files.enter_context(open(counts, "rb"))
-        outs = [files.enter_context(open(tmp, "wb")) for tmp, *_ in formats]
-        for out, (_, head, *_) in zip(outs, formats):
+        outs = [files.enter_context(open(tmp, "wb")) for tmp in parts]
+        for out, (head, *_) in zip(outs, formats):
             out.write(head)
         done = 0
         for count in counts:
             ready = int(count)
-            for out, (_, _, line, step, block) in zip(outs, formats):
+            for out, (_, line, step, block) in zip(outs, formats):
                 _write_rows(out, line, step, block, done, ready)
             done = ready
 
 
-class _CsvStream:
-    """CSVs formatted by one forked writer while the rollout runs.
+class _Outputs:
+    """A run's output files, written under ``_part`` names and renamed together.
 
-    ``tables`` lists ``(path, table)`` pairs, ``table(log)`` giving a
-    header and ``block`` (see ``_write_table``).  As ``engine.run``'s
-    ``on_rows``, the first report that is not the whole log forks the
-    writer (where ``os.fork`` exists; else the tables are written after
-    the run), and every report sends it the count of final rows.
-    ``finish(path)`` waits for it and renames ``path``'s file; leaving
-    the ``with`` block reaps it and removes the files not renamed.  A
+    ``tables`` lists ``(path, table)`` pairs (see ``_table_format``).  As
+    ``engine.run``'s ``on_rows``, the first report that is not the whole
+    log forks one writer for every table (where ``os.fork`` exists), and
+    every report sends it the count of final rows.  ``finish(path, log)``
+    completes one table: it waits for the writer or, if none was forked,
+    writes the table in this process.  ``part(path)`` names the file any
+    other output is written to.  ``commit()`` renames every file to its
+    path, in the order the paths were given, and is the only rename.
+    Leaving the ``with`` block reaps the writer and removes every file
+    not renamed, so a failed run leaves earlier outputs as they were.  A
     failed writer (nonzero exit or a signal) raises ``OSError`` naming
     the files, its status and, if it raised, its ``Type: message``.
 
@@ -206,10 +175,14 @@ class _CsvStream:
     """
 
     def __init__(self, tables):
-        self.tables = tables
+        self.tables = dict(tables)
         self.started = False
         self._pid = self._counts = self._reasons = None
-        self._parts = {}  # path -> the writer's file, until renamed
+        self._parts = {path: _part(path) for path in self.tables}  # until renamed
+
+    def part(self, path) -> str:
+        """The temporary name ``path`` is written under until ``commit``."""
+        return self._parts.setdefault(path, _part(path))
 
     def __call__(self, log: TrajectoryLog, ready: int) -> None:
         if not self.started:
@@ -224,12 +197,9 @@ class _CsvStream:
 
     def _start(self, log: TrajectoryLog) -> None:
         self.started = True
-        formats = []
-        for path, table in self.tables:
-            header, block = table(log)
-            self._parts[path] = _part(path)
-            formats.append((self._parts[path], *_table_format(header), block))
-        paths = ", ".join(str(path) for path, _ in self.tables)
+        formats = [_table_format(table, log) for table in self.tables.values()]
+        parts = [self._parts[path] for path in self.tables]
+        paths = ", ".join(str(path) for path in self.tables)
         self._what = f"{paths}: the process writing rows 0..{log.rows}"
         counts, self._counts = os.pipe()
         self._reasons, report = os.pipe()
@@ -248,7 +218,8 @@ class _CsvStream:
         try:
             os.close(self._counts)
             os.close(self._reasons)
-            _stream_rows(counts, formats)
+            with open(counts, "rb") as lines:
+                _write_tables(parts, formats, lines)
             status = 0
         except Exception as exc:  # reported to the parent, which raises
             with contextlib.suppress(OSError):
@@ -274,10 +245,19 @@ class _CsvStream:
             raise OSError(f"{self._what} failed (exit status {code})"
                           + (f": {reason}" if reason else ""))
 
-    def finish(self, path) -> None:
-        """Wait for the writer; rename ``path``'s file if it succeeded."""
-        self._wait(check=True)
-        os.replace(self._parts.pop(path), path)
+    def finish(self, path, log: TrajectoryLog) -> None:
+        """Wait for the writer, or write ``path``'s table if none was forked."""
+        if self.started:
+            self._wait(check=True)
+        else:
+            _write_tables([self._parts[path]],
+                          [_table_format(self.tables[path], log)], [log.rows])
+
+    def commit(self) -> None:
+        """Rename every file to its path, in order."""
+        for path, tmp in list(self._parts.items()):
+            os.replace(tmp, path)
+            del self._parts[path]
 
     def __enter__(self):
         return self
@@ -291,14 +271,24 @@ class _CsvStream:
                     os.unlink(tmp)
 
 
-def write_trajectory_csv(log: TrajectoryLog, path, stream=None) -> None:
+def _write_table(log: TrajectoryLog, path, table, outputs) -> None:
+    """Finish ``path``'s table in ``outputs``; without it, write ``path`` alone."""
+    if outputs is not None:
+        outputs.finish(path, log)
+        return
+    with _Outputs([(path, table)]) as own:
+        own.finish(path, log)
+        own.commit()
+
+
+def write_trajectory_csv(log: TrajectoryLog, path, outputs=None) -> None:
     """Raw sampled state and commands, one row per sample time."""
-    _write_table(log, path, _trajectory_table, stream)
+    _write_table(log, path, _trajectory_table, outputs)
 
 
-def write_metrics_csv(log: TrajectoryLog, edges, path, stream=None) -> None:
+def write_metrics_csv(log: TrajectoryLog, edges, path, outputs=None) -> None:
     """Derived error series, one row per sample time."""
-    _write_table(log, path, lambda log: _metrics_table(log, edges), stream)
+    _write_table(log, path, lambda log: _metrics_table(log, edges), outputs)
 
 
 def build_summary(scn: Scenario, log: TrajectoryLog) -> dict:
@@ -320,6 +310,7 @@ def build_summary(scn: Scenario, log: TrajectoryLog) -> dict:
         summary["gamma_t1"] = scn.gamma_t1
         summary["gamma_t2"] = scn.gamma_t2
         summary["leader"] = scn.leader
+        del summary["anchor_sign"]  # the intercept law never reads it
     summary.update(engine.metrics(log))
     return summary
 
@@ -332,26 +323,16 @@ def _cmd_simulate(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     trajectory, metrics = outdir / "trajectory.csv", outdir / "metrics.csv"
     edges = scn.graph.edges
-    written = []
-    try:
-        with _CsvStream([(trajectory, _trajectory_table),
-                         (metrics, lambda log: _metrics_table(log, edges))]) as stream:
-            log = engine.run(scn.to_run_config(), force_kernel=force,
-                             on_rows=stream)
-            write_trajectory_csv(log, trajectory, stream)
-            written.append(trajectory)
-            write_metrics_csv(log, edges, metrics, stream)
-            written.append(metrics)
+    with _Outputs([(trajectory, _trajectory_table),
+                   (metrics, lambda log: _metrics_table(log, edges))]) as outputs:
+        log = engine.run(scn.to_run_config(), force_kernel=force, on_rows=outputs)
+        write_trajectory_csv(log, trajectory, outputs)
+        write_metrics_csv(log, edges, metrics, outputs)
         summary = build_summary(scn, log)
-        with _staged(outdir / "summary.json") as tmp, \
-                open(tmp, "w", encoding="utf-8") as fh:
+        with open(outputs.part(outdir / "summary.json"), "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2)
             fh.write("\n")
-    except BaseException:
-        # A failed run leaves no output file behind.
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
+        outputs.commit()
     if scn.mode == "flock":
         headline = f"final max edge error {summary['final_max_edge_error']:.3e} m"
     else:

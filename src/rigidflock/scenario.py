@@ -173,10 +173,10 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
     c_raw = _need(gains_d, "c", "gains.")
     if not is_json_numeric_array(c_raw):
         _fail("gains.c", f"must be a number or a list of numbers, got {c_raw!r}")
-    try:
-        c_arr = np.broadcast_to(np.array(c_raw, dtype=float), (n,)).copy()
-    except ValueError:
-        _fail("gains.c", f"must be a number or a length-{n} list")
+    c_arr = np.array(c_raw, dtype=float)
+    if c_arr.shape not in ((), (n,)):
+        _fail("gains.c", f"must be a number or a length-{n} list, got {c_raw!r}")
+    c_arr = np.full(n, c_arr)
     if not (np.all(np.isfinite(c_arr)) and np.all(c_arr > 0)):
         _fail("gains.c", f"heading gains must be finite and > 0, got {c_raw!r}")
 

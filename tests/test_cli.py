@@ -85,6 +85,22 @@ def test_simulate_intercept_outputs(tmp_path, monkeypatch):
         int(summary["hull_contains_final"]))
 
 
+@pytest.mark.parametrize("name", ["pentagon_flock", "pentagon_intercept"])
+def test_summary_reports_anchor_sign_for_flock_runs_only(tmp_path, name):
+    # Only the flock law reads anchor_sign, so an intercept summary omits it.
+    out = tmp_path / "out"
+    assert main(["simulate", str(scenario_json(tmp_path, name, anchor_sign=-1)),
+                 "--out", str(out), "--duration", "0"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    keys = ["scenario", "mode", "notes", "agents", "seed", "anchor_sign",
+            "smoothing_epsilon", "gains"]
+    if name == "pentagon_intercept":
+        keys.remove("anchor_sign")
+    else:
+        assert summary["anchor_sign"] == -1.0
+    assert list(summary)[:len(keys)] == keys
+
+
 def test_simulate_zero_duration(tmp_path):
     out = tmp_path / "out"
     rc = main(["simulate", str(bundled_scenario_path("pentagon_flock")),
@@ -390,12 +406,13 @@ def stream_table(tmp_path, block, body=None, rows=10):
     in this process.
     """
     path, log = tmp_path / "table.csv", SimpleNamespace(rows=rows)
-    with cli._CsvStream([(path, lambda log: (["a", "b"], block))]) as stream:
-        stream(log, rows // 2)
+    with cli._Outputs([(path, lambda log: (["a", "b"], block))]) as outputs:
+        outputs(log, rows // 2)
         if body is not None:
             body()
-        stream(log, rows)
-        stream.finish(path)
+        outputs(log, rows)
+        outputs.finish(path, log)
+        outputs.commit()
 
 
 @pytest.mark.parametrize("failure", ["raises", "killed"])
@@ -575,6 +592,30 @@ def test_failure_after_the_trajectory_removes_it(tmp_path, monkeypatch, capsys):
     assert rc == 1
     assert "No space left" in capsys.readouterr().err
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("failure", ["cli-process", "writer-process"])
+def test_failed_rerun_keeps_previous_outputs(tmp_path, monkeypatch, capsys, failure):
+    # A rerun into the same OUT whose metrics writer finds the disk full
+    # renames nothing: OUT keeps the first run's three files, not a mix.
+    out = tmp_path / "o"
+    argv = ["simulate", str(bundled_scenario_path("pentagon_flock")),
+            "--out", str(out), "--duration", "0.05"]
+    assert main(argv) == 0
+    names = ["metrics.csv", "summary.json", "trajectory.csv"]
+    before = {name: (out / name).read_bytes() for name in names}
+    rerun = argv + ["--seed", "9"]  # a different trajectory
+    if failure == "writer-process":
+        assert_one_error_line(run_child(rerun, code=failing_writer("metrics.csv")))
+    else:
+        def failing(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_metrics_csv", failing)
+        assert main(rerun) == 1
+        assert "No space left" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == names
+    assert {name: (out / name).read_bytes() for name in names} == before
 
 
 def test_simulate_unwritable_out_exits_1(tmp_path, capsys):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rigidflock import cli, engine
 from rigidflock.scenario import bundled_scenario_path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -51,3 +52,19 @@ def test_perfbench_eval_closure_reads_the_parsed_config(monkeypatch, name):
     run = load_perfbench_run(monkeypatch)
     out = run.eval_closure(bundled_scenario_path(name))()
     assert all(np.all(np.isfinite(a)) for a in out)
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 10], ids=["one-chunk", "streamed"])
+def test_simulate_calls_each_traced_writer_once(tmp_path, monkeypatch, chunk_rows):
+    # install() checks only that these names exist; a CLI that stopped
+    # calling them would leave the traced writer layers reading 0.
+    if chunk_rows is not None:
+        monkeypatch.setattr(engine, "_CHUNK_ROWS", chunk_rows)
+    names = ["build_summary", "write_metrics_csv", "write_trajectory_csv"]
+    calls = []
+    for name in names:
+        monkeypatch.setattr(cli, name, lambda *args, fn=getattr(cli, name), name=name:
+                            calls.append(name) or fn(*args))
+    assert cli.main(["simulate", str(bundled_scenario_path("pentagon_intercept")),
+                     "--out", str(tmp_path / "o"), "--duration", "0.5"]) == 0
+    assert sorted(calls) == names

@@ -76,6 +76,11 @@ def test_intercept_scenario_fields():
                  id="gains.c-dict"),
     pytest.param(lambda d: d["gains"].update(c=0.0), "gains.c",
                  id="gains.c-zero"),
+    # A list holds one gain per agent: it is not broadcast.
+    pytest.param(lambda d: d["gains"].update(c=[10.0]), "gains.c",
+                 id="gains.c-one-element-list"),
+    pytest.param(lambda d: d["gains"].update(c=[10.0] * 6), "gains.c",
+                 id="gains.c-too-long"),
     pytest.param(lambda d: d["gains"].update(c=-1.0), "gains.c",
                  id="gains.c-negative"),
     pytest.param(lambda d: d["gains"].update(c=float("inf")), "gains.c",
