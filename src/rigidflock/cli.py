@@ -36,6 +36,9 @@ import os
 import sys
 from pathlib import Path
 
+# Before numpy loads: the run is sequential and forks, so one BLAS thread.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from . import engine
@@ -167,11 +170,10 @@ class _Outputs:
     failed writer (nonzero exit or a signal) raises ``OSError`` naming
     the files, its status and, if it raised, its ``Type: message``.
 
-    OpenBLAS starts a worker thread at ``import numpy``, and a fork of a
-    threaded process is unsafe in general: Python 3.12 and later warn
-    about it, and the writer has been run on 3.11 only.  It only slices
-    arrays, formats and writes; it makes no BLAS call and takes no lock
-    that thread could hold.
+    Run as a program, the CLI pins OpenBLAS to one thread before numpy
+    loads, so its process has one thread when it forks the writer, and
+    Python 3.12+'s warning about forking a multi-threaded process cannot
+    fire.
     """
 
     def __init__(self, tables):

@@ -6,7 +6,8 @@ imports).  Uncompiled, small formations run the loop form in CPython on
 Python floats and larger ones the numpy form.  Every form stays
 importable so they can be benchmarked and cross-checked in one
 process.  Within a form, rollouts are deterministic: canonical edge
-order, fixed summation order, no threading.
+order, fixed summation order, and no form starts a thread.  The CLI
+process runs on one thread: it pins OpenBLAS to one before numpy loads.
 
 Flock and intercept are two parameterizations of one law (``_Law``),
 and both forms take one argument list (``_rollout_loops``).  Layout:

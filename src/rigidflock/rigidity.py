@@ -68,14 +68,12 @@ def rigidity_matrix(f: Framework) -> np.ndarray:
     the Jacobian of the edge function.
     """
     e = f.graph.edge_array()
-    a = e.shape[0]
-    R = np.zeros((a, 2 * f.n))
-    for k in range(a):
-        i, j = e[k, 0], e[k, 1]
-        d = f.positions[i] - f.positions[j]
-        R[k, 2 * i : 2 * i + 2] = d
-        R[k, 2 * j : 2 * j + 2] = -d
-    return R
+    k = np.arange(e.shape[0])
+    d = f.positions[e[:, 0]] - f.positions[e[:, 1]]
+    R = np.zeros((e.shape[0], f.n, 2))
+    R[k, e[:, 0]] = d
+    R[k, e[:, 1]] = -d
+    return R.reshape(e.shape[0], 2 * f.n)
 
 
 def reduced_rigidity_matrix(f: Framework, leader: int) -> np.ndarray:

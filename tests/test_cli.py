@@ -1,5 +1,6 @@
 """Tests for the command-line interface and its file outputs."""
 
+import contextlib
 import csv
 import dataclasses
 import errno
@@ -9,11 +10,14 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rigidflock
 from rigidflock import cli, engine, kernels
@@ -673,6 +677,64 @@ def test_check_rigidity_collinear(tmp_path, capsys):
     rc = main(["check-rigidity", str(path)])
     assert rc == 2
     assert json.loads(capsys.readouterr().out)["infinitesimally_rigid"] is False
+
+
+def henneberg_formation(n, seed):
+    """A formation file grown by Henneberg type-I steps (2n - 3 edges), as in
+    ``test_kernels.henneberg_config``: each new agent joins both ends of a
+    random existing edge, placed near that edge's midpoint."""
+    rng = np.random.default_rng(seed)
+    pos = [np.array([0.0, 0.0]), np.array([0.1, 0.0]), np.array([0.05, 0.09])]
+    edges = [[1, 2], [1, 3], [2, 3]]
+    for k in range(4, n + 1):
+        i, j = edges[rng.integers(len(edges))]
+        pos.append(0.5 * (pos[i - 1] + pos[j - 1]) + rng.normal(scale=0.05, size=2))
+        edges += [[i, k], [j, k]]
+    return {"n": n, "edges": edges, "positions_m": np.array(pos).tolist()}
+
+
+def check_rigidity_report(formation):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "formation.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(formation, fh)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            rc = main(["check-rigidity", path])
+    return rc, json.loads(out.getvalue())
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(3, 30), seed=st.integers(0, 2**16))
+def test_check_rigidity_matches_henneberg_construction(n, seed):
+    # Henneberg type-I steps keep a generic framework minimally rigid
+    # (Laman 1970), and its 2n - 3 rows are independent, so removing any
+    # one edge leaves rank 2n - 4 and exit 2.
+    formation = henneberg_formation(n, seed)
+    rc, report = check_rigidity_report(formation)
+    assert rc == 0
+    assert report["minimally_rigid"] is True and report["rank"] == 2 * n - 3
+    for k in range(len(formation["edges"])):
+        cut = dict(formation, edges=formation["edges"][:k] + formation["edges"][k + 1:])
+        rc, report = check_rigidity_report(cut)
+        assert rc == 2
+        assert report["rank"] == 2 * n - 4
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task to count threads")
+@pytest.mark.parametrize("inherited", [None, "4"])
+def test_cli_process_has_one_thread(monkeypatch, inherited):
+    # Importing the CLI pins OpenBLAS to one thread before numpy loads,
+    # whatever the environment asks for, so a rollout burns no CPU on an
+    # idle BLAS worker and the CSV writer forks from a one-thread process.
+    if inherited is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", inherited)
+    out = run_child([], code="import os, rigidflock.cli; "
+                              "print(len(os.listdir('/proc/self/task')))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "1"
 
 
 @pytest.mark.parametrize("n_key, pos_key", [("n", "positions_m"),
