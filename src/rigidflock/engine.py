@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import mmap
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -71,13 +71,7 @@ class WorldState:
         return self.poses.shape[0]
 
     def copy(self) -> "WorldState":
-        return WorldState(
-            self.time,
-            self.poses.copy(),
-            None if self.v_f_hat is None else self.v_f_hat.copy(),
-            None if self.v_t_hat is None else self.v_t_hat.copy(),
-            None if self.e_t_hat is None else self.e_t_hat.copy(),
-        )
+        return replace(self)  # __post_init__ copies every array
 
 
 @dataclass
@@ -126,6 +120,8 @@ class RunConfig:
         self.initial_poses = np.array(self.initial_poses, dtype=float)
         if self.initial_poses.shape != (n, 3):
             raise ValueError(f"initial_poses must be ({n}, 3)")
+        if not np.all(np.isfinite(self.initial_poses)):
+            raise ValueError("initial_poses must be finite")
         self.initial_poses[:, 2] = wrap_angle(self.initial_poses[:, 2])
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be positive")
@@ -151,23 +147,18 @@ class RunConfig:
             if float(self.anchor_sign) not in (1.0, -1.0):
                 raise ValueError("anchor_sign must be +1 or -1")
             self.anchor_sign = float(self.anchor_sign)
-            if self.initial_v_f_hat is None:
-                self.initial_v_f_hat = np.zeros((n, 2))
-            self.initial_v_f_hat = np.array(self.initial_v_f_hat, dtype=float)
-            if self.initial_v_f_hat.shape != (n, 2):
-                raise ValueError("initial_v_f_hat must be (n, 2)")
-        else:
-            if self.initial_v_t_hat is None:
-                self.initial_v_t_hat = np.zeros((n, 2))
-            if self.initial_e_t_hat is None:
-                self.initial_e_t_hat = np.zeros((n, 2))
-            self.initial_v_t_hat = np.array(self.initial_v_t_hat, dtype=float)
-            self.initial_e_t_hat = np.array(self.initial_e_t_hat, dtype=float)
-            for name in ("initial_v_t_hat", "initial_e_t_hat"):
-                if getattr(self, name).shape != (n, 2):
-                    raise ValueError(f"{name} must be (n, 2)")
-        if self.smoothing_epsilon < 0:
-            raise ValueError("smoothing_epsilon must be >= 0")
+        estimates = (("initial_v_f_hat",) if self.mode == "flock"
+                     else ("initial_v_t_hat", "initial_e_t_hat"))
+        for name in estimates:
+            value = getattr(self, name)
+            value = np.zeros((n, 2)) if value is None else np.array(value, dtype=float)
+            if value.shape != (n, 2):
+                raise ValueError(f"{name} must be (n, 2)")
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
+            setattr(self, name, value)
+        if not (np.isfinite(self.smoothing_epsilon) and self.smoothing_epsilon >= 0):
+            raise ValueError("smoothing_epsilon must be finite and >= 0")
         if self.target_positions is not None:
             self.target_positions = np.array(self.target_positions, dtype=float)
             if self.target_positions.shape != (n, 2):
@@ -402,9 +393,9 @@ def run(config: RunConfig, force_kernel: str | None = None,
         log.v_f_hat = est_log
         est = config.initial_v_f_hat.copy()
         rollout = kernels.flock_rollout
-        fixed = (config._edges, config._d2, config.access_flags)
-        gains = (config.k_a, config.c, config.alpha, config.anchor_sign,
-                 config.smoothing_epsilon)
+        law = kernels.flock_law(config._edges, config._d2, config.access_flags,
+                                config.k_a, config.c, config.alpha,
+                                config.anchor_sign, config.smoothing_epsilon)
         signal = v0_seq
     else:
         pt_seq, vt_seq, at_seq = config.signal.sample(times)
@@ -413,9 +404,9 @@ def run(config: RunConfig, force_kernel: str | None = None,
         log.v_t_hat, log.e_t_hat = est_log[..., :2], est_log[..., 2:]
         est = np.concatenate([config.initial_v_t_hat, config.initial_e_t_hat], axis=1)
         rollout = kernels.intercept_rollout
-        fixed = (config._edges, config._d2, config.leader - 1)
-        gains = (config.k_a, config.k_t, config.c, config.alpha1, config.alpha2,
-                 config.smoothing_epsilon)
+        law = kernels.intercept_law(n, config._edges, config._d2, config.leader - 1,
+                                    config.k_a, config.k_t, config.c, config.alpha1,
+                                    config.alpha2, config.smoothing_epsilon)
         signal = np.concatenate([vt_seq, pt_seq, at_seq], axis=1)
     outs = (log.poses, log.commands, log.u, log.theta_id, est_log)
 
@@ -428,8 +419,8 @@ def run(config: RunConfig, force_kernel: str | None = None,
         ready = rows if last else r1
         tic = _time.perf_counter()
         kernel_name, form, status = rollout(
-            pose, est, *fixed, signal[s0:s1 + 1], *gains, dt, s1 - s0,
-            sample_every, *(o[r0:ready + 1] for o in outs), force=force_kernel)
+            law, pose, est, signal[s0:s1 + 1], dt, s1 - s0, sample_every,
+            [o[r0:ready + 1] for o in outs], force=force_kernel)
         runtime += _time.perf_counter() - tic
         if status[0] != kernels.STATUS_OK:
             raise SimulationDiverged(int(status[1]) + 1,

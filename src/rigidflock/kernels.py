@@ -16,6 +16,12 @@ array, channel k in columns 2k and 2k + 1; edges (a, 2) of 0-based
 indices; d2 the squared desired distances per edge.  The references
 are pre-sampled per step into one signal array of n_steps + 1 rows:
 v_0 for flock, [v_T, p_T, a_T] for intercept.
+
+``flock_law`` and ``intercept_law`` are the one place a mode maps onto
+the law's parameters.  ``rollout`` runs a law in the form it picks (the
+one kernel-choice rule), and ``flock_eval``/``intercept_eval`` evaluate
+it once.  ``flock_rollout`` and ``intercept_rollout`` are both
+``rollout``: perfbench traces the rollout through those two names.
 """
 
 from __future__ import annotations
@@ -50,11 +56,6 @@ STATUS_DIVERGED = 1
 # Set from the measured crossover (README, "Kernels and environment
 # flags").
 LIST_MAX_EDGES = 15
-
-
-def using_numba() -> bool:
-    """True when the compiled kernels are the default dispatch."""
-    return USE_NUMBA
 
 
 def _jitable(func):
@@ -561,7 +562,7 @@ rollout_jit = numba.njit(cache=True)(_rollout_loops) if HAS_NUMBA else None
 # the two modes: parameters, evaluation and rollout dispatch
 # ---------------------------------------------------------------------------
 
-def _flock_params(edges, d2, bflag, k_a, c, alpha, anchor_sign, smooth_eps):
+def flock_law(edges, d2, bflag, k_a, c, alpha, anchor_sign, smooth_eps):
     """The law's parameters (edges ... smooth_eps) for flocking.
 
     One channel, v_f with weight 1; the flagged agents measure v_0 with
@@ -572,8 +573,7 @@ def _flock_params(edges, d2, bflag, k_a, c, alpha, anchor_sign, smooth_eps):
             float(smooth_eps))
 
 
-def _intercept_params(n, edges, d2, leader, k_a, k_t, c, alpha1, alpha2,
-                      smooth_eps):
+def intercept_law(n, edges, d2, leader, k_a, k_t, c, alpha1, alpha2, smooth_eps):
     """The law's parameters (edges ... smooth_eps) for interception.
 
     Channels v_T with weight 1 and e_T with weight k_t; only the free
@@ -584,6 +584,18 @@ def _intercept_params(n, edges, d2, leader, k_a, k_t, c, alpha1, alpha2,
             np.array([1.0, k_t], dtype=float), float(k_a), c, float(smooth_eps))
 
 
+def _eval(law, pose, est, sig):
+    """One synchronous evaluation of ``law`` under the signal row ``sig``.
+
+    Returns (rate, u, theta_id, theta_err, v, omega, udot), rate real
+    (n, K, 2); does not mutate its inputs.
+    """
+    loop = _Law(*law)
+    rate, u, te, v, omega, udot = loop(loop.state(pose, est),
+                                       np.ascontiguousarray(sig, dtype=float).view(complex))
+    return _planar(rate), _planar(u), loop.theta_id(), te, v, omega, _planar(udot)
+
+
 def flock_eval(pose, est, v0, edges, d2, bflag,
                k_a, c, alpha, anchor_sign, smooth_eps):
     """One synchronous evaluation of the flocking loop, vectorized.
@@ -591,12 +603,9 @@ def flock_eval(pose, est, v0, edges, d2, bflag,
     Returns (rate, u, theta_id, theta_err, v, omega, udot); does not
     mutate its inputs.
     """
-    law = _Law(*_flock_params(edges, d2, bflag, k_a, c, alpha, anchor_sign,
-                              smooth_eps))
-    rate, u, te, v, omega, udot = law(law.state(pose, est),
-                                      np.ascontiguousarray(v0, dtype=float).view(complex))
-    return (_planar(rate)[:, 0], _planar(u), law.theta_id(), te, v, omega,
-            _planar(udot))
+    rate, *rest = _eval(flock_law(edges, d2, bflag, k_a, c, alpha, anchor_sign,
+                                  smooth_eps), pose, est, v0)
+    return (rate[:, 0], *rest)
 
 
 def intercept_eval(pose, vthat, ethat, target_pos, target_vel, target_acc,
@@ -605,71 +614,51 @@ def intercept_eval(pose, vthat, ethat, target_pos, target_vel, target_acc,
 
     Returns (rate_v, rate_e, u, theta_id, theta_err, v, omega, udot).
     """
-    law = _Law(*_intercept_params(len(pose), edges, d2, leader, k_a, k_t, c,
-                                  alpha1, alpha2, smooth_eps))
-    rate, u, te, v, omega, udot = law(
-        law.state(pose, np.concatenate([vthat, ethat], axis=1)),
-        np.concatenate([target_vel, target_pos, target_acc]).view(complex))
-    return (_planar(rate)[:, 0], _planar(rate)[:, 1], _planar(u), law.theta_id(),
-            te, v, omega, _planar(udot))
+    rate, *rest = _eval(intercept_law(len(pose), edges, d2, leader, k_a, k_t, c,
+                                      alpha1, alpha2, smooth_eps),
+                        pose, np.concatenate([vthat, ethat], axis=1),
+                        np.concatenate([target_vel, target_pos, target_acc]))
+    return (rate[:, 0], rate[:, 1], *rest)
 
 
 class KernelUnavailable(RuntimeError):
     """The requested kernel implementation is not installed."""
 
 
-def flock_rollout(pose, est, edges, d2, bflag, v0_seq, k_a, c, alpha,
-                  anchor_sign, smooth_eps, dt, n_steps, sample_every,
-                  out_pose, out_cmd, out_u, out_tid, out_est,
-                  *, force: str | None = None):
-    """Roll out the flocking loop in the selected implementation.
+def rollout(law, pose, est, sig, dt, n_steps, sample_every, outs, *,
+            force: str | None = None):
+    """Roll out ``law`` (from ``flock_law`` or ``intercept_law``) in the
+    selected implementation.
 
-    ``force`` overrides the environment default with "jit" or "numpy".
-    Updates pose and est in place and fills the ``out_*`` logs.
+    ``sig`` holds the references per step and ``outs`` the logs
+    (out_pose, out_cmd, out_u, out_tid, out_est), laid out as in the
+    module docstring.  ``force`` overrides the environment default with
+    "jit" or "numpy".  Updates pose and est in place and fills the logs.
     Returns ``(kernel, form, status)``: "numba" (compiled) or "numpy"
     (uncompiled), the form that ran ("loops" or "law") and the
     rollout's status triple.  Without numba, formations of at most
     ``LIST_MAX_EDGES`` edges run the loop form on Python floats unless
     ``force`` is "numpy".
     """
-    law = _flock_params(edges, d2, bflag, k_a, c, alpha, anchor_sign, smooth_eps)
-    return _dispatch(force, pose, est, np.ascontiguousarray(v0_seq, dtype=float),
-                     law, dt, n_steps, sample_every,
-                     (out_pose, out_cmd, out_u, out_tid, out_est))
-
-
-def intercept_rollout(pose, est, edges, d2, leader, sig, k_a, k_t, c, alpha1,
-                      alpha2, smooth_eps, dt, n_steps, sample_every, out_pose,
-                      out_cmd, out_u, out_tid, out_est, *, force: str | None = None):
-    """Roll out the interception loop (see flock_rollout).
-
-    ``est`` (n, 4) and ``out_est`` (rows, n, 4) hold [v_T hat, e_T hat]
-    per agent, and ``sig`` (steps, 6) holds [v_T, p_T, a_T] per step.
-    """
-    law = _intercept_params(len(pose), edges, d2, leader, k_a, k_t, c,
-                            alpha1, alpha2, smooth_eps)
-    return _dispatch(force, pose, est, np.ascontiguousarray(sig, dtype=float),
-                     law, dt, n_steps, sample_every,
-                     (out_pose, out_cmd, out_u, out_tid, out_est))
-
-
-def _dispatch(force, pose, est, sig, law, dt, n_steps, sample_every, outs):
-    impl = _pick(rollout_jit, _rollout_numpy, force)
-    if force is None and impl is _rollout_numpy and len(law[0]) <= LIST_MAX_EDGES:
+    if force == "jit":
+        if rollout_jit is None:
+            raise KernelUnavailable("numba is not installed")
+        impl = rollout_jit
+    elif force == "numpy":
+        impl = _rollout_numpy
+    elif force is not None:
+        raise ValueError(f"force must be 'jit' or 'numpy', got {force!r}")
+    elif USE_NUMBA:
+        impl = rollout_jit
+    elif len(law[0]) <= LIST_MAX_EDGES:
         impl = _rollout_lists
-    status = impl(pose, est, sig, *law, float(dt), int(n_steps),
-                  int(sample_every), *outs)
+    else:
+        impl = _rollout_numpy
+    status = impl(pose, est, np.ascontiguousarray(sig, dtype=float), *law, float(dt),
+                  int(n_steps), int(sample_every), *outs)
     return (("numba" if impl is rollout_jit else "numpy"),
             ("law" if impl is _rollout_numpy else "loops"), status)
 
 
-def _pick(jit_impl, numpy_impl, force):
-    if force == "jit":
-        if jit_impl is None:
-            raise KernelUnavailable("numba is not installed")
-        return jit_impl
-    if force == "numpy":
-        return numpy_impl
-    if force is not None:
-        raise ValueError(f"force must be 'jit' or 'numpy', got {force!r}")
-    return jit_impl if USE_NUMBA else numpy_impl
+# perfbench wraps both names; engine.run calls the one of its mode.
+flock_rollout = intercept_rollout = rollout

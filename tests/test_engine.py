@@ -95,8 +95,23 @@ def test_run_config_validation():
         right_triangle_config(access_flags=[1, 2, 0])
     with pytest.raises(ValueError, match="anchor_sign"):
         right_triangle_config(anchor_sign=0.0)
-    with pytest.raises(ValueError, match="smoothing"):
-        right_triangle_config(smoothing_epsilon=-0.1)
+    for eps in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="smoothing"):
+            right_triangle_config(smoothing_epsilon=eps)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("mode, name", [
+    ("flock", "initial_poses"), ("flock", "initial_v_f_hat"),
+    ("intercept", "initial_poses"), ("intercept", "initial_v_t_hat"),
+    ("intercept", "initial_e_t_hat")])
+def test_run_config_rejects_non_finite_initial_state(mode, name, bad):
+    # A state that was never sane is bad input, not a divergence at t = dt.
+    cfg = right_triangle_config(mode=mode)
+    value = getattr(cfg, name).copy()
+    value[1, -1] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        dataclasses.replace(cfg, **{name: value})
 
 
 def test_run_config_broadcasts_scalar_c():

@@ -221,6 +221,43 @@ def test_list_runtime_equals_array_loop_form_from_zero_estimates(
                                       getattr(on_arrays, name), err_msg=name)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(3, 30), seed=st.integers(0, 2**16),
+       mode=st.sampled_from(["flock", "intercept"]),
+       smoothing=st.sampled_from([0.0, 0.01]))
+def test_measurement_oracle_matches_law_on_random_rigid_graphs(
+        n, seed, mode, smoothing):
+    # The agent's-eye path (body-frame measurements, one agent at a time)
+    # against one evaluation of the law, on the states step_world reaches.
+    cfg = estimates_near_references(
+        henneberg_config(n, seed, steps=5, mode=mode,
+                         smoothing_epsilon=smoothing), seed)
+    gains = (cfg.k_a, cfg.c, cfg.alpha, cfg.anchor_sign) if mode == "flock" else (
+        cfg.k_a, cfg.k_t, cfg.c, cfg.alpha1, cfg.alpha2)
+    world = engine.initial_state(cfg)
+    for _ in range(5):
+        commands, rates = engine.measurement_commands(world, cfg)
+        if mode == "flock":
+            _, v0, _ = cfg.signal.state(world.time)
+            rate, _u, _tid, _te, v, omega, _udot = kernels.flock_eval(
+                world.poses, world.v_f_hat, v0, cfg._edges, cfg._d2,
+                cfg.access_flags, *gains, cfg.smoothing_epsilon)
+            law_rates = {"v_f": rate}
+        else:
+            pt, vt, at = cfg.signal.state(world.time)
+            rate_v, rate_e, _u, _tid, _te, v, omega, _udot = kernels.intercept_eval(
+                world.poses, world.v_t_hat, world.e_t_hat, pt, vt, at, cfg._edges,
+                cfg._d2, cfg.leader - 1, *gains, cfg.smoothing_epsilon)
+            law_rates = {"v_t": rate_v, "e_t": rate_e}
+        np.testing.assert_allclose(commands, np.column_stack([v, omega]),
+                                   rtol=0, atol=1e-9)
+        assert rates.keys() == law_rates.keys()
+        for key, rate in law_rates.items():
+            np.testing.assert_allclose(rates[key], rate, rtol=0, atol=1e-9,
+                                       err_msg=key)
+        world = engine.step_world(world, cfg)
+
+
 def complete_config(cfg):
     """``cfg`` on the complete graph over its target positions."""
     g = Graph(cfg.n, list(itertools.combinations(range(1, cfg.n + 1), 2)))
@@ -305,8 +342,10 @@ def test_numpy_rollout_matches_step_world():
 
 
 def test_force_argument_validation():
+    cfg = load_scenario(bundled_scenario_path("pentagon_flock"),
+                        duration=0.01).to_run_config()
     with pytest.raises(ValueError):
-        kernels._pick(None, lambda: None, "fast")
+        engine.run(cfg, force_kernel="fast")
 
 
 def child_env(flag):
@@ -325,7 +364,7 @@ def child_env(flag):
 def test_using_numba_reflects_environment():
     code = (
         "import rigidflock.kernels as k\n"
-        "print(int(k.using_numba()))\n"
+        "print(int(k.USE_NUMBA))\n"
     )
     # "1" enables the compiled kernels only when numba imports.
     for flag, expect in (("0", "0"), ("1", str(int(kernels.HAS_NUMBA)))):

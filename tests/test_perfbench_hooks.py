@@ -1,13 +1,15 @@
 """The traced benchmark can wrap every layer of the current sources."""
 
 import importlib.util
+import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rigidflock import cli, engine
+from rigidflock import cli, engine, kernels
 from rigidflock.scenario import bundled_scenario_path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -68,3 +70,26 @@ def test_simulate_calls_each_traced_writer_once(tmp_path, monkeypatch, chunk_row
     assert cli.main(["simulate", str(bundled_scenario_path("pentagon_intercept")),
                      "--out", str(tmp_path / "o"), "--duration", "0.5"]) == 0
     assert sorted(calls) == names
+
+
+@pytest.mark.parametrize("name", ["pentagon_flock", "pentagon_intercept"])
+def test_simulate_calls_its_modes_rollout_name_once_per_chunk(tmp_path, monkeypatch,
+                                                              name):
+    # perfbench times the rollout through these two names, which both bind
+    # kernels.rollout; a run that called kernels.rollout directly would
+    # leave kernels.rollout_s reading 0.
+    assert kernels.flock_rollout is kernels.intercept_rollout is kernels.rollout
+    monkeypatch.setattr(engine, "_CHUNK_ROWS", 10)
+    attrs = ["flock_rollout", "intercept_rollout"]
+    calls = []
+    for attr in attrs:
+        monkeypatch.setattr(kernels, attr,
+                            lambda *args, fn=getattr(kernels, attr), attr=attr, **kw:
+                            calls.append(attr) or fn(*args, **kw))
+    out = tmp_path / "o"
+    assert cli.main(["simulate", str(bundled_scenario_path(name)),
+                     "--out", str(out), "--duration", "0.5"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    chunks = max(1, math.ceil((summary["rows"] - 1) / 10))
+    assert chunks > 1
+    assert calls == [f"{summary['mode']}_rollout"] * chunks
