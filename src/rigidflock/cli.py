@@ -24,12 +24,20 @@ created before the rollout; a run that exits 1 or 3 renames nothing,
 so it leaves OUTDIR's earlier files as they were.  Only a kill the
 process cannot catch leaves its ``.NAME.PID.part`` files behind.  Set
 RIGIDFLOCK_LOG=debug|info|warning|error to control log verbosity.
+
+Importing this module sets the process up for one run: it pins OpenBLAS
+to one thread before numpy loads, and it keeps the cyclic garbage
+collector off while numpy and the package import, then ``gc.freeze()``s
+the objects they leave, so no collection walks them, teardown's
+included.  It switches the collector back on only if it was on before
+the import, so a caller that imports this module keeps its own setting.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import logging
 import os
@@ -38,6 +46,11 @@ from pathlib import Path
 
 # Before numpy loads: the run is sequential and forks, so one BLAS thread.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
+# What numpy and the package import lives until exit, so the cyclic
+# collector neither walks it while it is built nor at teardown: it is
+# off for the imports, and the heap they leave is frozen.
+_gc_was_enabled = gc.isenabled()
+gc.disable()
 
 import numpy as np
 
@@ -48,6 +61,10 @@ from .kernels import KernelUnavailable
 from .rigidity import rigidity_rank
 from .scenario import (Scenario, ScenarioError, framework_from_dict,
                        load_scenario, read_json)
+
+gc.freeze()
+if _gc_was_enabled:
+    gc.enable()
 
 logger = logging.getLogger("rigidflock.cli")
 

@@ -74,6 +74,23 @@ class WorldState:
         return replace(self)  # __post_init__ copies every array
 
 
+def step_count(duration: float, dt: float, sample_every: int) -> int:
+    """``duration / dt`` as a whole number of steps that ``sample_every`` divides.
+
+    A quotient within rounding of a whole number counts as that number
+    (0.3 / 1e-4 is 2999.9999999999995); any other raises ValueError, so
+    a run always ends on a logged row.
+    """
+    steps = duration / dt
+    if not (np.isfinite(steps) and abs(steps - round(steps)) <= 1e-12 * steps):
+        raise ValueError(f"duration / dt = {steps:.17g} steps must be a whole number")
+    n_steps = int(round(steps))
+    if n_steps % sample_every:
+        raise ValueError(f"duration / dt = {n_steps} steps must be a multiple of "
+                         f"sample_every = {sample_every}")
+    return n_steps
+
+
 @dataclass
 class RunConfig:
     """Everything a rollout needs, already flattened to arrays.
@@ -137,6 +154,7 @@ class RunConfig:
             raise ValueError(
                 f"dt * max(c) = {self.dt * float(self.c.max()):g} must be < 1 "
                 "for a stable heading loop")
+        step_count(self.duration, self.dt, self.sample_every)
         if self.mode == "flock":
             if self.access_flags is None:
                 self.access_flags = np.zeros(n)
@@ -362,8 +380,8 @@ def run(config: RunConfig, force_kernel: str | None = None,
     """
     n = config.n
     dt = config.dt
-    n_steps = int(round(config.duration / dt))
     sample_every = config.sample_every
+    n_steps = step_count(config.duration, dt, sample_every)
     rows = n_steps // sample_every + 1
     times = np.arange(n_steps + 1) * dt
     sampled_steps = np.arange(rows) * sample_every

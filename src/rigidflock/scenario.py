@@ -25,7 +25,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .engine import RunConfig
+from .engine import RunConfig, step_count
 from .graph import Graph
 from .interception import convex_hull_contains
 from .observers import gain_check
@@ -198,6 +198,10 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
     if dt_val * float(c_arr.max()) >= 1.0:
         _fail("sim.dt_s", f"dt * max(c) = {dt_val * float(c_arr.max()):g} "
                           "must be < 1 for a stable heading loop")
+    try:
+        step_count(dur_val, dt_val, se)
+    except ValueError as exc:
+        _fail("sim.duration_s", str(exc))
 
     anchor_sign = data.get("anchor_sign", 1.0)
     if not is_json_number(anchor_sign) or anchor_sign not in (1.0, -1.0):

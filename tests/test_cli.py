@@ -105,6 +105,23 @@ def test_summary_reports_anchor_sign_for_flock_runs_only(tmp_path, name):
     assert list(summary)[:len(keys)] == keys
 
 
+@pytest.mark.parametrize("duration, error", [
+    pytest.param("0.0025", "error: sim.duration_s: duration / dt = 2.5 steps must "
+                 "be a whole number", id="half-step"),
+    pytest.param("0.002", "error: sim.duration_s: duration / dt = 2 steps must be "
+                 "a multiple of sample_every = 10", id="between-rows"),
+])
+def test_simulate_duration_between_logged_rows_exits_1(tmp_path, duration, error):
+    # pentagon_flock: dt 1e-3, sample_every 10.  Rounded to 2 steps, the
+    # run logged only t = 0 and reported it as every final value.
+    out = tmp_path / "o"
+    res = run_child(["simulate", str(bundled_scenario_path("pentagon_flock")),
+                     "--out", str(out), "--duration", duration])
+    assert_one_error_line(res)
+    assert res.stderr.strip() == error
+    assert not (out / "summary.json").exists()
+
+
 def test_simulate_zero_duration(tmp_path):
     out = tmp_path / "out"
     rc = main(["simulate", str(bundled_scenario_path("pentagon_flock")),
@@ -735,6 +752,24 @@ def test_cli_process_has_one_thread(monkeypatch, inherited):
                               "print(len(os.listdir('/proc/self/task')))")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "1"
+
+
+@pytest.mark.parametrize("before, module, expected", [
+    # The CLI freezes the heap its imports leave and turns the collector
+    # back on; a host that had switched it off keeps it off.
+    pytest.param("", "rigidflock.cli", "True frozen", id="cli"),
+    pytest.param("gc.disable(); ", "rigidflock.cli", "False frozen",
+                 id="cli-gc-off"),
+    # The library modules leave the collector alone.
+    pytest.param("", "rigidflock.engine", "True 0", id="engine"),
+])
+def test_cli_import_freezes_the_heap_and_keeps_the_gc_setting(before, module,
+                                                              expected):
+    out = run_child([], code=f"import gc; {before}import {module}; "
+                             "n = gc.get_freeze_count(); "
+                             "print(gc.isenabled(), 'frozen' if n > 0 else n)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == expected
 
 
 @pytest.mark.parametrize("n_key, pos_key", [("n", "positions_m"),

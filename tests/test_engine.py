@@ -87,6 +87,15 @@ def test_run_config_validation():
         right_triangle_config(duration=-1.0)
     with pytest.raises(ValueError, match="sample_every"):
         right_triangle_config(sample_every=0)
+    # dt 1e-3, sample_every 10: a run must end on a logged row.
+    with pytest.raises(ValueError, match="2.5 steps must be a whole number"):
+        right_triangle_config(duration=0.0025)
+    with pytest.raises(ValueError, match="2 steps must be a multiple of sample_every"):
+        right_triangle_config(duration=0.002)
+    with pytest.raises(ValueError, match="multiple of sample_every = 3"):
+        right_triangle_config(sample_every=3)
+    with pytest.raises(ValueError, match="whole number"):
+        right_triangle_config(dt=5e-324, c=1.0)  # inf steps
     with pytest.raises(ValueError, match="heading gains"):
         right_triangle_config(c=-10.0)
     with pytest.raises(ValueError, match="stable heading loop"):
@@ -247,13 +256,12 @@ def log_arrays(log):
 @pytest.mark.parametrize("form", ["lists", "loops", "law"])
 @pytest.mark.parametrize("mode", ["flock", "intercept"])
 def test_chunked_run_equals_one_chunk(monkeypatch, mode, form, sample_every):
-    # 40 steps: with sample_every 3 the last row is step 39, and one more
-    # step is integrated after it.
+    # 42 steps: with sample_every 3, 15 rows, which chunks of 2 rows do
+    # not divide.
     cfg = dataclasses.replace(
-        load_scenario(bundled_scenario_path(f"pentagon_{mode}"),
-                      duration=0.04 if mode == "flock" else 0.01).to_run_config(),
-        sample_every=sample_every)
-    assert round(cfg.duration / cfg.dt) == 40
+        load_scenario(bundled_scenario_path(f"pentagon_{mode}")).to_run_config(),
+        duration=0.042 if mode == "flock" else 0.0105, sample_every=sample_every)
+    assert round(cfg.duration / cfg.dt) == 42
     impl = {"lists": engine.kernels._rollout_lists,
             "loops": engine.kernels._rollout_loops}.get(form)
     if impl is not None:
@@ -287,6 +295,16 @@ def test_chunked_run_equals_one_chunk(monkeypatch, mode, form, sample_every):
 
 
 # --- rollouts and logs -------------------------------------------------------
+
+def test_step_count_within_rounding():
+    # 0.3 / 1e-4 is 2999.9999999999995: a whole number within rounding.
+    assert 0.3 / 1e-4 != 3000
+    assert engine.step_count(0.3, 1e-4, 10) == 3000
+    assert run(right_triangle_config(dt=1e-4, duration=0.3)).rows == 301
+    assert engine.step_count(0.0, 1e-3, 10) == 0
+    with pytest.raises(ValueError, match="whole number"):
+        engine.step_count(0.3 + 1e-9, 1e-4, 1)
+
 
 def test_row_counts():
     cfg = flock_config()

@@ -96,7 +96,7 @@ def test_loop_form_matches_numpy_rollout(case, monkeypatch):
     elif case == "henneberg_200":  # the benchmark's wide_formation scale
         cfg = henneberg_config(200, seed=10, steps=100)
     else:
-        duration = 0.5 if case == "pentagon_flock" else 0.125
+        duration = 0.5 if case == "pentagon_flock" else 0.12
         cfg = load_scenario(bundled_scenario_path(case),
                             duration=duration).to_run_config()
     numpy_log = engine.run(cfg, force_kernel="numpy")
@@ -230,7 +230,7 @@ def test_measurement_oracle_matches_law_on_random_rigid_graphs(
     # The agent's-eye path (body-frame measurements, one agent at a time)
     # against one evaluation of the law, on the states step_world reaches.
     cfg = estimates_near_references(
-        henneberg_config(n, seed, steps=5, mode=mode,
+        henneberg_config(n, seed, steps=10, mode=mode,
                          smoothing_epsilon=smoothing), seed)
     gains = (cfg.k_a, cfg.c, cfg.alpha, cfg.anchor_sign) if mode == "flock" else (
         cfg.k_a, cfg.k_t, cfg.c, cfg.alpha1, cfg.alpha2)
@@ -271,10 +271,10 @@ def test_dispatch_picks_the_form_by_formation_size(monkeypatch):
     # of few agents runs the law.
     monkeypatch.setattr(kernels, "USE_NUMBA", False)
     limit = kernels.LIST_MAX_EDGES
-    sparse = {n: henneberg_config(n, seed=n, steps=2) for n in (9, 10, 200)}
+    sparse = {n: henneberg_config(n, seed=n, steps=10) for n in (9, 10, 200)}
     cases = [(sparse[9], "loops"), (sparse[10], "law"), (sparse[200], "law"),
-             (complete_config(henneberg_config(6, 6, 2)), "loops"),
-             (complete_config(henneberg_config(7, 7, 2)), "law"),
+             (complete_config(henneberg_config(6, 6, 10)), "loops"),
+             (complete_config(henneberg_config(7, 7, 10)), "law"),
              (complete_config(sparse[9]), "law")]
     for cfg, form in cases:
         edges = len(cfg.graph.edges)

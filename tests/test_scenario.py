@@ -99,6 +99,13 @@ def test_intercept_scenario_fields():
     (lambda d: d["sim"].update(duration_s=-5.0), "sim.duration_s"),
     (lambda d: d["sim"].update(sample_every=0), "sim.sample_every"),
     (lambda d: d["sim"].update(dt_s=0.5), "sim.dt_s"),  # dt * c >= 1
+    # A run ends on a logged row: dt 1e-3, sample_every 10.
+    pytest.param(lambda d: d["sim"].update(duration_s=0.0025), "sim.duration_s",
+                 id="sim.duration_s-half-step"),
+    pytest.param(lambda d: d["sim"].update(duration_s=0.002), "sim.duration_s",
+                 id="sim.duration_s-between-rows"),
+    pytest.param(lambda d: d["sim"].update(sample_every=3), "sim.duration_s",
+                 id="sim.sample_every-not-dividing"),
     (lambda d: d.update(anchor_sign=2.0), "anchor_sign"),
     pytest.param(lambda d: d.update(anchor_sign="x"), "anchor_sign",
                  id="anchor_sign-str"),
