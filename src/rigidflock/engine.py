@@ -16,6 +16,7 @@ quantities in local coordinates (see ``measure`` and
 
 from __future__ import annotations
 
+import errno
 import mmap
 import time as _time
 from dataclasses import dataclass, field, replace
@@ -89,6 +90,13 @@ def step_count(duration: float, dt: float, sample_every: int) -> int:
         raise ValueError(f"duration / dt = {n_steps} steps must be a multiple of "
                          f"sample_every = {sample_every}")
     return n_steps
+
+
+# Each mode's observer estimates (WorldState fields) in the law's channel
+# order, and the references it logs by their channel in a row of
+# ``RunConfig.references``.
+_ESTIMATES = {"flock": ("v_f_hat",), "intercept": ("v_t_hat", "e_t_hat")}
+_LOGGED_REFERENCES = {"flock": ("v0",), "intercept": ("target_vel", "target_pos")}
 
 
 @dataclass
@@ -165,9 +173,7 @@ class RunConfig:
             if float(self.anchor_sign) not in (1.0, -1.0):
                 raise ValueError("anchor_sign must be +1 or -1")
             self.anchor_sign = float(self.anchor_sign)
-        estimates = (("initial_v_f_hat",) if self.mode == "flock"
-                     else ("initial_v_t_hat", "initial_e_t_hat"))
-        for name in estimates:
+        for name in [f"initial_{est}" for est in _ESTIMATES[self.mode]]:
             value = getattr(self, name)
             value = np.zeros((n, 2)) if value is None else np.array(value, dtype=float)
             if value.shape != (n, 2):
@@ -199,15 +205,28 @@ class RunConfig:
     def distance_of(self, i: int, j: int) -> float:
         return self._dist_by_pair[(min(i, j), max(i, j))]
 
+    def law(self) -> tuple:
+        """The closed loop's parameters for this run: the one place
+        ``engine`` maps a mode onto ``kernels``' law."""
+        if self.mode == "flock":
+            return kernels.flock_law(self._edges, self._d2, self.access_flags,
+                                     self.k_a, self.c, self.alpha, self.anchor_sign,
+                                     self.smoothing_epsilon)
+        return kernels.intercept_law(self.n, self._edges, self._d2, self.leader - 1,
+                                     self.k_a, self.k_t, self.c, self.alpha1,
+                                     self.alpha2, self.smoothing_epsilon)
+
+    def references(self, times) -> np.ndarray:
+        """The law's signal rows at ``times``: v_0 for flock, [v_T, p_T,
+        a_T] for intercept."""
+        pos, vel, acc = self.signal.sample(times)
+        return vel if self.mode == "flock" else np.concatenate([vel, pos, acc], axis=1)
+
 
 def initial_state(config: RunConfig) -> WorldState:
-    """WorldState at t = 0 from the config's initial arrays."""
-    if config.mode == "flock":
-        return WorldState(0.0, config.initial_poses.copy(),
-                          v_f_hat=config.initial_v_f_hat.copy())
-    return WorldState(0.0, config.initial_poses.copy(),
-                      v_t_hat=config.initial_v_t_hat.copy(),
-                      e_t_hat=config.initial_e_t_hat.copy())
+    """WorldState at t = 0 from the config's initial arrays (copied in)."""
+    return WorldState(0.0, config.initial_poses, **{
+        name: getattr(config, "initial_" + name) for name in _ESTIMATES[config.mode]})
 
 
 # ---------------------------------------------------------------------------
@@ -239,20 +258,12 @@ def _euler_step(world: WorldState, config: RunConfig, dt: float | None,
 
 def step_world(world: WorldState, config: RunConfig, dt: float | None = None) -> WorldState:
     """Advance the world one explicit-Euler step; returns a new state."""
-    if config.mode == "flock":
-        _, v0, _ = config.signal.state(world.time)
-        rate, u, tid, te, v, omega, udot = kernels.flock_eval(
-            world.poses, world.v_f_hat, v0, config._edges, config._d2,
-            config.access_flags, config.k_a, config.c, config.alpha,
-            config.anchor_sign, config.smoothing_epsilon)
-        return _euler_step(world, config, dt, v, omega, v_f_hat=rate)
-    pt, vt, at = config.signal.state(world.time)
-    rate_v, rate_e, u, tid, te, v, omega, udot = kernels.intercept_eval(
-        world.poses, world.v_t_hat, world.e_t_hat, pt, vt, at,
-        config._edges, config._d2, config.leader - 1, config.k_a,
-        config.k_t, config.c, config.alpha1, config.alpha2,
-        config.smoothing_epsilon)
-    return _euler_step(world, config, dt, v, omega, v_t_hat=rate_v, e_t_hat=rate_e)
+    fields = _ESTIMATES[config.mode]
+    est = np.concatenate([getattr(world, name) for name in fields], axis=1)
+    rate, u, tid, te, v, omega, udot = kernels._eval(
+        config.law(), world.poses, est, config.references(world.time)[0])
+    return _euler_step(world, config, dt, v, omega,
+                       **{name: rate[:, k] for k, name in enumerate(fields)})
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +341,10 @@ def _shared_arrays(shapes: dict) -> dict:
     fork, so it can format rows while they are still being produced.
     """
     sizes = [int(np.prod(shape)) for shape in shapes.values()]
-    buf = mmap.mmap(-1, 8 * sum(sizes))
+    try:
+        buf = mmap.mmap(-1, 8 * sum(sizes))
+    except OSError as exc:  # report a log too large to map as numpy would
+        raise (MemoryError(exc.strerror) if exc.errno == errno.ENOMEM else exc)
     out, offset = {}, 0
     for (name, shape), size in zip(shapes.items(), sizes):
         out[name] = np.frombuffer(buf, float, size, offset).reshape(shape)
@@ -370,62 +384,43 @@ def run(config: RunConfig, force_kernel: str | None = None,
     kernels.KernelUnavailable.  Raises SimulationDiverged when any agent
     leaves the sane range.
 
-    The rollout runs in chunks of ``_CHUNK_ROWS`` rows, and each chunk's
-    rows of the derived series (edge, heading and estimate errors, e_T,
-    shape distance, hull flag) are computed as soon as it returns.  Then
-    ``on_rows(log, ready)`` (if given) learns that rows ``[0, ready)`` of
-    every array of the log are final; the last call has ``ready ==
-    log.rows``.  Those arrays live in one shared anonymous mapping, and
-    only ``meta`` is set after the last call.
+    The rollout runs in chunks of ``_CHUNK_ROWS`` rows, each sampling
+    only its own references.  Each chunk's rows of the derived series
+    (edge, heading and estimate errors, e_T, shape distance, hull flag)
+    are computed as soon as it returns.  Then ``on_rows(log, ready)``
+    (if given) learns that rows ``[0, ready)`` of every array of the log
+    are final; the last call has ``ready == log.rows``.  Those arrays
+    live in one shared anonymous mapping, and only ``meta`` is set after
+    the last call.
     """
     n = config.n
     dt = config.dt
     sample_every = config.sample_every
     n_steps = step_count(config.duration, dt, sample_every)
     rows = n_steps // sample_every + 1
-    times = np.arange(n_steps + 1) * dt
-    sampled_steps = np.arange(rows) * sample_every
-    flock = config.mode == "flock"
+    fields, logged = _ESTIMATES[config.mode], _LOGGED_REFERENCES[config.mode]
 
     shapes = {"t": (rows,), "poses": (rows, n, 3), "commands": (rows, n, 2),
               "u": (rows, n, 2), "theta_id": (rows, n),
-              "est": (rows, n, 2 if flock else 4),
+              "est": (rows, n, 2 * len(fields)),
               "edge_errors": (rows, config.graph.edge_count),
-              "heading_errors": (rows, n)}
+              "heading_errors": (rows, n), **{name: (rows, 2) for name in logged}}
     if config.target_positions is not None:
         shapes["shape_dist"] = (rows,)
-    if flock:
-        shapes.update(v0=(rows, 2), est_errors=(rows, n))
+    if config.mode == "flock":
+        shapes.update(est_errors=(rows, n))
     else:
-        shapes.update(target_pos=(rows, 2), target_vel=(rows, 2), e_t_norm=(rows,),
-                      v_t_err=(rows, n), e_t_err=(rows, n), hull_inside=(rows,))
+        shapes.update(e_t_norm=(rows,), v_t_err=(rows, n), e_t_err=(rows, n),
+                      hull_inside=(rows,))
     arrays = _shared_arrays(shapes)
-    arrays["t"][:] = times[sampled_steps]
     est_log = arrays.pop("est")
     arrays.setdefault("shape_dist", None)
     log = TrajectoryLog(config.mode, **arrays)
+    for k, name in enumerate(fields):
+        setattr(log, name, est_log[..., 2 * k:2 * k + 2])
     pose = config.initial_poses.copy()
-    if flock:
-        _, v0_seq, _ = config.signal.sample(times)
-        log.v0[:] = v0_seq[sampled_steps]
-        log.v_f_hat = est_log
-        est = config.initial_v_f_hat.copy()
-        rollout = kernels.flock_rollout
-        law = kernels.flock_law(config._edges, config._d2, config.access_flags,
-                                config.k_a, config.c, config.alpha,
-                                config.anchor_sign, config.smoothing_epsilon)
-        signal = v0_seq
-    else:
-        pt_seq, vt_seq, at_seq = config.signal.sample(times)
-        log.target_pos[:] = pt_seq[sampled_steps]
-        log.target_vel[:] = vt_seq[sampled_steps]
-        log.v_t_hat, log.e_t_hat = est_log[..., :2], est_log[..., 2:]
-        est = np.concatenate([config.initial_v_t_hat, config.initial_e_t_hat], axis=1)
-        rollout = kernels.intercept_rollout
-        law = kernels.intercept_law(n, config._edges, config._d2, config.leader - 1,
-                                    config.k_a, config.k_t, config.c, config.alpha1,
-                                    config.alpha2, config.smoothing_epsilon)
-        signal = np.concatenate([vt_seq, pt_seq, at_seq], axis=1)
+    est = np.concatenate([getattr(config, "initial_" + name) for name in fields], axis=1)
+    law, rollout = config.law(), getattr(kernels, f"{config.mode}_rollout")
     outs = (log.poses, log.commands, log.u, log.theta_id, est_log)
 
     runtime = 0.0
@@ -435,9 +430,14 @@ def run(config: RunConfig, force_kernel: str | None = None,
         last = r1 >= rows - 1
         s0, s1 = r0 * sample_every, (n_steps if last else r1 * sample_every)
         ready = rows if last else r1
+        times = np.arange(s0, s1 + 1) * dt
+        signal = config.references(times)
+        log.t[r0:ready + 1] = times[::sample_every]
+        for k, name in enumerate(logged):
+            getattr(log, name)[r0:ready + 1] = signal[::sample_every, 2 * k:2 * k + 2]
         tic = _time.perf_counter()
         kernel_name, form, status = rollout(
-            law, pose, est, signal[s0:s1 + 1], dt, s1 - s0, sample_every,
+            law, pose, est, signal, dt, s1 - s0, sample_every,
             [o[r0:ready + 1] for o in outs], force=force_kernel)
         runtime += _time.perf_counter() - tic
         if status[0] != kernels.STATUS_OK:

@@ -14,7 +14,7 @@ and both forms take one argument list (``_rollout_loops``).  Layout:
 poses (n, 3) as (x, y, theta); the K observer estimates as one (n, 2K)
 array, channel k in columns 2k and 2k + 1; edges (a, 2) of 0-based
 indices; d2 the squared desired distances per edge.  The references
-are pre-sampled per step into one signal array of n_steps + 1 rows:
+are one signal row per step of a call, one chunk's rows at a time:
 v_0 for flock, [v_T, p_T, a_T] for intercept.
 
 ``flock_law`` and ``intercept_law`` are the one place a mode maps onto

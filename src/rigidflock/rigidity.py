@@ -88,29 +88,26 @@ def reduced_rigidity_matrix(f: Framework, leader: int) -> np.ndarray:
     return R0
 
 
-def _rank(matrix: np.ndarray, rtol: float) -> int:
-    if matrix.size == 0:
+def rigidity_rank(f: Framework) -> int:
+    """Numerical rank of the rigidity matrix (tolerance ``RANK_RTOL``)."""
+    R = rigidity_matrix(f)
+    if R.size == 0:
         return 0
-    s = np.linalg.svd(matrix, compute_uv=False)
-    cutoff = rtol * s[0] if s[0] > 0 else 0.0
-    return int(np.sum(s > max(cutoff, rtol)))
+    s = np.linalg.svd(R, compute_uv=False)
+    cutoff = RANK_RTOL * s[0] if s[0] > 0 else 0.0
+    return int(np.sum(s > max(cutoff, RANK_RTOL)))
 
 
-def rigidity_rank(f: Framework, rtol: float = RANK_RTOL) -> int:
-    """Numerical rank of the rigidity matrix."""
-    return _rank(rigidity_matrix(f), rtol)
-
-
-def is_infinitesimally_rigid(f: Framework, rtol: float = RANK_RTOL) -> bool:
+def is_infinitesimally_rigid(f: Framework) -> bool:
     """True iff rank R = 2n - 3 (planar test, needs n >= 3)."""
     if f.n < 3:
         raise ValueError(f"rigidity test needs at least 3 nodes, got {f.n}")
-    return rigidity_rank(f, rtol) == 2 * f.n - 3
+    return rigidity_rank(f) == 2 * f.n - 3
 
 
-def is_minimally_rigid(f: Framework, rtol: float = RANK_RTOL) -> bool:
+def is_minimally_rigid(f: Framework) -> bool:
     """True iff infinitesimally rigid with exactly 2n - 3 edges."""
-    return is_infinitesimally_rigid(f, rtol) and f.graph.edge_count == 2 * f.n - 3
+    return is_infinitesimally_rigid(f) and f.graph.edge_count == 2 * f.n - 3
 
 
 @dataclass(frozen=True)

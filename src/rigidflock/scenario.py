@@ -187,8 +187,9 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
                      positive=True)
     dur_val = _number(sim.get("duration_s") if duration is None else duration,
                       "sim.duration_s")
-    # The rollout's time axis takes 8 bytes a step; a longer one is not
-    # addressable, and a step count of inf is no integer at all.
+    # The step count and the log's bytes must fit an index: the log's t
+    # column takes 8 bytes a row, and at sample_every 1 a row is a step.
+    # A step count of inf is no integer at all.
     if not dur_val / dt_val < np.iinfo(np.intp).max // 8:
         _fail("sim.dt_s", f"duration_s / dt_s = {dur_val / dt_val:g} steps "
                           "is too many to index")

@@ -140,6 +140,32 @@ def test_initial_state_by_mode():
     assert w.time == 0.0
 
 
+@pytest.mark.parametrize("name", ["pentagon_flock", "pentagon_intercept"])
+def test_law_mapping_matches_the_eval_wrappers(name):
+    # step_world evaluates RunConfig.law() and references(); perfbench
+    # times flock_eval/intercept_eval with the config's fields.  Both
+    # mappings of a run onto the law must give the same bits.
+    cfg = load_scenario(bundled_scenario_path(name)).to_run_config()
+    w = initial_state(cfg)
+    est = np.concatenate([getattr(w, f) for f in engine._ESTIMATES[cfg.mode]], axis=1)
+    rate, *rest = engine.kernels._eval(cfg.law(), w.poses, est, cfg.references(0.0)[0])
+    if cfg.mode == "flock":
+        _, v0, _ = cfg.signal.state(0.0)
+        expected = engine.kernels.flock_eval(
+            w.poses, w.v_f_hat, v0, cfg._edges, cfg._d2, cfg.access_flags,
+            cfg.k_a, cfg.c, cfg.alpha, cfg.anchor_sign, cfg.smoothing_epsilon)
+    else:
+        pt, vt, at = cfg.signal.state(0.0)
+        expected = engine.kernels.intercept_eval(
+            w.poses, w.v_t_hat, w.e_t_hat, pt, vt, at, cfg._edges, cfg._d2,
+            cfg.leader - 1, cfg.k_a, cfg.k_t, cfg.c, cfg.alpha1, cfg.alpha2,
+            cfg.smoothing_epsilon)
+    got = [rate[:, k] for k in range(rate.shape[1])] + rest
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        np.testing.assert_array_equal(a, b)
+
+
 # --- stepping ----------------------------------------------------------------
 
 def test_exact_equilibrium_is_bitwise_stationary():
@@ -292,6 +318,37 @@ def test_chunked_run_equals_one_chunk(monkeypatch, mode, form, sample_every):
             for name, value in early.items():
                 np.testing.assert_array_equal(value, expected[name][:ready],
                                               err_msg=(rows, ready, name))
+
+
+@pytest.mark.parametrize("mode", ["flock", "intercept"])
+def test_run_samples_one_chunk_of_references_at_a_time(monkeypatch, mode):
+    # A run holds one chunk's references, never the whole run's.
+    base = load_scenario(bundled_scenario_path(f"pentagon_{mode}")).to_run_config()
+    cfg = dataclasses.replace(base, duration=base.dt * 120, sample_every=2)
+    path = type(cfg.signal)
+    lengths = []
+    monkeypatch.setattr(path, "sample", lambda self, times, fn=path.sample:
+                        lengths.append(np.size(times)) or fn(self, times))
+    monkeypatch.setattr(engine, "_CHUNK_ROWS", 8)
+    run(cfg)
+    assert max(lengths) <= 8 * cfg.sample_every + 1
+    assert len(lengths) == 8  # 61 rows in chunks of 8
+
+
+@pytest.mark.parametrize("mode", ["flock", "intercept"])
+def test_chunked_references_equal_one_sampling_of_the_run(monkeypatch, mode):
+    base = load_scenario(bundled_scenario_path(f"pentagon_{mode}")).to_run_config()
+    cfg = dataclasses.replace(base, duration=base.dt * 3000, sample_every=3)
+    monkeypatch.setattr(engine, "_CHUNK_ROWS", 128)  # 1,001 rows: 8 chunks
+    log = run(cfg)
+    times = np.arange(3001) * cfg.dt
+    pos, vel, _ = cfg.signal.sample(times)
+    np.testing.assert_array_equal(log.t, times[::3])
+    if mode == "flock":
+        np.testing.assert_array_equal(log.v0, vel[::3])
+    else:
+        np.testing.assert_array_equal(log.target_pos, pos[::3])
+        np.testing.assert_array_equal(log.target_vel, vel[::3])
 
 
 # --- rollouts and logs -------------------------------------------------------
