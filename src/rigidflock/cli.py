@@ -190,7 +190,7 @@ class _Outputs:
     Run as a program, the CLI pins OpenBLAS to one thread before numpy
     loads, so its process has one thread when it forks the writer, and
     Python 3.12+'s warning about forking a multi-threaded process cannot
-    fire.
+    fire; the CI workflow runs the CLI on 3.12 and fails on that warning.
     """
 
     def __init__(self, tables):

@@ -11,8 +11,16 @@ A parsed ``Scenario`` is the run's ``engine.RunConfig``: it adds only
 the fields the run report reads (name, notes, seed, target formation,
 v0_access and the observer rate bounds).
 
+Seeded poses come from the module's own copy of numpy's default stream
+(``SeedSequence`` into PCG64): a seed gives the draws of
+``np.random.default_rng(seed).uniform`` bit for bit, whatever numpy is
+installed, and a CLI process never imports ``numpy.random``, which
+would load ``secrets`` and OpenSSL's ``_hashlib`` (about 5 MB) for 3n
+draws.
+
 Validation failures raise ScenarioError with the offending field path;
-soft conditions (observer gain bounds) only log warnings to stderr.
+soft conditions (observer gain bounds, fields the parser never reads,
+at any level) only log warnings to stderr.
 """
 
 from __future__ import annotations
@@ -36,11 +44,16 @@ logger = logging.getLogger("rigidflock.scenario")
 
 HULL_TOL = 1e-9
 
+# Every field the parser reads, by the path of its object, in either mode.
 _KNOWN_KEYS = {
-    "name", "mode", "notes", "agents", "edges", "target_positions_m",
-    "target_distances_m", "gains", "flock_velocity", "v0_access", "gamma0",
-    "target", "gamma_t1", "gamma_t2", "anchor_sign", "smoothing_epsilon",
-    "initial", "sim",
+    "": {"name", "mode", "notes", "agents", "edges", "target_positions_m",
+         "target_distances_m", "gains", "flock_velocity", "v0_access",
+         "gamma0", "target", "gamma_t1", "gamma_t2", "anchor_sign",
+         "smoothing_epsilon", "initial", "sim"},
+    "gains.": {"k_a", "c", "alpha", "k_t", "alpha1", "alpha2"},
+    "initial.": {"poses", "seed", "perturbation_radius_m", "v_f_hat",
+                 "v_t_hat", "e_t_hat"},
+    "sim.": {"dt_s", "duration_s", "sample_every"},
 }
 
 
@@ -56,6 +69,18 @@ def _need(data: dict, key: str, pointer: str = ""):
     if key not in data:
         _fail(pointer + key, "missing required field")
     return data[key]
+
+
+def _object(data, pointer: str) -> dict:
+    """The object at ``pointer``; warns of each field the parser never reads."""
+    if not isinstance(data, dict):
+        if not pointer:
+            raise ScenarioError("scenario: top level must be a JSON object")
+        _fail(pointer[:-1], "must be an object")
+    for key in data:
+        if key not in _KNOWN_KEYS[pointer]:
+            logger.warning("scenario: ignoring unknown field %r", pointer + key)
+    return data
 
 
 @dataclass
@@ -85,13 +110,75 @@ class Scenario(RunConfig):
         return self
 
 
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64(seed: int):
+    """The 64-bit outputs of ``np.random.PCG64(seed)``, without numpy.random.
+
+    ``SeedSequence(seed)`` hashes the seed's 32-bit words into a pool of
+    four and draws four 64-bit words from it: the LCG's start and its
+    increment.  PCG64 (O'Neill, HMC-CS-2014-0905) steps a 128-bit LCG
+    and outputs its XSL-RR permutation.
+    """
+    words = [seed & _M32]
+    while seed := seed >> 32:
+        words.append(seed & _M32)
+    hash_a = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = hash_a * 0x931E8875 & _M32
+        value = value * hash_a & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = 0xCA01F9DD * x - 0x4973F715 * y & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_b, half = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_b
+        hash_b = hash_b * 0x58F38DED & _M32
+        value = value * hash_b & _M32
+        half.append(value ^ value >> 16)
+    s0, s1, i0, i1 = (half[k] | half[k + 1] << 32 for k in range(0, 8, 2))
+    inc = ((i0 << 64 | i1) << 1 | 1) & _M128
+    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
+    while True:
+        state = (state * _PCG_MULT + inc) & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        yield (x >> rot | x << (64 - rot)) & _M64
+
+
+def _uniform(raw, low: float, high: float, n: int) -> np.ndarray:
+    """``Generator.uniform(low, high, size=n)`` on the 64-bit stream ``raw``."""
+    return np.array([low + (high - low) * ((next(raw) >> 11) * 2.0**-53)
+                     for _ in range(n)])
+
+
 def _seeded_poses(anchor: np.ndarray, seed: int, radius: float) -> np.ndarray:
-    """Anchor positions perturbed uniformly on a disk; headings uniform."""
+    """Anchor positions perturbed uniformly on a disk; headings uniform.
+
+    The draws are ``np.random.default_rng(seed).uniform``'s, bit for bit.
+    """
     n = anchor.shape[0]
-    rng = np.random.default_rng(seed)
-    rr = radius * np.sqrt(rng.uniform(size=n))
-    ang = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    theta = rng.uniform(-np.pi, np.pi, size=n)
+    raw = _pcg64(seed)
+    rr = radius * np.sqrt(_uniform(raw, 0.0, 1.0, n))
+    ang = _uniform(raw, 0.0, 2.0 * np.pi, n)
+    theta = _uniform(raw, -np.pi, np.pi, n)
     poses = np.zeros((n, 3))
     poses[:, 0] = anchor[:, 0] + rr * np.cos(ang)
     poses[:, 1] = anchor[:, 1] + rr * np.sin(ang)
@@ -143,11 +230,7 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
                        dt: float | None = None,
                        seed: int | None = None) -> Scenario:
     """Validate a scenario dict; optional CLI-style overrides."""
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario: top level must be a JSON object")
-    for key in data:
-        if key not in _KNOWN_KEYS:
-            logger.warning("scenario: ignoring unknown field %r", key)
+    _object(data, "")
     mode = _need(data, "mode")
     if mode not in ("flock", "intercept"):
         _fail("mode", f"must be 'flock' or 'intercept', got {mode!r}")
@@ -166,9 +249,7 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
     except ValueError as exc:
         _fail("target_positions_m", str(exc))
 
-    gains_d = _need(data, "gains")
-    if not isinstance(gains_d, dict):
-        _fail("gains", "must be an object")
+    gains_d = _object(_need(data, "gains"), "gains.")
     k_a = _number(gains_d.get("k_a"), "gains.k_a", positive=True)
     c_raw = _need(gains_d, "c", "gains.")
     if not is_json_numeric_array(c_raw):
@@ -180,9 +261,7 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
     if not (np.all(np.isfinite(c_arr)) and np.all(c_arr > 0)):
         _fail("gains.c", f"heading gains must be finite and > 0, got {c_raw!r}")
 
-    sim = _need(data, "sim")
-    if not isinstance(sim, dict):
-        _fail("sim", "must be an object")
+    sim = _object(_need(data, "sim"), "sim.")
     dt_val = _number(sim.get("dt_s") if dt is None else dt, "sim.dt_s",
                      positive=True)
     dur_val = _number(sim.get("duration_s") if duration is None else duration,
@@ -250,9 +329,7 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
                   "hull of the follower positions")
 
     # --- initial conditions ---------------------------------------------
-    init = _need(data, "initial")
-    if not isinstance(init, dict):
-        _fail("initial", "must be an object")
+    init = _object(_need(data, "initial"), "initial.")
     seed_val: int | None = None
     if seed is not None:
         if "poses" in init:

@@ -772,6 +772,21 @@ def test_cli_import_freezes_the_heap_and_keeps_the_gc_setting(before, module,
     assert out.stdout.strip() == expected
 
 
+@pytest.mark.parametrize("command, name", [("simulate", "pentagon_flock"),
+                                           ("check-rigidity", "pentagon_intercept")])
+def test_cli_never_imports_numpy_random(tmp_path, command, name):
+    # numpy.random would load secrets and OpenSSL's _hashlib, about 5 MB
+    # of a process's peak, for a seeded scenario's 3n uniform draws.
+    argv = [command, str(bundled_scenario_path(name))]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "o"), "--duration", "0.1"]
+    out = run_child(argv, code=(
+        "import sys; from rigidflock.cli import main; rc = main(sys.argv[1:]); "
+        "print(rc, sorted({'numpy.random', 'secrets', '_hashlib'} & set(sys.modules)))"))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 []"
+
+
 @pytest.mark.parametrize("n_key, pos_key", [("n", "positions_m"),
                                             ("agents", "target_positions_m")])
 def test_check_rigidity_rejects_non_number_positions(tmp_path, n_key, pos_key):

@@ -1,20 +1,30 @@
 """Tests for scenario loading and validation."""
 
+import importlib.util
 import inspect
+import itertools
 import json
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidflock.engine import RunConfig, run
 from rigidflock.scenario import (
     Scenario,
     ScenarioError,
+    _pcg64,
+    _seeded_poses,
+    _uniform,
     bundled_scenario_path,
     load_scenario,
     scenario_from_dict,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def flock_dict():
@@ -304,6 +314,66 @@ def test_seeded_poses_stay_within_radius():
         assert np.all(np.abs(scn.initial_poses[:, 2]) <= np.pi)
 
 
+# float.hex of the bundled scenarios' seeded initial_poses: a change to
+# the seeded stream changes every seeded run, so it fails here first.
+PINNED_POSES = {
+    "pentagon_flock": [
+        ["0x1.6950c9a4ba8eap-5", "0x1.f8daa7792b2e3p-4", "-0x1.6356ce0af8600p-1"],
+        ["-0x1.b99c6315cca0fp-4", "0x1.e3e83e92a23a2p-5", "-0x1.b1f0cbb258650p+0"],
+        ["-0x1.37256473a1424p-6", "-0x1.a58f91376740cp-4", "-0x1.0bd8821730fbep+1"],
+        ["0x1.39307551cb616p-5", "-0x1.f2ce6350f04c4p-4", "-0x1.16b91402cce60p+1"],
+        ["0x1.5865df8679e18p-4", "0x1.43c704ccd156ep-4", "0x1.7d4983eaa1606p+1"],
+    ],
+    "pentagon_intercept": [
+        ["0x1.8465d06fa7e49p-6", "0x1.9b34ed9ec3570p-3", "-0x1.8a4a88d09da88p+0"],
+        ["-0x1.6c5e392b3a11fp-3", "0x1.286eba7775bf1p-5", "-0x1.6160c79cc6d40p-2"],
+        ["-0x1.c1f8ac4de770ap-4", "-0x1.7f22daaf297bbp-3", "0x1.d436f2ce07300p-6"],
+        ["0x1.a86115ffe56e4p-4", "-0x1.4589eb5f506b1p-3", "0x1.583373e510d38p-2"],
+        ["0x1.7a8af2474372cp-3", "0x1.3cc43b2115ad9p-4", "0x1.8e8145e6fb4aap+1"],
+        ["-0x1.4674a7025dbcfp-8", "0x1.c416429f43e58p-6", "0x1.d6bed00d42054p+0"],
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_POSES))
+def test_bundled_seeded_poses_are_pinned(name):
+    poses = load_scenario(bundled_scenario_path(name)).initial_poses
+    assert [[float(v).hex() for v in row] for row in poses] == PINNED_POSES[name]
+
+
+# The (low, high) pairs _seeded_poses draws with, in its order.
+UNIFORM_RANGES = [(0.0, 1.0), (0.0, 2.0 * np.pi), (-np.pi, np.pi)]
+
+
+def assert_stream_is_numpys(seed, n):
+    raw = np.random.PCG64(seed).random_raw(n)
+    assert list(itertools.islice(_pcg64(seed), n)) == raw.tolist()
+    for low, high in UNIFORM_RANGES:
+        np.testing.assert_array_equal(
+            _uniform(_pcg64(seed), low, high, n),
+            np.random.default_rng(seed).uniform(low, high, size=n))
+    # The poses as numpy's Generator drew them, one stream for all three.
+    rng = np.random.default_rng(seed)
+    u, ang, theta = (rng.uniform(low, high, size=n) for low, high in UNIFORM_RANGES)
+    anchor = np.linspace(-1.0, 1.0, 2 * n).reshape(n, 2)
+    expected = np.column_stack([anchor[:, 0] + 0.1 * np.sqrt(u) * np.cos(ang),
+                                anchor[:, 1] + 0.1 * np.sqrt(u) * np.sin(ang),
+                                theta])
+    np.testing.assert_array_equal(_seeded_poses(anchor, seed, 0.1), expected)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 2, 2**32 - 1, 2**32,
+                                  2**64 + 3, 2**100 + 17])
+def test_seeded_stream_is_numpys_default_stream(seed):
+    assert_stream_is_numpys(seed, 300)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**130 - 1), n=st.integers(1, 300))
+def test_seeded_stream_is_numpys_default_stream_for_any_seed(seed, n):
+    assert_stream_is_numpys(seed, n)
+
+
 def test_duration_and_dt_overrides():
     scn = load_scenario(bundled_scenario_path("pentagon_flock"),
                         duration=2.0, dt=5e-4)
@@ -338,6 +408,44 @@ def test_unknown_field_warns(caplog):
     with caplog.at_level(logging.WARNING, logger="rigidflock.scenario"):
         scenario_from_dict(d)
     assert any("unknown field" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize("make, obj, key", [
+    # Each of these once loaded without a word; the first two ran on the
+    # default of the field they misspell.
+    (flock_dict, "sim", "sample_evry"),
+    (intercept_dict, "initial", "v_t_hatt"),
+    (flock_dict, "initial", "v_f_hatt"),
+    (intercept_dict, "gains", "alpha_1"),
+])
+def test_unknown_nested_field_warns_with_its_path(caplog, make, obj, key):
+    d = make()
+    d[obj][key] = 1
+    with caplog.at_level(logging.WARNING, logger="rigidflock.scenario"):
+        scenario_from_dict(d)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"scenario: ignoring unknown field '{obj}.{key}'"]
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_shipped_and_benchmark_scenarios_warn_of_no_field(caplog):
+    # A field that every mode reads stays known in both modes.
+    docs = [flock_dict(), intercept_dict(), flock_dict()]
+    docs[2]["initial"] = {"poses": [[0.0, 0.0, 0.0]] * docs[2]["agents"],
+                          "v_f_hat": [[0.0, 0.0]] * docs[2]["agents"]}
+    docs += [make(ROOT, seed) for make in _workloads().GENERATORS.values()
+             for seed in (3, 11)]
+    with caplog.at_level(logging.WARNING, logger="rigidflock.scenario"):
+        for d in docs:
+            scenario_from_dict(d)
+    assert not [r for r in caplog.records if "unknown field" in r.getMessage()]
 
 
 def test_scenario_is_its_run_config():
