@@ -87,7 +87,7 @@ def step_count(duration: float, dt: float, sample_every: int) -> int:
         raise ValueError(f"duration / dt = {steps:.17g} steps must be a whole number")
     n_steps = int(round(steps))
     if n_steps % sample_every:
-        raise ValueError(f"duration / dt = {n_steps} steps must be a multiple of "
+        raise ValueError(f"duration / dt = {n_steps:.17g} steps must be a multiple of "
                          f"sample_every = {sample_every}")
     return n_steps
 
@@ -163,6 +163,10 @@ class RunConfig:
                 f"dt * max(c) = {self.dt * float(self.c.max()):g} must be < 1 "
                 "for a stable heading loop")
         step_count(self.duration, self.dt, self.sample_every)
+        for name in ("k_a", "alpha") if self.mode == "flock" else (
+                "k_a", "k_t", "alpha1", "alpha2"):
+            if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ValueError(f"{name} must be finite and > 0")
         if self.mode == "flock":
             if self.access_flags is None:
                 self.access_flags = np.zeros(n)
@@ -187,6 +191,8 @@ class RunConfig:
             self.target_positions = np.array(self.target_positions, dtype=float)
             if self.target_positions.shape != (n, 2):
                 raise ValueError(f"target_positions must be ({n}, 2)")
+            if not np.all(np.isfinite(self.target_positions)):
+                raise ValueError("target_positions must be finite")
         self._d2 = self.distances**2
         self._edges = self.graph.edge_array()
         self._dist_by_pair = {
@@ -233,13 +239,10 @@ def initial_state(config: RunConfig) -> WorldState:
 # single-step evaluation and stepping
 # ---------------------------------------------------------------------------
 
-def _euler_step(world: WorldState, config: RunConfig, dt: float | None,
-                v, omega, **rates) -> WorldState:
-    """``world`` advanced one explicit-Euler step under commands (v, omega)
-    and the estimate ``rates``, keyed by WorldState field."""
-    dt = config.dt if dt is None else dt
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError("dt must be positive")
+def _euler_step(world: WorldState, config: RunConfig, v, omega, **rates) -> WorldState:
+    """``world`` advanced one explicit-Euler step of ``config.dt`` under
+    commands (v, omega) and the estimate ``rates``, keyed by WorldState field."""
+    dt = config.dt
     out = world.copy()
     out.poses[:, 0] += v * np.cos(world.poses[:, 2]) * dt
     out.poses[:, 1] += v * np.sin(world.poses[:, 2]) * dt
@@ -256,13 +259,13 @@ def _euler_step(world: WorldState, config: RunConfig, dt: float | None,
     return out
 
 
-def step_world(world: WorldState, config: RunConfig, dt: float | None = None) -> WorldState:
+def step_world(world: WorldState, config: RunConfig) -> WorldState:
     """Advance the world one explicit-Euler step; returns a new state."""
     fields = _ESTIMATES[config.mode]
     est = np.concatenate([getattr(world, name) for name in fields], axis=1)
     rate, u, tid, te, v, omega, udot = kernels._eval(
         config.law(), world.poses, est, config.references(world.time)[0])
-    return _euler_step(world, config, dt, v, omega,
+    return _euler_step(world, config, v, omega,
                        **{name: rate[:, k] for k, name in enumerate(fields)})
 
 
@@ -526,41 +529,11 @@ def velocity_tracking_errors(log: TrajectoryLog) -> np.ndarray:
 
 
 def hull_containment(log: TrajectoryLog, rows: slice = slice(None)) -> np.ndarray:
-    """Per-row flag of ``rows``: target inside the hull of the follower positions.
-
-    Every row is tested at once by ``_strictly_inside``; only the rows it
-    does not find inside go to ``convex_hull_contains``, which owns the
-    tolerance band at the boundary and the degenerate hulls.
-    """
+    """Per-row flag of ``rows``: target inside the hull of the follower
+    positions, by one ``convex_hull_contains`` call over all of them."""
     if log.mode != "intercept":
         raise ValueError("hull containment is an intercept-mode metric")
-    followers = log.poses[rows, : log.n - 1, :2]
-    targets = log.target_pos[rows]
-    out = _strictly_inside(followers, targets)
-    for r in np.flatnonzero(~out):
-        out[r] = convex_hull_contains(followers[r], targets[r])
-    return out
-
-
-def _strictly_inside(points: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Rows r where q[r] lies inside the hull of points[r] (m, 2), by angle.
-
-    q is inside iff no gap between the sorted directions of p_i - q is
-    larger than pi.  A q outside at distance d widens the largest gap
-    to at least pi + d/|p_a - q| + d/|p_b - q|, with p_a and p_b the
-    points on either side of it, while rounding p_i - q turns a
-    direction by about 2.2e-16 |p| / |p_i - q|.  So a row reads inside
-    wrongly only for d below about 1e-15 times the coordinates and the
-    spread, far inside the 1e-9 m band that ``convex_hull_contains``
-    accepts anyway.  A gap of exactly pi (q on an edge) and a row of
-    fewer than three points read outside.
-    """
-    if points.shape[1] < 3:
-        return np.zeros(len(q), dtype=bool)
-    rel = points - q[:, None, :]
-    angle = np.sort(np.arctan2(rel[..., 1], rel[..., 0]), axis=1)
-    gaps = np.diff(angle, axis=1, append=angle[:, :1] + 2.0 * np.pi)
-    return gaps.max(axis=1) < np.pi
+    return convex_hull_contains(log.poses[rows, : log.n - 1, :2], log.target_pos[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -730,9 +703,8 @@ def measurement_commands(world: WorldState, config: RunConfig):
     return commands, rates
 
 
-def measurement_step(world: WorldState, config: RunConfig,
-                     dt: float | None = None) -> WorldState:
+def measurement_step(world: WorldState, config: RunConfig) -> WorldState:
     """step_world computed entirely through the measurement path."""
     commands, rates = measurement_commands(world, config)
-    return _euler_step(world, config, dt, commands[:, 0], commands[:, 1],
+    return _euler_step(world, config, commands[:, 0], commands[:, 1],
                        **{key + "_hat": rate for key, rate in rates.items()})

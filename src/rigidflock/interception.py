@@ -4,7 +4,10 @@ Agent n (the leader) measures a moving target directly and chases it;
 followers keep the formation around the leader while feeding estimated
 target terms forward.  The target's designated interception point must
 sit inside the convex hull of the followers' desired positions so the
-formation surrounds the target on arrival.
+formation surrounds the target on arrival.  ``convex_hull_contains`` is
+the package's one hull test: the scenario parser checks that point with
+it, and the engine's ``hull_containment`` series runs it over every
+chunk of a run's rows at once.
 """
 
 from __future__ import annotations
@@ -67,67 +70,44 @@ def follower_u_dot(
     return u_dot(rel_positions, z, bu_self, bu_neighbors, ff, k_a)
 
 
-def _hull_indices(pts: list) -> list[int]:
-    """Monotone-chain convex hull of [x, y] lists; returns CCW vertex indices."""
-    order = sorted(range(len(pts)), key=pts.__getitem__)
-
-    def cross(o, a, b):
-        (ox, oy), (ax, ay), (bx, by) = pts[o], pts[a], pts[b]
-        return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
-
-    lower: list[int] = []
-    for k in order:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], k) <= 0:
-            lower.pop()
-        lower.append(k)
-    upper: list[int] = []
-    for k in reversed(order):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], k) <= 0:
-            upper.pop()
-        upper.append(k)
-    return lower[:-1] + upper[:-1]
+HULL_BAND = 1e-9  # m: a point this close to the hull counts as inside
 
 
-def _point_segment_distance(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.hypot(*(q - a)))
-    t = min(1.0, max(0.0, float((q - a) @ ab) / denom))
-    return float(np.hypot(*(q - a - t * ab)))
+def convex_hull_contains(points: np.ndarray, q: np.ndarray) -> bool | np.ndarray:
+    """Whether q is in conv(points) or within ``HULL_BAND`` of it, row by row.
 
-
-def convex_hull_contains(points: np.ndarray, q: np.ndarray, tol: float = 1e-9) -> bool:
-    """True iff q lies inside or within ``tol`` meters of conv(points).
-
-    Handles degenerate inputs (one point, collinear points) by falling
-    back to point/segment distance.
+    ``points`` is (..., m, 2) with m >= 1 and ``q`` is (..., 2); all rows
+    are tested at once, and a single row gives a ``bool``.  A row is
+    inside when no gap between the sorted directions of p_i - q exceeds
+    pi.  A q outside at distance d widens the largest gap to at least
+    pi + d/|p_a - q| + d/|p_b - q| (p_a, p_b on either side of it), while
+    rounding p_i - q turns a direction by about 2.2e-16 |p| / |p_i - q|:
+    only a q within about 1e-15 times the coordinates and the spread
+    reads inside wrongly (a q equal to a p_i is in).  Other rows are
+    inside when the nearest segment p_i p_j (i <= j) is within the band.
+    That is the distance to the hull, as every hull edge is such a
+    segment and every such segment lies in the hull, so it also settles
+    boundary points, one-point and collinear sets.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if pts.shape[0] < 1:
+    pts, q = np.asarray(points, dtype=float), np.asarray(q, dtype=float)
+    m, shape = pts.shape[-2], q.shape[:-1]
+    if m < 1:
         raise ValueError("need at least one point")
-    q = np.asarray(q, dtype=float).reshape(2)
-    if pts.shape[0] == 1:
-        return float(np.hypot(*(q - pts[0]))) <= tol
-    corners = pts.tolist()
-    hull = _hull_indices(corners)
-    if len(hull) < 3:
-        # Collinear (or two points): distance to the extremal segment.
-        d = min(
-            _point_segment_distance(q, pts[a], pts[b])
-            for a in hull
-            for b in hull
-        )
-        return d <= tol
-    ring = list(zip(hull, hull[1:] + hull[:1]))
-    qx, qy = q.tolist()
-
-    def right_of(a, b):
-        (ax, ay), (bx, by) = corners[a], corners[b]
-        return (bx - ax) * (qy - ay) - (by - ay) * (qx - ax) < 0
-
-    # Inside iff q is right of no CCW hull edge; otherwise it may still
-    # be within tol of the boundary.
-    if not any(right_of(a, b) for a, b in ring):
-        return True
-    return min(_point_segment_distance(q, pts[a], pts[b]) for a, b in ring) <= tol
+    pts, q = pts.reshape(-1, m, 2), q.reshape(-1, 2)
+    rel = pts - q[:, None, :]
+    angle = np.sort(np.arctan2(rel[..., 1], rel[..., 0]), axis=1)
+    gaps = np.diff(angle, axis=1, append=angle[:, :1] + 2.0 * np.pi)
+    inside = gaps.max(axis=1) < np.pi
+    rest = np.flatnonzero(~inside)
+    if rest.size:
+        p, qa = pts[rest], rel[rest]  # qa[:, i] = p_i - q
+        near = np.full(rest.size, np.inf)
+        for i in range(m):  # segments from p_i to each p_j, j >= i
+            ab = p[:, i:] - p[:, i:i + 1]
+            den = np.einsum("rkj,rkj->rk", ab, ab)
+            t = np.clip(-np.einsum("rj,rkj->rk", qa[:, i], ab)
+                        / np.where(den > 0.0, den, 1.0), 0.0, 1.0)
+            d = qa[:, i, None] + t[..., None] * ab  # nearest point minus q
+            near = np.minimum(near, np.hypot(d[..., 0], d[..., 1]).min(axis=1))
+        inside[rest] = near <= HULL_BAND
+    return bool(inside[0]) if not shape else inside.reshape(shape)

@@ -42,8 +42,6 @@ from .trajectories import is_json_number, is_json_numeric_array, make_trajectory
 
 logger = logging.getLogger("rigidflock.scenario")
 
-HULL_TOL = 1e-9
-
 # Every field the parser reads, by the path of its object, in either mode.
 _KNOWN_KEYS = {
     "": {"name", "mode", "notes", "agents", "edges", "target_positions_m",
@@ -323,7 +321,7 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
         # The designated interception point (the leader's spot in the
         # target formation) must lie inside the followers' hull so the
         # converged formation surrounds the target.
-        if not convex_hull_contains(pos[: n - 1], pos[n - 1], HULL_TOL):
+        if not convex_hull_contains(pos[: n - 1], pos[n - 1]):
             _fail("target_positions_m",
                   f"leader position (agent {n}) must lie inside the convex "
                   "hull of the follower positions")

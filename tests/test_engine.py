@@ -96,6 +96,8 @@ def test_run_config_validation():
         right_triangle_config(sample_every=3)
     with pytest.raises(ValueError, match="whole number"):
         right_triangle_config(dt=5e-324, c=1.0)  # inf steps
+    with pytest.raises(ValueError, match=r"= 1e\+303 steps must be a multiple"):
+        right_triangle_config(duration=1e300)
     with pytest.raises(ValueError, match="heading gains"):
         right_triangle_config(c=-10.0)
     with pytest.raises(ValueError, match="stable heading loop"):
@@ -107,13 +109,21 @@ def test_run_config_validation():
     for eps in (-0.1, np.nan, np.inf):
         with pytest.raises(ValueError, match="smoothing"):
             right_triangle_config(smoothing_epsilon=eps)
+    # A gain that is not finite and > 0 is bad input, not a divergence
+    # at t = dt nor a silent run.
+    for mode, names in (("flock", ("k_a", "alpha")),
+                        ("intercept", ("k_a", "k_t", "alpha1", "alpha2"))):
+        for name in names:
+            for bad in (0.0, -6.0, np.nan, np.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+                    right_triangle_config(mode=mode, **{name: bad})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("mode, name", [
     ("flock", "initial_poses"), ("flock", "initial_v_f_hat"),
     ("intercept", "initial_poses"), ("intercept", "initial_v_t_hat"),
-    ("intercept", "initial_e_t_hat")])
+    ("intercept", "initial_e_t_hat"), ("intercept", "target_positions")])
 def test_run_config_rejects_non_finite_initial_state(mode, name, bad):
     # A state that was never sane is bad input, not a divergence at t = dt.
     cfg = right_triangle_config(mode=mode)
@@ -185,11 +195,13 @@ def test_exact_equilibrium_is_bitwise_stationary():
 
 
 def test_step_world_rejects_bad_dt():
+    # Both steppers step by config.dt, and RunConfig rejects a bad one.
     cfg = right_triangle_config()
     for stepper in (step_world, measurement_step):
-        for dt in (-1e-3, 0.0, float("nan")):
-            with pytest.raises(ValueError, match="dt must be positive"):
-                stepper(initial_state(cfg), cfg, dt=dt)
+        assert stepper(initial_state(cfg), cfg).time == cfg.dt
+    for dt in (-1e-3, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            dataclasses.replace(cfg, dt=dt)
 
 
 def test_step_world_divergence_reports_agent():
@@ -216,8 +228,10 @@ DIVERGENCE_CASES = [  # (overrides, agent, time_s)
     (dict(mode="intercept", k_a=1e12, distances=OFF_23), 2, 0.001),
     # An infinite observer gain breaks the estimates a step before any
     # pose; a huge finite one is not yet a divergence on its own.
-    (dict(mode="intercept", alpha1=np.inf, alpha2=np.inf,
-          initial_poses=STRETCHED), 1, 0.001),
+    # RunConfig rejects an infinite gain, and law() reads the gains at
+    # call time, so this case sets them after construction.
+    (dict(mode="intercept", initial_poses=STRETCHED,
+          set_after=dict(alpha1=np.inf, alpha2=np.inf)), 1, 0.001),
     (dict(mode="intercept", alpha1=1e300, alpha2=1e300,
           initial_poses=STRETCHED), 1, 0.003),
 ]
@@ -231,8 +245,12 @@ def assert_divergences_match_step_world(monkeypatch, sample_every=10):
     loop form uncompiled on arrays (the numba source) and on lists.
     """
     for overrides, agent, time_s in DIVERGENCE_CASES:
+        overrides = dict(overrides)
+        set_after = overrides.pop("set_after", {})
         cfg = right_triangle_config(duration=0.01, sample_every=sample_every,
                                     **overrides)
+        for name, value in set_after.items():
+            setattr(cfg, name, value)
         with np.errstate(over="ignore", invalid="ignore"):
             found = []
             with pytest.raises(SimulationDiverged) as by_run:

@@ -1,6 +1,7 @@
 """Tests for interception control laws and convex-hull containment."""
 
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,7 +11,6 @@ from rigidflock import engine
 from rigidflock.engine import TrajectoryLog, hull_containment
 from rigidflock.flocking import u_dot
 from rigidflock.interception import (
-    _hull_indices,
     convex_hull_contains,
     follower_u,
     follower_u_dot,
@@ -110,7 +110,24 @@ def test_hull_excludes_exterior_point():
 def test_hull_boundary_is_inclusive():
     assert convex_hull_contains(UNIT_SQUARE, [0.5, 0.0])
     assert convex_hull_contains(UNIT_SQUARE, [1.0, 1.0])
-    assert convex_hull_contains(UNIT_SQUARE, [0.5, -0.5e-9], tol=1e-9)
+    assert convex_hull_contains(UNIT_SQUARE, [0.5, -0.5e-9])
+
+
+def test_hull_band_holds_along_every_edge():
+    # Points along each edge of a pentagon, on it and 2e-9 m either side,
+    # tested as one batch and row by row.
+    angle = 2 * np.pi * np.arange(5) / 5 + 0.3
+    pts = np.column_stack([np.cos(angle), np.sin(angle)]) * 1.7 + [0.4, -0.2]
+    rows, want = [], []
+    for a, b in zip(pts, np.roll(pts, -1, axis=0)):
+        out = np.array([b[1] - a[1], a[0] - b[0]]) / np.hypot(*(b - a))
+        for t in np.linspace(0.0, 1.0, 9):
+            for shift, inside in ((0.0, True), (2e-9, False), (-2e-9, True)):
+                rows.append(a + t * (b - a) + shift * out)
+                want.append(inside)
+    flags = convex_hull_contains(np.broadcast_to(pts, (len(rows), 5, 2)), np.array(rows))
+    assert flags.tolist() == want
+    assert [convex_hull_contains(pts, q) for q in rows] == want
 
 
 def test_hull_interior_points_do_not_mask():
@@ -163,16 +180,44 @@ def segment_distance(q, a, b):
     return np.hypot(*(q - a - t * ab))
 
 
-def in_some_triangle(pts, q):
-    """Caratheodory oracle: q is in conv(pts) iff some triangle holds it."""
-    def orient(a, b):
-        return (b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0])
+def orient(a, b, p):
+    """Exact orientation of p against a -> b: > 0 left, 0 on the line, < 0 right."""
+    (ax, ay), (bx, by), (px, py) = [[Fraction(float(x)) for x in v] for v in (a, b, p)]
+    return (bx - ax) * (py - ay) - (by - ay) * (px - ax)
 
+
+def in_some_triangle(pts, q):
+    """Caratheodory oracle: q is in conv(pts) iff some triangle holds it.
+
+    Exact for a hull with an interior; a triangle of zero area is
+    skipped, since its three zero orientations would hold any q on its
+    line.
+    """
     for a, b, c in combinations(pts, 3):
-        s = (orient(a, b), orient(b, c), orient(c, a))
-        if min(s) >= 0 or max(s) <= 0:
+        s = (orient(a, b, q), orient(b, c, q), orient(c, a, q))
+        if orient(a, b, c) and (min(s) >= 0 or max(s) <= 0):
             return True
     return False
+
+
+def exactly_inside(pts, q):
+    """The hull test's contract, exactly: q in conv(pts) or within 1e-9 m."""
+    band = min(segment_distance(q, a, b)
+               for a, b in combinations_with_replacement(pts, 2))
+    return bool(band <= 1e-9 or in_some_triangle(pts, q))
+
+
+def test_hull_sliver_beyond_the_ends_is_outside():
+    # Three followers on one line in the reals but a float sliver, with
+    # the target on that line 0.151 m beyond their ends: the exact
+    # orientations have mixed signs, so it is outside.
+    pts = np.array([[-0.20942376681479224, 0.6337790602883606],
+                    [1.0318315006299024, -0.23297274002482687],
+                    [1.2800825541188412, -0.40632310008746436]])
+    q = np.array([-0.3335492935592617, 0.7204542403196794])
+    assert not in_some_triangle(pts, q)
+    assert min(segment_distance(q, a, b) for a, b in combinations(pts, 2)) > 0.15
+    assert convex_hull_contains(pts, q) is False
 
 
 def test_hull_random_quadruples_agree_with_triangle_oracle():
@@ -231,6 +276,13 @@ COORD = st.one_of(st.integers(-6, 6).map(float),
                   st.floats(-10, 10, allow_nan=False, allow_infinity=False))
 
 
+def hull_edges(pts):
+    """Pairs (a, b) of distinct points with every point left of or on a -> b:
+    segments of the hull's boundary, each run counterclockwise."""
+    return [(a, b) for a, b in permutations(pts, 2) if (a != b).any()
+            and all(orient(a, b, p) >= 0 for p in pts)]
+
+
 def draw_row(data, m):
     """Followers (m, 2) and a target of a drawn kind relative to them."""
     kind = data.draw(st.sampled_from(
@@ -247,11 +299,9 @@ def draw_row(data, m):
     if kind == "vertex":
         return pts, pts[data.draw(st.integers(0, m - 1))]
     if kind == "edge":  # on a hull edge, or just outside or inside it
-        hull = _hull_indices(pts.tolist())
-        k = data.draw(st.integers(0, len(hull) - 1))
-        a, b = pts[hull[k]], pts[hull[(k + 1) % len(hull)]]
+        a, b = data.draw(st.sampled_from(hull_edges(pts) or [(pts[0], pts[0])]))
         q = a + data.draw(st.sampled_from([0.0, 0.25, 0.5, 1 / 3])) * (b - a)
-        out = np.array([b[1] - a[1], a[0] - b[0]])  # the hull runs CCW
+        out = np.array([b[1] - a[1], a[0] - b[0]])  # every point is left of a -> b
         if out.any():
             q = q + data.draw(st.sampled_from([0.0, 1e-8, -1e-8, 1e-6])) \
                 * out / np.hypot(*out)
@@ -274,21 +324,21 @@ def test_hull_containment_matches_per_row_test(data, m, rows):
     followers = np.array([pts for pts, _ in drawn])
     targets = np.array([q for _, q in drawn])
     flags = hull_containment(intercept_log(followers, targets))
-    assert flags.tolist() == [convex_hull_contains(pts, q) for pts, q in drawn]
+    assert flags.tolist() == [exactly_inside(pts, q) for pts, q in drawn]
 
 
 def test_hull_containment_tests_clear_rows_at_once(monkeypatch):
-    # Rows well inside or well outside a hull; only the outside ones,
-    # which the test over all rows does not find inside, are tested again.
-    per_row = []
+    # Rows well inside or well outside a hull: each call tests all of
+    # its rows with one call of the hull test.
+    calls = []
     monkeypatch.setattr(engine, "convex_hull_contains",
-                        lambda pts, q: per_row.append(1) or convex_hull_contains(pts, q))
+                        lambda pts, q: calls.append(1) or convex_hull_contains(pts, q))
     rng = np.random.default_rng(3)
     angles = np.sort(rng.uniform(0, 2 * np.pi, size=(200, 5)), axis=1)
     followers = np.stack([np.cos(angles), np.sin(angles)], axis=2)
     followers[:, ::2] *= 2.0  # not every row is a cyclic polygon
     centers = followers.mean(axis=1)
     inside = hull_containment(intercept_log(followers, centers))
-    assert inside.all() and not per_row
+    assert inside.all() and len(calls) == 1
     outside = hull_containment(intercept_log(followers, centers + 5.0))
-    assert not outside.any() and len(per_row) == 200
+    assert not outside.any() and len(calls) == 2
