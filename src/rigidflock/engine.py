@@ -10,8 +10,10 @@ Estimates are stored in the common frame for bookkeeping, but every
 signum is evaluated inside the owning agent's body frame, so the whole
 closed loop is equivariant under rotations and translations of the
 world frame.  An agent-side implementation would keep the same
-quantities in local coordinates (see ``measure`` and
-``measurement_commands`` for that formulation).
+quantities in local coordinates (``oracle`` holds that formulation).
+``convex_hull_contains`` is the package's one hull test: the scenario
+parser checks the interception point with it, and ``hull_containment``
+runs it over every chunk of a run's rows at once.
 """
 
 from __future__ import annotations
@@ -23,13 +25,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import flocking as _flocking
-from . import interception as _interception
 from . import kernels
-from .graph import Graph, neighbors
-from .interception import convex_hull_contains
-from .observers import sgn
-from .unicycle import b_matrix, rot_matrix, wrap_angle
+from .graph import Graph
+from .unicycle import wrap_angle
 
 
 class SimulationDiverged(RuntimeError):
@@ -155,7 +153,11 @@ class RunConfig:
         if int(self.sample_every) != self.sample_every or self.sample_every < 1:
             raise ValueError("sample_every must be an integer >= 1")
         self.sample_every = int(self.sample_every)
-        self.c = np.broadcast_to(np.asarray(self.c, dtype=float), (n,)).copy()
+        try:
+            self.c = np.broadcast_to(np.asarray(self.c, dtype=float), (n,)).copy()
+        except (TypeError, ValueError):
+            raise ValueError("heading gains c must be one number or one per agent "
+                             f"(n = {n})") from None
         if np.any(self.c <= 0) or not np.all(np.isfinite(self.c)):
             raise ValueError("heading gains c must be positive")
         if self.dt * float(self.c.max()) >= 1.0:
@@ -528,183 +530,52 @@ def velocity_tracking_errors(log: TrajectoryLog) -> np.ndarray:
     return np.sqrt(np.einsum("rij,rij->ri", dv, dv)).max(axis=1)
 
 
+HULL_BAND = 1e-9  # m: a point this close to the hull counts as inside
+
+
+def convex_hull_contains(points: np.ndarray, q: np.ndarray) -> bool | np.ndarray:
+    """Whether q is in conv(points) or within ``HULL_BAND`` of it, row by row.
+
+    ``points`` is (..., m, 2) with m >= 1 and ``q`` is (..., 2); all rows
+    are tested at once, and a single row gives a ``bool``.  A row is
+    inside when no gap between the sorted directions of p_i - q exceeds
+    pi.  A q outside at distance d widens the largest gap to at least
+    pi + d/|p_a - q| + d/|p_b - q| (p_a, p_b on either side of it), while
+    rounding p_i - q turns a direction by about 2.2e-16 |p| / |p_i - q|:
+    only a q within about 1e-15 times the coordinates and the spread
+    reads inside wrongly (a q equal to a p_i is in).  Other rows are
+    inside when the nearest segment p_i p_j (i <= j) is within the band.
+    That is the distance to the hull, as every hull edge is such a
+    segment and every such segment lies in the hull, so it also settles
+    boundary points, one-point and collinear sets.
+    """
+    pts, q = np.asarray(points, dtype=float), np.asarray(q, dtype=float)
+    m, shape = pts.shape[-2], q.shape[:-1]
+    if m < 1:
+        raise ValueError("need at least one point")
+    pts, q = pts.reshape(-1, m, 2), q.reshape(-1, 2)
+    rel = pts - q[:, None, :]
+    angle = np.sort(np.arctan2(rel[..., 1], rel[..., 0]), axis=1)
+    gaps = np.diff(angle, axis=1, append=angle[:, :1] + 2.0 * np.pi)
+    inside = gaps.max(axis=1) < np.pi
+    rest = np.flatnonzero(~inside)
+    if rest.size:
+        p, qa = pts[rest], rel[rest]  # qa[:, i] = p_i - q
+        near = np.full(rest.size, np.inf)
+        for i in range(m):  # segments from p_i to each p_j, j >= i
+            ab = p[:, i:] - p[:, i:i + 1]
+            den = np.einsum("rkj,rkj->rk", ab, ab)
+            t = np.clip(-np.einsum("rj,rkj->rk", qa[:, i], ab)
+                        / np.where(den > 0.0, den, 1.0), 0.0, 1.0)
+            d = qa[:, i, None] + t[..., None] * ab  # nearest point minus q
+            near = np.minimum(near, np.hypot(d[..., 0], d[..., 1]).min(axis=1))
+        inside[rest] = near <= HULL_BAND
+    return bool(inside[0]) if not shape else inside.reshape(shape)
+
+
 def hull_containment(log: TrajectoryLog, rows: slice = slice(None)) -> np.ndarray:
     """Per-row flag of ``rows``: target inside the hull of the follower
     positions, by one ``convex_hull_contains`` call over all of them."""
     if log.mode != "intercept":
         raise ValueError("hull containment is an intercept-mode metric")
     return convex_hull_contains(log.poses[rows, : log.n - 1, :2], log.target_pos[rows])
-
-
-# ---------------------------------------------------------------------------
-# measurement-mediated per-agent path (reference implementation)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Measurement:
-    """What one agent can sense and receive, in its own body frame.
-
-    Relative positions/headings come from onboard sensing of neighbors;
-    estimate fields arrive over the communication graph.  Only flagged
-    agents (or the intercept leader) see the reference signal fields.
-    ``heading`` is the agent's own absolute heading; the controller
-    reads it only in the parked branch (|u| below threshold), where
-    the desired heading is a global convention.
-    """
-
-    agent: int
-    neighbors: tuple[int, ...]
-    heading: float
-    rel_positions: np.ndarray
-    rel_headings: np.ndarray
-    target_distances: np.ndarray
-    # flock fields
-    own_v_f_hat: np.ndarray | None = None
-    neighbor_v_f_hat: np.ndarray | None = None
-    v0: np.ndarray | None = None
-    has_reference: bool = False
-    # intercept fields
-    own_v_t_hat: np.ndarray | None = None
-    own_e_t_hat: np.ndarray | None = None
-    neighbor_v_t_hat: np.ndarray | None = None
-    neighbor_e_t_hat: np.ndarray | None = None
-    e_t: np.ndarray | None = None
-    v_t: np.ndarray | None = None
-    a_t: np.ndarray | None = None
-
-
-def _to_body(vectors: np.ndarray, theta: float) -> np.ndarray:
-    # Row-vector form of Rot(-theta) @ v.
-    return np.asarray(vectors, dtype=float) @ rot_matrix(theta)
-
-
-def measure(world: WorldState, agent: int, config: RunConfig) -> Measurement:
-    """Body-frame sensing + received messages for one agent (1-based)."""
-    if not (1 <= agent <= config.n):
-        raise ValueError(f"agent {agent} outside 1..{config.n}")
-    k = agent - 1
-    th = world.poses[k, 2]
-    nbrs = neighbors(config.graph, agent)
-    idx = [j - 1 for j in nbrs]
-    rel = world.poses[k, :2][None, :] - world.poses[idx, :2]
-    m = Measurement(
-        agent=agent,
-        neighbors=nbrs,
-        heading=th,
-        rel_positions=_to_body(rel, th),
-        rel_headings=wrap_angle(th - world.poses[idx, 2]),
-        target_distances=np.array([config.distance_of(agent, j) for j in nbrs]),
-    )
-    if config.mode == "flock":
-        m.own_v_f_hat = _to_body(world.v_f_hat[k], th)
-        m.neighbor_v_f_hat = _to_body(world.v_f_hat[idx], th)
-        m.has_reference = bool(config.access_flags[k])
-        if m.has_reference:
-            _, v0, _ = config.signal.state(world.time)
-            m.v0 = _to_body(v0, th)
-    else:
-        m.own_v_t_hat = _to_body(world.v_t_hat[k], th)
-        m.own_e_t_hat = _to_body(world.e_t_hat[k], th)
-        m.neighbor_v_t_hat = _to_body(world.v_t_hat[idx], th)
-        m.neighbor_e_t_hat = _to_body(world.e_t_hat[idx], th)
-        m.has_reference = agent == config.leader
-        if m.has_reference:
-            pt, vt, at = config.signal.state(world.time)
-            m.e_t = _to_body(pt - world.poses[k, :2], th)
-            m.v_t = _to_body(vt, th)
-            m.a_t = _to_body(at, th)
-    return m
-
-
-def _pass1(meas: Measurement, config: RunConfig) -> dict:
-    """Observer rates, planar control, and heading error for one agent."""
-    z = (np.einsum("ij,ij->i", meas.rel_positions, meas.rel_positions)
-         - meas.target_distances**2)
-    eps = config.smoothing_epsilon
-    if config.mode == "flock":
-        arg = (meas.own_v_f_hat - meas.neighbor_v_f_hat).sum(axis=0) \
-            if len(meas.neighbors) else np.zeros(2)
-        if meas.has_reference:
-            arg = arg + config.anchor_sign * (meas.own_v_f_hat - meas.v0)
-        rates = {"v_f": -config.alpha * sgn(arg, eps)}
-        u = _flocking.control_u(meas.rel_positions, z, meas.own_v_f_hat, config.k_a)
-    else:
-        arg1 = (meas.own_v_t_hat - meas.neighbor_v_t_hat).sum(axis=0) \
-            if len(meas.neighbors) else np.zeros(2)
-        arg2 = (meas.own_e_t_hat - meas.neighbor_e_t_hat).sum(axis=0) \
-            if len(meas.neighbors) else np.zeros(2)
-        if meas.has_reference:
-            arg1 = arg1 + (meas.own_v_t_hat - meas.v_t)
-            arg2 = arg2 + (meas.own_e_t_hat - meas.e_t)
-        rates = {"v_t": -config.alpha1 * sgn(arg1, eps),
-                 "e_t": -config.alpha2 * sgn(arg2, eps)}
-        if meas.agent == config.leader:
-            u = _interception.leader_u(meas.e_t, meas.v_t, config.k_t)
-        else:
-            u = _interception.follower_u(meas.rel_positions, z, meas.own_e_t_hat,
-                                         meas.own_v_t_hat, config.k_a, config.k_t)
-    if np.hypot(u[0], u[1]) > _flocking.EPS_U:
-        # theta_id in the body frame is just the direction of u there,
-        # and theta_err = -theta_id^body.
-        theta_err = wrap_angle(-_flocking.desired_heading(u))
-    else:
-        # Parked: the desired heading is the global zero direction.
-        theta_err = wrap_angle(meas.heading)
-    bu = b_matrix(theta_err) @ u
-    return {"z": z, "rates": rates, "u": u, "theta_err": theta_err, "bu": bu}
-
-
-def _pass2(meas: Measurement, own: dict, neighbor_bu: np.ndarray,
-           config: RunConfig) -> tuple[float, float]:
-    """Commands for one agent from its own pass-1 data and neighbors' bu."""
-    k = meas.agent - 1
-    if config.mode == "flock":
-        udot = _flocking.u_dot(meas.rel_positions, own["z"], own["bu"],
-                               neighbor_bu, own["rates"]["v_f"], config.k_a)
-    elif meas.agent == config.leader:
-        etd = _interception.interception_error_rate(
-            meas.e_t, meas.v_t, own["theta_err"], config.k_t)
-        udot = _interception.leader_u_dot(etd, meas.a_t, config.k_t)
-    else:
-        udot = _interception.follower_u_dot(
-            meas.rel_positions, own["z"], own["bu"], neighbor_bu,
-            own["rates"]["e_t"], own["rates"]["v_t"], config.k_a, config.k_t)
-    tidd = _flocking.desired_heading_rate(own["u"], udot)
-    v = float(np.hypot(own["u"][0], own["u"][1]) * np.cos(own["theta_err"]))
-    omega = float(-config.c[k] * own["theta_err"] + tidd)
-    return v, omega
-
-
-def measurement_commands(world: WorldState, config: RunConfig):
-    """Per-agent command computation through Measurement objects only.
-
-    Returns (commands (n, 2), world_frame_rates dict of (n, 2) arrays).
-    This is the agent's-eye reference path; the array kernels must
-    agree with it (up to roundoff from the extra rotations).
-    """
-    n = config.n
-    meas = [measure(world, i, config) for i in range(1, n + 1)]
-    p1 = [_pass1(m, config) for m in meas]
-    commands = np.zeros((n, 2))
-    rates: dict[str, np.ndarray] = {}
-    for key in p1[0]["rates"]:
-        rates[key] = np.zeros((n, 2))
-    for k in range(n):
-        m = meas[k]
-        # Each neighbor j broadcast bu in its own frame; re-express it
-        # in agent k's frame through the measured relative heading.
-        nb = np.zeros((len(m.neighbors), 2))
-        for pos, j in enumerate(m.neighbors):
-            nb[pos] = rot_matrix(-m.rel_headings[pos]) @ p1[j - 1]["bu"]
-        commands[k] = _pass2(m, p1[k], nb, config)
-        th = world.poses[k, 2]
-        for key, val in p1[k]["rates"].items():
-            rates[key][k] = rot_matrix(th) @ val
-    return commands, rates
-
-
-def measurement_step(world: WorldState, config: RunConfig) -> WorldState:
-    """step_world computed entirely through the measurement path."""
-    commands, rates = measurement_commands(world, config)
-    return _euler_step(world, config, commands[:, 0], commands[:, 1],
-                       **{key + "_hat": rate for key, rate in rates.items()})

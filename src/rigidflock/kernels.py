@@ -22,6 +22,8 @@ the law's parameters.  ``rollout`` runs a law in the form it picks (the
 one kernel-choice rule), and ``flock_eval``/``intercept_eval`` evaluate
 it once.  ``flock_rollout`` and ``intercept_rollout`` are both
 ``rollout``: perfbench traces the rollout through those two names.
+``EPS_U`` is the law's parking threshold on |u|; ``oracle``'s per-agent
+equations read it from here.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import os
 
 import numpy as np
 
-from .flocking import EPS_U
 from .observers import signum_rates
 from .unicycle import TWO_PI, wrap_angle
 
@@ -45,6 +46,10 @@ HAS_NUMBA = numba is not None
 USE_NUMBA = HAS_NUMBA and os.environ.get("RIGIDFLOCK_NUMBA", "1") != "0"
 
 POS_LIMIT = 1e6
+
+# An agent with |u| <= EPS_U is parked: its desired heading is pinned to
+# zero instead of following atan2 noise, and its heading rate is zero.
+EPS_U = 1e-12
 
 STATUS_OK = 0
 STATUS_DIVERGED = 1

@@ -33,9 +33,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .engine import RunConfig, step_count
+from .engine import RunConfig, convex_hull_contains, step_count
 from .graph import Graph
-from .interception import convex_hull_contains
 from .observers import gain_check
 from .rigidity import Framework, TargetFormation, edge_function
 from .trajectories import is_json_number, is_json_numeric_array, make_trajectory

@@ -218,15 +218,24 @@ def make_trajectory(spec: dict):
 
     try:
         if kind == "circle":
-            return CirclePath(array("center_m", (0.0, 0.0)), number("radius_m"),
+            path = CirclePath(array("center_m", (0.0, 0.0)), number("radius_m"),
                               number("omega_radps"), number("phase_rad", 0.0))
-        if kind == "line":
-            return LinePath(array("start_m"), array("velocity_mps"))
-        if kind == "sine":
-            return SinePath(array("start_m"), array("velocity_mps"),
+        elif kind == "line":
+            path = LinePath(array("start_m"), array("velocity_mps"))
+        elif kind == "sine":
+            path = SinePath(array("start_m"), array("velocity_mps"),
                             number("amplitude_m"), number("omega_radps"))
-        if kind == "waypoints":
-            return WaypointPath(array("points_m"), array("times_s"))
+        elif kind == "waypoints":
+            path = WaypointPath(array("points_m"), array("times_s"))
+        else:
+            raise ValueError(f"unknown trajectory kind '{kind}'")
     except KeyError as exc:
         raise ValueError(f"trajectory kind '{kind}' missing field {exc}") from exc
-    raise ValueError(f"unknown trajectory kind '{kind}'")
+    # Finite fields can still overflow: a 1e-320 s waypoint segment, or a
+    # circle of radius 1e308 at 1e10 rad/s.
+    with np.errstate(over="ignore"):
+        speed, accel = path.sup_speed(), path.sup_accel()
+    if not (np.isfinite(speed) and np.isfinite(accel)):
+        raise ValueError("speed and acceleration bounds must be finite, got "
+                         f"{speed:g} m/s and {accel:g} m/s^2")
+    return path

@@ -787,6 +787,18 @@ def test_cli_never_imports_numpy_random(tmp_path, command, name):
     assert out.stdout.splitlines()[-1] == "0 []"
 
 
+def test_cli_never_imports_the_oracle(tmp_path):
+    # The agent's-eye measurement path is a test oracle: no run loads it.
+    scenario = bundled_scenario_path("pentagon_intercept")
+    out = run_child([str(tmp_path / "o"), str(scenario)], code=(
+        "import sys; from rigidflock.cli import main; out, scn = sys.argv[1:]; "
+        "rcs = [main(['simulate', scn, '--out', out, '--duration', '0.1']), "
+        "main(['check-rigidity', scn])]; "
+        "print(rcs, 'rigidflock.oracle' in sys.modules)"))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[0, 0] False"
+
+
 @pytest.mark.parametrize("n_key, pos_key", [("n", "positions_m"),
                                             ("agents", "target_positions_m")])
 def test_check_rigidity_rejects_non_number_positions(tmp_path, n_key, pos_key):

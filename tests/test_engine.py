@@ -7,20 +7,17 @@ import pytest
 
 from rigidflock import engine
 from rigidflock.engine import (
-    Measurement,
     RunConfig,
     SimulationDiverged,
     WorldState,
     initial_state,
-    measure,
-    measurement_commands,
-    measurement_step,
     metrics,
     run,
     step_world,
     velocity_tracking_errors,
 )
 from rigidflock.graph import Graph
+from rigidflock.oracle import Measurement, measure, measurement_commands, measurement_step
 from rigidflock.rigidity import Framework, TargetFormation, edge_function, shape_distance
 from rigidflock.scenario import bundled_scenario_path, load_scenario
 from rigidflock.trajectories import CirclePath, LinePath
@@ -100,6 +97,9 @@ def test_run_config_validation():
         right_triangle_config(duration=1e300)
     with pytest.raises(ValueError, match="heading gains"):
         right_triangle_config(c=-10.0)
+    for bad_c in ([1.0, 2.0], [[1.0, 2.0, 3.0]] * 2, "abc"):
+        with pytest.raises(ValueError, match="heading gains c"):
+            right_triangle_config(c=bad_c)
     with pytest.raises(ValueError, match="stable heading loop"):
         right_triangle_config(dt=0.2, c=10.0)
     with pytest.raises(ValueError, match="access_flags"):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from rigidflock.flocking import (
-    EPS_U,
+from rigidflock.kernels import EPS_U
+from rigidflock.oracle import (
     control_u,
     desired_heading,
     desired_heading_rate,

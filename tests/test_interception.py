@@ -1,4 +1,8 @@
-"""Tests for interception control laws and convex-hull containment."""
+"""Tests for interception control laws and convex-hull containment.
+
+A follower's u and udot are ``control_u``/``u_dot`` with the feedforward
+k_t e_t_hat + v_t_hat and its rate k_t e_t_hat_rate + v_t_hat_rate.
+"""
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
@@ -8,15 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidflock import engine
-from rigidflock.engine import TrajectoryLog, hull_containment
-from rigidflock.flocking import u_dot
-from rigidflock.interception import (
-    convex_hull_contains,
-    follower_u,
-    follower_u_dot,
+from rigidflock.engine import TrajectoryLog, convex_hull_contains, hull_containment
+from rigidflock.oracle import (
+    control_u,
     interception_error_rate,
     leader_u,
     leader_u_dot,
+    u_dot,
 )
 
 
@@ -34,19 +36,19 @@ def test_follower_u_mirrors_leader_with_exact_estimates():
     e_t = np.array([0.3, -0.2])
     v_t = np.array([0.05, 0.02])
     k_t = 1.7
-    u_f = follower_u(np.zeros((0, 2)), np.zeros(0), e_t, v_t, 6.0, k_t)
+    u_f = control_u(np.zeros((0, 2)), np.zeros(0), k_t * e_t + v_t, 6.0)
     np.testing.assert_allclose(u_f, leader_u(e_t, v_t, k_t))
 
 
 def test_follower_u_zero_cases():
-    u = follower_u(np.array([[1.0, 0.0]]), np.zeros(1), np.zeros(2),
-                   np.zeros(2), 6.0, 1.0)
+    u = control_u(np.array([[1.0, 0.0]]), np.zeros(1),
+                  1.0 * np.zeros(2) + np.zeros(2), 6.0)
     np.testing.assert_allclose(u, [0.0, 0.0], atol=1e-15)
 
 
 def test_follower_u_single_neighbor_hand_case():
-    u = follower_u(np.array([[0.0, 1.0]]), np.array([-1.0]), np.zeros(2),
-                   np.zeros(2), 2.0, 1.0)
+    u = control_u(np.array([[0.0, 1.0]]), np.array([-1.0]),
+                  1.0 * np.zeros(2) + np.zeros(2), 2.0)
     np.testing.assert_allclose(u, [0.0, 2.0])
 
 
@@ -81,17 +83,18 @@ def test_follower_u_dot_reduces_to_flocking():
     bun = rng.normal(size=(3, 2))
     vrate = rng.normal(size=2)
     k_a = 4.0
-    # With k_t = 0 the chase terms drop and only the observer rate
-    # feeds forward, which is the flocking law exactly.
-    left = follower_u_dot(rel, z, bu, bun, rng.normal(size=2), vrate, k_a, 0.0)
+    # With k_t = 0 the chase terms drop from the follower feedforward
+    # k_t e_t_hat_rate + v_t_hat_rate and only the observer rate feeds
+    # forward, which is the flocking law exactly.
+    left = u_dot(rel, z, bu, bun, 0.0 * rng.normal(size=2) + vrate, k_a)
     right = u_dot(rel, z, bu, bun, vrate, k_a)
     np.testing.assert_allclose(left, right, atol=1e-15)
 
 
 def test_follower_u_dot_single_edge_hand_case():
     rel = np.array([[-1.0, 0.0]])
-    out = follower_u_dot(rel, np.array([0.0]), np.array([1.0, 0.0]),
-                         np.zeros((1, 2)), np.zeros(2), np.zeros(2), 1.0, 1.0)
+    out = u_dot(rel, np.array([0.0]), np.array([1.0, 0.0]),
+                np.zeros((1, 2)), 1.0 * np.zeros(2) + np.zeros(2), 1.0)
     np.testing.assert_allclose(out, [-2.0, 0.0])
 
 

@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rigidflock
-from rigidflock import engine, kernels
-from rigidflock.flocking import EPS_U
+from rigidflock import engine, kernels, oracle
 from rigidflock.graph import Graph
+from rigidflock.kernels import EPS_U
 from rigidflock.rigidity import Framework, edge_function, is_minimally_rigid
 from rigidflock.scenario import bundled_scenario_path, load_scenario
 from rigidflock.trajectories import CirclePath
@@ -236,7 +236,7 @@ def test_measurement_oracle_matches_law_on_random_rigid_graphs(
         cfg.k_a, cfg.k_t, cfg.c, cfg.alpha1, cfg.alpha2)
     world = engine.initial_state(cfg)
     for _ in range(5):
-        commands, rates = engine.measurement_commands(world, cfg)
+        commands, rates = oracle.measurement_commands(world, cfg)
         if mode == "flock":
             _, v0, _ = cfg.signal.state(world.time)
             rate, _u, _tid, _te, v, omega, _udot = kernels.flock_eval(

@@ -148,6 +148,13 @@ def test_intercept_scenario_fields():
                  "flock_velocity", id="flock_velocity-center_m-str-and-bool"),
     pytest.param(lambda d: d["flock_velocity"].update(radius_m=10**400),
                  "flock_velocity", id="flock_velocity-radius_m-int-beyond-float"),
+    # Finite fields whose speed or acceleration bound overflows.
+    pytest.param(lambda d: d.update(flock_velocity={
+        "kind": "waypoints", "points_m": [[0, 0], [1, 1]], "times_s": [0, 1e-320]}),
+                 "flock_velocity", id="flock_velocity-waypoints-speed-overflows"),
+    pytest.param(lambda d: d.update(flock_velocity={
+        "kind": "circle", "radius_m": 1e308, "omega_radps": 1e10}),
+                 "flock_velocity", id="flock_velocity-circle-bounds-overflow"),
     # A number is a JSON number: booleans and numeric strings are rejected.
     pytest.param(lambda d: d["gains"].update(k_a="6"), "gains.k_a",
                  id="gains.k_a-numeric-str"),
@@ -236,6 +243,11 @@ def test_intercept_validation_errors():
                   "times_s": [0.0, 10.0]}, id="target-waypoints-points_m-numeric-str"),
     pytest.param({"kind": "waypoints", "points_m": [[0.0, 0.0], [1.0, 0.0]],
                   "times_s": [False, 10.0]}, id="target-waypoints-times_s-bool"),
+    # Without explicit gamma_t1/gamma_t2 these once blamed gamma_t2.
+    pytest.param({"radius_m": 1e308, "omega_radps": 1e10},
+                 id="target-circle-bounds-overflow"),
+    pytest.param({"kind": "waypoints", "points_m": [[0, 0], [1, 1]],
+                  "times_s": [0, 1e-320]}, id="target-waypoints-speed-overflows"),
 ])
 def test_intercept_target_errors_name_the_field(target):
     d = intercept_dict()
