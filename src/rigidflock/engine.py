@@ -13,13 +13,16 @@ world frame.  An agent-side implementation would keep the same
 quantities in local coordinates (``oracle`` holds that formulation).
 ``convex_hull_contains`` is the package's one hull test: the scenario
 parser checks the interception point with it, and ``hull_containment``
-runs it over every chunk of a run's rows at once.
+runs it over every chunk of a run's rows at once.  ``RunConfig`` holds
+every value rule of a run; each raises ``ConfigError`` naming its field.
 """
 
 from __future__ import annotations
 
 import errno
+import math
 import mmap
+import numbers
 import time as _time
 from dataclasses import dataclass, field, replace
 
@@ -73,28 +76,54 @@ class WorldState:
         return replace(self)  # __post_init__ copies every array
 
 
+class ConfigError(ValueError):
+    """A run's value breaks a rule; ``field`` names the RunConfig field."""
+
+    def __init__(self, field: str, msg: str):
+        self.field = field
+        super().__init__(msg)
+
+
 def step_count(duration: float, dt: float, sample_every: int) -> int:
     """``duration / dt`` as a whole number of steps that ``sample_every`` divides.
 
+    The count must fit an index, with room for the log's 8-byte t
+    column (at sample_every 1 a row is a step); an inf count never does.
     A quotient within rounding of a whole number counts as that number
-    (0.3 / 1e-4 is 2999.9999999999995); any other raises ValueError, so
+    (0.3 / 1e-4 is 2999.9999999999995); any other raises ConfigError, so
     a run always ends on a logged row.
     """
     steps = duration / dt
-    if not (np.isfinite(steps) and abs(steps - round(steps)) <= 1e-12 * steps):
-        raise ValueError(f"duration / dt = {steps:.17g} steps must be a whole number")
-    n_steps = int(round(steps))
+    if not steps < np.iinfo(np.intp).max // 8:
+        raise ConfigError("dt", f"duration / dt = {steps:g} steps is too many to index")
+    if abs(steps - round(steps)) > 1e-12 * steps:
+        raise ConfigError("duration",
+                          f"duration / dt = {steps:.17g} steps must be a whole number")
+    n_steps = round(steps)
     if n_steps % sample_every:
-        raise ValueError(f"duration / dt = {n_steps:.17g} steps must be a multiple of "
-                         f"sample_every = {sample_every}")
+        raise ConfigError("duration", f"duration / dt = {n_steps:.17g} steps must be a "
+                                      f"multiple of sample_every = {sample_every}")
     return n_steps
 
 
 # Each mode's observer estimates (WorldState fields) in the law's channel
-# order, and the references it logs by their channel in a row of
-# ``RunConfig.references``.
+# order, its scalar gains, and the references it logs by their channel in
+# a row of ``RunConfig.references``.
 _ESTIMATES = {"flock": ("v_f_hat",), "intercept": ("v_t_hat", "e_t_hat")}
+GAINS = {"flock": ("k_a", "alpha"), "intercept": ("k_a", "k_t", "alpha1", "alpha2")}
 _LOGGED_REFERENCES = {"flock": ("v0",), "intercept": ("target_vel", "target_pos")}
+
+# The rule of each scalar RunConfig field, on its value as a float: a
+# test and what a value that fails it must be.
+_SCALAR_RULES = {
+    "dt": (lambda x: 0 < x < math.inf, "must be positive and finite"),
+    "duration": (lambda x: 0 <= x < math.inf, "must be finite and >= 0"),
+    "sample_every": (lambda x: x >= 1 and x.is_integer(), "must be an integer >= 1"),
+    "anchor_sign": (lambda x: x in (1.0, -1.0), "must be +1 or -1"),
+    "smoothing_epsilon": (lambda x: 0 <= x < math.inf, "must be finite and >= 0"),
+    **dict.fromkeys(GAINS["flock"] + GAINS["intercept"],
+                    (lambda x: 0 < x < math.inf, "must be finite and > 0")),
+}
 
 
 @dataclass
@@ -133,73 +162,68 @@ class RunConfig:
 
     def __post_init__(self):
         if self.mode not in ("flock", "intercept"):
-            raise ValueError(f"mode must be 'flock' or 'intercept', got {self.mode!r}")
+            raise ConfigError("mode", "mode must be 'flock' or 'intercept', "
+                                      f"got {self.mode!r}")
         n = self.graph.n
         self.distances = np.asarray(self.distances, dtype=float)
         if self.distances.shape != (self.graph.edge_count,):
-            raise ValueError("distances must have one entry per edge")
+            raise ConfigError("distances", "distances must have one entry per edge")
         if np.any(self.distances <= 0) or not np.all(np.isfinite(self.distances)):
-            raise ValueError("distances must be positive and finite")
-        self.initial_poses = np.array(self.initial_poses, dtype=float)
-        if self.initial_poses.shape != (n, 3):
-            raise ValueError(f"initial_poses must be ({n}, 3)")
-        if not np.all(np.isfinite(self.initial_poses)):
-            raise ValueError("initial_poses must be finite")
+            raise ConfigError("distances", "distances must be positive and finite")
+        self._array("initial_poses", (n, 3))
         self.initial_poses[:, 2] = wrap_angle(self.initial_poses[:, 2])
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError("dt must be positive")
-        if not (np.isfinite(self.duration) and self.duration >= 0):
-            raise ValueError("duration must be >= 0")
-        if int(self.sample_every) != self.sample_every or self.sample_every < 1:
-            raise ValueError("sample_every must be an integer >= 1")
+        for name in ("dt", "duration", "sample_every", "anchor_sign",
+                     "smoothing_epsilon") + GAINS[self.mode]:
+            value = getattr(self, name)
+            try:  # a string, None or an int beyond a float reads as NaN: no rule holds
+                x = float(value) if isinstance(value, numbers.Real) else math.nan
+            except OverflowError:
+                x = math.nan
+            rule, text = _SCALAR_RULES[name]
+            if not rule(x):
+                raise ConfigError(name, f"{name} {text}, got {value!r}")
+            setattr(self, name, x)
         self.sample_every = int(self.sample_every)
         try:
-            self.c = np.broadcast_to(np.asarray(self.c, dtype=float), (n,)).copy()
+            c = np.asarray(self.c, dtype=float)
         except (TypeError, ValueError):
-            raise ValueError("heading gains c must be one number or one per agent "
-                             f"(n = {n})") from None
-        if np.any(self.c <= 0) or not np.all(np.isfinite(self.c)):
-            raise ValueError("heading gains c must be positive")
+            c = None
+        if c is None or c.shape not in ((), (n,)):
+            raise ConfigError("c", "heading gains c must be one number or one per "
+                                   f"agent (n = {n}), got {self.c!r}")
+        if np.any(c <= 0) or not np.all(np.isfinite(c)):
+            raise ConfigError("c", "heading gains c must be finite and > 0")
+        self.c = np.full(n, c)
         if self.dt * float(self.c.max()) >= 1.0:
-            raise ValueError(
-                f"dt * max(c) = {self.dt * float(self.c.max()):g} must be < 1 "
-                "for a stable heading loop")
+            raise ConfigError("dt", f"dt * max(c) = {self.dt * float(self.c.max()):g} "
+                                    "must be < 1 for a stable heading loop")
         step_count(self.duration, self.dt, self.sample_every)
-        for name in ("k_a", "alpha") if self.mode == "flock" else (
-                "k_a", "k_t", "alpha1", "alpha2"):
-            if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0):
-                raise ValueError(f"{name} must be finite and > 0")
         if self.mode == "flock":
             if self.access_flags is None:
                 self.access_flags = np.zeros(n)
-            self.access_flags = np.asarray(self.access_flags, dtype=float)
-            if self.access_flags.shape != (n,) or not np.all(
-                    (self.access_flags == 0) | (self.access_flags == 1)):
-                raise ValueError("access_flags must be a 0/1 vector of length n")
-            if float(self.anchor_sign) not in (1.0, -1.0):
-                raise ValueError("anchor_sign must be +1 or -1")
-            self.anchor_sign = float(self.anchor_sign)
+            self._array("access_flags", (n,))
+            if not np.all((self.access_flags == 0) | (self.access_flags == 1)):
+                raise ConfigError("access_flags", "access_flags must be 0 or 1")
         for name in [f"initial_{est}" for est in _ESTIMATES[self.mode]]:
-            value = getattr(self, name)
-            value = np.zeros((n, 2)) if value is None else np.array(value, dtype=float)
-            if value.shape != (n, 2):
-                raise ValueError(f"{name} must be (n, 2)")
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"{name} must be finite")
-            setattr(self, name, value)
-        if not (np.isfinite(self.smoothing_epsilon) and self.smoothing_epsilon >= 0):
-            raise ValueError("smoothing_epsilon must be finite and >= 0")
+            if getattr(self, name) is None:
+                setattr(self, name, np.zeros((n, 2)))
+            self._array(name, (n, 2))
         if self.target_positions is not None:
-            self.target_positions = np.array(self.target_positions, dtype=float)
-            if self.target_positions.shape != (n, 2):
-                raise ValueError(f"target_positions must be ({n}, 2)")
-            if not np.all(np.isfinite(self.target_positions)):
-                raise ValueError("target_positions must be finite")
+            self._array("target_positions", (n, 2))
         self._d2 = self.distances**2
         self._edges = self.graph.edge_array()
         self._dist_by_pair = {
             e: float(d) for e, d in zip(self.graph.edges, self.distances)
         }
+
+    def _array(self, name: str, shape: tuple) -> None:
+        """Field ``name`` as an owned finite float array of ``shape``."""
+        value = np.array(getattr(self, name), dtype=float)
+        if value.shape != shape:
+            raise ConfigError(name, f"{name} must be {shape}, got {value.shape}")
+        if not np.all(np.isfinite(value)):
+            raise ConfigError(name, f"{name} must be finite")
+        setattr(self, name, value)
 
     @property
     def n(self) -> int:
@@ -345,11 +369,13 @@ def _shared_arrays(shapes: dict) -> dict:
     A process forked during the rollout sees every row written after the
     fork, so it can format rows while they are still being produced.
     """
-    sizes = [int(np.prod(shape)) for shape in shapes.values()]
+    sizes = [math.prod(shape) for shape in shapes.values()]
     try:
         buf = mmap.mmap(-1, 8 * sum(sizes))
-    except OSError as exc:  # report a log too large to map as numpy would
-        raise (MemoryError(exc.strerror) if exc.errno == errno.ENOMEM else exc)
+    except (OverflowError, OSError) as exc:  # a log too large to map or to count
+        if isinstance(exc, OSError) and exc.errno != errno.ENOMEM:
+            raise
+        raise MemoryError(f"cannot map a log of {8 * sum(sizes):.3g} bytes") from None
     out, offset = {}, 0
     for (name, shape), size in zip(shapes.items(), sizes):
         out[name] = np.frombuffer(buf, float, size, offset).reshape(shape)

@@ -18,9 +18,10 @@ installed, and a CLI process never imports ``numpy.random``, which
 would load ``secrets`` and OpenSSL's ``_hashlib`` (about 5 MB) for 3n
 draws.
 
-Validation failures raise ScenarioError with the offending field path;
-soft conditions (observer gain bounds, fields the parser never reads,
-at any level) only log warnings to stderr.
+Failures raise ScenarioError with the field's path.  The parser checks
+JSON types and the fields only it reads, and reports RunConfig's
+ConfigError under its field's path.  Soft conditions (observer gain
+bounds of a valid file, fields never read) only log warnings to stderr.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .engine import RunConfig, convex_hull_contains, step_count
+from .engine import GAINS, ConfigError, RunConfig, convex_hull_contains
 from .graph import Graph
 from .observers import gain_check
 from .rigidity import Framework, TargetFormation, edge_function
@@ -52,6 +53,12 @@ _KNOWN_KEYS = {
                  "v_t_hat", "e_t_hat"},
     "sim.": {"dt_s", "duration_s", "sample_every"},
 }
+
+
+# Paths of the fields RunConfig checks that are not top-level under their name.
+_POINTERS = {"dt": "sim.dt_s", "duration": "sim.duration_s",
+             "sample_every": "sim.sample_every",
+             **{g: "gains." + g for g in ("c", *GAINS["flock"], *GAINS["intercept"])}}
 
 
 class ScenarioError(ValueError):
@@ -197,14 +204,13 @@ def _parse_array(value, shape, pointer: str) -> np.ndarray:
     return arr
 
 
-def _number(value, pointer: str, *, positive: bool = False) -> float:
-    """``value`` as a finite float >= 0, or > 0 when ``positive``."""
+def _number(value, pointer: str) -> float:
+    """``value`` as a finite float >= 0 (the rate bounds and the radius)."""
     if not is_json_number(value):
         _fail(pointer, f"must be a number, got {value!r}")
     x = float(value)
-    if not (np.isfinite(x) and (x > 0 if positive else x >= 0)):
-        _fail(pointer, f"must be finite and {'> 0' if positive else '>= 0'}, "
-                       f"got {value!r}")
+    if not (np.isfinite(x) and x >= 0):
+        _fail(pointer, f"must be finite and >= 0, got {value!r}")
     return x
 
 
@@ -246,84 +252,24 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
     except ValueError as exc:
         _fail("target_positions_m", str(exc))
 
+    # JSON types only: RunConfig checks the values.
     gains_d = _object(_need(data, "gains"), "gains.")
-    k_a = _number(gains_d.get("k_a"), "gains.k_a", positive=True)
-    c_raw = _need(gains_d, "c", "gains.")
-    if not is_json_numeric_array(c_raw):
-        _fail("gains.c", f"must be a number or a list of numbers, got {c_raw!r}")
-    c_arr = np.array(c_raw, dtype=float)
-    if c_arr.shape not in ((), (n,)):
-        _fail("gains.c", f"must be a number or a length-{n} list, got {c_raw!r}")
-    c_arr = np.full(n, c_arr)
-    if not (np.all(np.isfinite(c_arr)) and np.all(c_arr > 0)):
-        _fail("gains.c", f"heading gains must be finite and > 0, got {c_raw!r}")
-
+    c = _need(gains_d, "c", "gains.")
+    if not is_json_numeric_array(c):
+        _fail("gains.c", f"must be a number or a list of numbers, got {c!r}")
     sim = _object(_need(data, "sim"), "sim.")
-    dt_val = _number(sim.get("dt_s") if dt is None else dt, "sim.dt_s",
-                     positive=True)
-    dur_val = _number(sim.get("duration_s") if duration is None else duration,
-                      "sim.duration_s")
-    # The step count and the log's bytes must fit an index: the log's t
-    # column takes 8 bytes a row, and at sample_every 1 a row is a step.
-    # A step count of inf is no integer at all.
-    if not dur_val / dt_val < np.iinfo(np.intp).max // 8:
-        _fail("sim.dt_s", f"duration_s / dt_s = {dur_val / dt_val:g} steps "
-                          "is too many to index")
     se = sim.get("sample_every", 1)
-    if not isinstance(se, int) or isinstance(se, bool) or se < 1:
-        _fail("sim.sample_every", f"must be an integer >= 1, got {se!r}")
-    if dt_val * float(c_arr.max()) >= 1.0:
-        _fail("sim.dt_s", f"dt * max(c) = {dt_val * float(c_arr.max()):g} "
-                          "must be < 1 for a stable heading loop")
-    try:
-        step_count(dur_val, dt_val, se)
-    except ValueError as exc:
-        _fail("sim.duration_s", str(exc))
-
-    anchor_sign = data.get("anchor_sign", 1.0)
-    if not is_json_number(anchor_sign) or anchor_sign not in (1.0, -1.0):
-        _fail("anchor_sign", f"must be +1 or -1, got {anchor_sign!r}")
-    anchor_sign = float(anchor_sign)
-    smoothing = _number(data.get("smoothing_epsilon", 0.0), "smoothing_epsilon")
-
-    # --- mode-specific blocks -------------------------------------------
-    if mode == "flock":
-        try:
-            signal = make_trajectory(_need(data, "flock_velocity"))
-        except ValueError as exc:
-            _fail("flock_velocity", str(exc))
-        alpha = _number(gains_d.get("alpha"), "gains.alpha", positive=True)
-        access = _need(data, "v0_access")
-        if (not isinstance(access, list) or not access
-                or len(set(access)) != len(access)
-                or any(not isinstance(i, int) or isinstance(i, bool)
-                       or not 1 <= i <= n for i in access)):
-            _fail("v0_access", f"must be a nonempty list of distinct agent ids in 1..{n}")
-        gamma0 = _number(data.get("gamma0", signal.sup_accel()), "gamma0")
-        if not gain_check(alpha, gamma0):
-            logger.warning(
-                "gains.alpha = %g does not dominate gamma0 = %g; "
-                "finite-time velocity estimation is not guaranteed", alpha, gamma0)
-        model_bound = signal.sup_accel()
-        if not gain_check(alpha, model_bound):
-            logger.warning(
-                "gains.alpha = %g does not dominate the flock velocity's "
-                "acceleration bound %g", alpha, model_bound)
-    else:
-        try:
-            signal = make_trajectory(_need(data, "target"))
-        except ValueError as exc:
-            _fail("target", str(exc))
-        k_t = _number(gains_d.get("k_t"), "gains.k_t", positive=True)
-        alpha1 = _number(gains_d.get("alpha1"), "gains.alpha1", positive=True)
-        alpha2 = _number(gains_d.get("alpha2"), "gains.alpha2", positive=True)
-        # The designated interception point (the leader's spot in the
-        # target formation) must lie inside the followers' hull so the
-        # converged formation surrounds the target.
-        if not convex_hull_contains(pos[: n - 1], pos[n - 1]):
-            _fail("target_positions_m",
-                  f"leader position (agent {n}) must lie inside the convex "
-                  "hull of the follower positions")
+    if not isinstance(se, int) or isinstance(se, bool):
+        _fail("sim.sample_every", f"must be an integer, got {se!r}")
+    scalars = dict(
+        dt=sim.get("dt_s") if dt is None else dt,
+        duration=sim.get("duration_s") if duration is None else duration,
+        anchor_sign=data.get("anchor_sign", 1.0),
+        smoothing_epsilon=data.get("smoothing_epsilon", 0.0),
+        **{gain: gains_d.get(gain) for gain in GAINS[mode]})
+    for field, value in scalars.items():
+        if not is_json_number(value):
+            _fail(_POINTERS.get(field, field), f"must be a number, got {value!r}")
 
     # --- initial conditions ---------------------------------------------
     init = _object(_need(data, "initial"), "initial.")
@@ -344,13 +290,38 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
                          "initial.perturbation_radius_m")
         poses = _seeded_poses(pos, seed_val, radius)
 
+    # --- mode-specific blocks -------------------------------------------
     if mode == "flock":
+        try:
+            signal = make_trajectory(_need(data, "flock_velocity"))
+        except ValueError as exc:
+            _fail("flock_velocity", str(exc))
+        access = _need(data, "v0_access")
+        if (not isinstance(access, list) or not access
+                or len(set(access)) != len(access)
+                or any(not isinstance(i, int) or isinstance(i, bool)
+                       or not 1 <= i <= n for i in access)):
+            _fail("v0_access", f"must be a nonempty list of distinct agent ids in 1..{n}")
+        gamma0 = _number(data.get("gamma0", signal.sup_accel()), "gamma0")
         flags = np.isin(np.arange(1, n + 1), access).astype(float)
         vfh = (_parse_array(init["v_f_hat"], (n, 2), "initial.v_f_hat")
                if "v_f_hat" in init else None)
-        by_mode = dict(alpha=alpha, access_flags=flags, initial_v_f_hat=vfh,
+        by_mode = dict(access_flags=flags, initial_v_f_hat=vfh,
                        v0_access=tuple(access), gamma0=gamma0)
+        bounds = [("alpha", "gamma0", gamma0),
+                  ("alpha", "flock_velocity's acceleration bound", signal.sup_accel())]
     else:
+        try:
+            signal = make_trajectory(_need(data, "target"))
+        except ValueError as exc:
+            _fail("target", str(exc))
+        # The designated interception point (the leader's spot in the
+        # target formation) must lie inside the followers' hull so the
+        # converged formation surrounds the target.
+        if not convex_hull_contains(pos[: n - 1], pos[n - 1]):
+            _fail("target_positions_m",
+                  f"leader position (agent {n}) must lie inside the convex "
+                  "hull of the follower positions")
         vth = (_parse_array(init["v_t_hat"], (n, 2), "initial.v_t_hat")
                if "v_t_hat" in init else np.zeros((n, 2)))
         eth = (_parse_array(init["e_t_hat"], (n, 2), "initial.e_t_hat")
@@ -369,22 +340,24 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
             # Bound on |edot_T| at t = 0: |v_T| + |u_n| <= 2 sup|v_T| + k_T |e_T(0)|.
             pt0 = signal.state(0.0)[0]
             e0 = float(np.hypot(*(pt0 - poses[n - 1, :2])))
-            gamma_t2 = 2.0 * signal.sup_speed() + k_t * e0
-        if not gain_check(alpha1, gamma_t1):
-            logger.warning("gains.alpha1 = %g does not dominate gamma_t1 = %g",
-                           alpha1, gamma_t1)
-        if not gain_check(alpha2, gamma_t2):
-            logger.warning("gains.alpha2 = %g does not dominate gamma_t2 = %g",
-                           alpha2, gamma_t2)
-        by_mode = dict(k_t=k_t, alpha1=alpha1, alpha2=alpha2,
-                       initial_v_t_hat=vth, initial_e_t_hat=eth,
+            gamma_t2 = 2.0 * signal.sup_speed() + scalars["k_t"] * e0
+        by_mode = dict(initial_v_t_hat=vth, initial_e_t_hat=eth,
                        gamma_t1=gamma_t1, gamma_t2=gamma_t2)
-    return Scenario(mode=mode, graph=graph, distances=target.distances,
-                    initial_poses=poses, signal=signal, dt=dt_val,
-                    duration=dur_val, sample_every=se, k_a=k_a, c=c_arr,
-                    anchor_sign=anchor_sign, smoothing_epsilon=smoothing,
-                    target_positions=pos, name=name, notes=notes, seed=seed_val,
-                    target=target, **by_mode)
+        bounds = [("alpha1", "gamma_t1", gamma_t1), ("alpha2", "gamma_t2", gamma_t2)]
+    try:
+        scn = Scenario(mode=mode, graph=graph, distances=target.distances,
+                       initial_poses=poses, signal=signal, sample_every=se, c=c,
+                       target_positions=pos, name=name, notes=notes, seed=seed_val,
+                       target=target, **scalars, **by_mode)
+    except ConfigError as exc:
+        _fail(_POINTERS.get(exc.field, exc.field), str(exc))
+    # Only a valid file warns: gain_check needs a gain > 0.
+    for gain, bound, value in bounds:
+        if not gain_check(getattr(scn, gain), value):
+            logger.warning("gains.%s = %g does not dominate %s = %g; finite-time "
+                           "estimation is not guaranteed", gain, getattr(scn, gain),
+                           bound, value)
+    return scn
 
 
 def read_json(path):

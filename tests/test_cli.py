@@ -265,6 +265,8 @@ def test_non_number_path_field_exits_1_without_traceback(tmp_path, name, key,
     # 1e15 steps: the first array of the rollout (petabytes) cannot be
     # allocated, so this fails at once without touching real memory.
     pytest.param("--duration", "1e12", "error: out of memory", id="duration-1e12"),
+    # 1e18 steps index, but the log's bytes exceed what mmap can count.
+    pytest.param("--duration", "1e15", "error: out of memory", id="duration-1e15"),
     # 1e300 steps do not fit an index, and with the smallest subnormal
     # dt the step count is inf: the parser rejects both.
     pytest.param("--dt", "1e-300", "error: sim.dt_s:", id="dt-1e-300"),

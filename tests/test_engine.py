@@ -91,10 +91,11 @@ def test_run_config_validation():
         right_triangle_config(duration=0.002)
     with pytest.raises(ValueError, match="multiple of sample_every = 3"):
         right_triangle_config(sample_every=3)
-    with pytest.raises(ValueError, match="whole number"):
+    with pytest.raises(ValueError, match="too many to index"):
         right_triangle_config(dt=5e-324, c=1.0)  # inf steps
-    with pytest.raises(ValueError, match=r"= 1e\+303 steps must be a multiple"):
-        right_triangle_config(duration=1e300)
+    with pytest.raises(ValueError, match=r"= 1e\+17 steps must be a multiple of "
+                                         "sample_every = 3"):
+        right_triangle_config(duration=1e14, sample_every=3)
     with pytest.raises(ValueError, match="heading gains"):
         right_triangle_config(c=-10.0)
     for bad_c in ([1.0, 2.0], [[1.0, 2.0, 3.0]] * 2, "abc"):
@@ -117,6 +118,15 @@ def test_run_config_validation():
             for bad in (0.0, -6.0, np.nan, np.inf):
                 with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
                     right_triangle_config(mode=mode, **{name: bad})
+    # Each rule names its field, whatever the value's type.
+    for overrides, name in (({"k_a": "6"}, "k_a"), ({"dt": "0.001"}, "dt"),
+                            ({"smoothing_epsilon": "x"}, "smoothing_epsilon"),
+                            ({"duration": None}, "duration"),
+                            ({"c": [10.0]}, "c"),  # a list is one gain per agent
+                            ({"mode": "intercept", "anchor_sign": 5.0}, "anchor_sign")):
+        with pytest.raises(engine.ConfigError, match=name) as info:
+            right_triangle_config(**overrides)
+        assert info.value.field == name
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -379,6 +389,12 @@ def test_step_count_within_rounding():
     assert engine.step_count(0.0, 1e-3, 10) == 0
     with pytest.raises(ValueError, match="whole number"):
         engine.step_count(0.3 + 1e-9, 1e-4, 1)
+
+
+def test_log_too_large_to_map_is_a_memory_error():
+    # 1e17 steps index, but the log's bytes exceed what mmap can count.
+    with pytest.raises(MemoryError, match="cannot map a log"):
+        run(right_triangle_config(duration=1e14, sample_every=1))
 
 
 def test_row_counts():

@@ -212,6 +212,11 @@ def test_intercept_validation_errors():
         d[field] = "x"
         with pytest.raises(ScenarioError, match=field):
             scenario_from_dict(d)
+    # anchor_sign is checked in both modes.
+    d = intercept_dict()
+    d["anchor_sign"] = 2.0
+    with pytest.raises(ScenarioError, match=r"^anchor_sign: "):
+        scenario_from_dict(d)
     d = intercept_dict()
     d.pop("target")
     with pytest.raises(ScenarioError, match="target"):
@@ -412,6 +417,16 @@ def test_weak_gain_warns_but_loads(caplog):
         scn = scenario_from_dict(d)
     assert isinstance(scn, Scenario)
     assert any("dominate" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize("make, gain", [(flock_dict, "alpha"), (intercept_dict, "alpha2")])
+def test_rejected_file_logs_no_gain_warning(caplog, make, gain):
+    d = make()
+    d["gains"][gain] = 0
+    with caplog.at_level(logging.WARNING, logger="rigidflock.scenario"):
+        with pytest.raises(ScenarioError, match=rf"^gains\.{gain}: "):
+            scenario_from_dict(d)
+    assert not [r for r in caplog.records if "does not dominate" in r.getMessage()]
 
 
 def test_unknown_field_warns(caplog):
