@@ -156,7 +156,7 @@ def _metrics_table(log: TrajectoryLog, edges) -> tuple[list[str], object]:
     return header, block
 
 
-def _write_tables(parts, formats, counts) -> None:
+def _write_files(parts, formats, counts) -> None:
     """Each ``(head, line, step, block)`` table to its file in ``parts``:
     the header, then the rows up to every count of final rows in ``counts``."""
     with contextlib.ExitStack() as files:
@@ -238,7 +238,7 @@ class _Outputs:
             os.close(self._counts)
             os.close(self._reasons)
             with open(counts, "rb") as lines:
-                _write_tables(parts, formats, lines)
+                _write_files(parts, formats, lines)
             status = 0
         except Exception as exc:  # reported to the parent, which raises
             with contextlib.suppress(OSError):
@@ -269,8 +269,8 @@ class _Outputs:
         if self.started:
             self._wait(check=True)
         else:
-            _write_tables([self._parts[path]],
-                          [_table_format(self.tables[path], log)], [log.rows])
+            _write_files([self._parts[path]],
+                         [_table_format(self.tables[path], log)], [log.rows])
 
     def commit(self) -> None:
         """Rename every file to its path, in order."""
@@ -290,24 +290,14 @@ class _Outputs:
                     os.unlink(tmp)
 
 
-def _write_table(log: TrajectoryLog, path, table, outputs) -> None:
-    """Finish ``path``'s table in ``outputs``; without it, write ``path`` alone."""
-    if outputs is not None:
-        outputs.finish(path, log)
-        return
-    with _Outputs([(path, table)]) as own:
-        own.finish(path, log)
-        own.commit()
+def write_trajectory_csv(log: TrajectoryLog, path, outputs: _Outputs) -> None:
+    """Finish ``path``'s table of sampled states and commands in ``outputs``."""
+    outputs.finish(path, log)
 
 
-def write_trajectory_csv(log: TrajectoryLog, path, outputs=None) -> None:
-    """Raw sampled state and commands, one row per sample time."""
-    _write_table(log, path, _trajectory_table, outputs)
-
-
-def write_metrics_csv(log: TrajectoryLog, edges, path, outputs=None) -> None:
-    """Derived error series, one row per sample time."""
-    _write_table(log, path, lambda log: _metrics_table(log, edges), outputs)
+def write_metrics_csv(log: TrajectoryLog, path, outputs: _Outputs) -> None:
+    """Finish ``path``'s table of error series in ``outputs``."""
+    outputs.finish(path, log)
 
 
 def build_summary(scn: Scenario, log: TrajectoryLog) -> dict:
@@ -341,12 +331,12 @@ def _cmd_simulate(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     trajectory, metrics = outdir / "trajectory.csv", outdir / "metrics.csv"
-    edges = scn.graph.edges
-    with _Outputs([(trajectory, _trajectory_table),
-                   (metrics, lambda log: _metrics_table(log, edges))]) as outputs:
+    tables = [(trajectory, _trajectory_table),
+              (metrics, lambda log: _metrics_table(log, scn.graph.edges))]
+    with _Outputs(tables) as outputs:
         log = engine.run(scn.to_run_config(), force_kernel=force, on_rows=outputs)
         write_trajectory_csv(log, trajectory, outputs)
-        write_metrics_csv(log, edges, metrics, outputs)
+        write_metrics_csv(log, metrics, outputs)
         summary = build_summary(scn, log)
         with open(outputs.part(outdir / "summary.json"), "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2)

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import kernels
 from .graph import Graph
+from .rigidity import shape_distance
 from .unicycle import wrap_angle
 
 
@@ -313,7 +314,6 @@ class TrajectoryLog:
     poses: np.ndarray
     commands: np.ndarray
     u: np.ndarray
-    theta_id: np.ndarray
     edge_errors: np.ndarray
     heading_errors: np.ndarray
     shape_dist: np.ndarray | None
@@ -339,18 +339,6 @@ class TrajectoryLog:
     @property
     def n(self) -> int:
         return self.poses.shape[1]
-
-
-def _shape_dist_rows(poses_xy: np.ndarray, target_positions: np.ndarray) -> np.ndarray:
-    q = target_positions
-    qc = q - q.mean(axis=0)
-    qnorm = float(np.einsum("ij,ij->", qc, qc))
-    pc = poses_xy - poses_xy.mean(axis=1, keepdims=True)
-    A = np.einsum("rij,ij->r", pc, qc)
-    B = np.einsum("ri,i->r", pc[:, :, 1], qc[:, 0]) - np.einsum(
-        "ri,i->r", pc[:, :, 0], qc[:, 1])
-    sq = (np.einsum("rij,rij->r", pc, pc) + qnorm - 2.0 * np.hypot(A, B)) / q.shape[0]
-    return np.sqrt(np.maximum(sq, 0.0))
 
 
 # Rows per rollout chunk.  After each chunk ``run`` reports the finished
@@ -390,9 +378,8 @@ def _derive_rows(log: TrajectoryLog, config: RunConfig, rows: slice) -> None:
         rel = xy[:, config._edges[:, 0]] - xy[:, config._edges[:, 1]]
         log.edge_errors[rows] = np.abs(np.sqrt(np.einsum("rkj,rkj->rk", rel, rel))
                                        - config.distances[None, :])
-    log.heading_errors[rows] = wrap_angle(log.poses[rows, :, 2] - log.theta_id[rows])
     if config.target_positions is not None:
-        log.shape_dist[rows] = _shape_dist_rows(xy, config.target_positions)
+        log.shape_dist[rows] = shape_distance(xy, config.target_positions)
     if log.mode == "flock":
         dv = log.v_f_hat[rows] - log.v0[rows, None, :]
         log.est_errors[rows] = np.sqrt(np.einsum("rij,rij->ri", dv, dv))
@@ -416,8 +403,8 @@ def run(config: RunConfig, force_kernel: str | None = None,
     leaves the sane range.
 
     The rollout runs in chunks of ``_CHUNK_ROWS`` rows, each sampling
-    only its own references.  Each chunk's rows of the derived series
-    (edge, heading and estimate errors, e_T, shape distance, hull flag)
+    only its own references; the kernel logs the heading errors.  Each
+    chunk's edge and estimate errors, e_T, shape distance and hull flag
     are computed as soon as it returns.  Then ``on_rows(log, ready)``
     (if given) learns that rows ``[0, ready)`` of every array of the log
     are final; the last call has ``ready == log.rows``.  Those arrays
@@ -432,10 +419,10 @@ def run(config: RunConfig, force_kernel: str | None = None,
     fields, logged = _ESTIMATES[config.mode], _LOGGED_REFERENCES[config.mode]
 
     shapes = {"t": (rows,), "poses": (rows, n, 3), "commands": (rows, n, 2),
-              "u": (rows, n, 2), "theta_id": (rows, n),
+              "u": (rows, n, 2), "heading_errors": (rows, n),
               "est": (rows, n, 2 * len(fields)),
               "edge_errors": (rows, config.graph.edge_count),
-              "heading_errors": (rows, n), **{name: (rows, 2) for name in logged}}
+              **{name: (rows, 2) for name in logged}}
     if config.target_positions is not None:
         shapes["shape_dist"] = (rows,)
     if config.mode == "flock":
@@ -452,7 +439,7 @@ def run(config: RunConfig, force_kernel: str | None = None,
     pose = config.initial_poses.copy()
     est = np.concatenate([getattr(config, "initial_" + name) for name in fields], axis=1)
     law, rollout = config.law(), getattr(kernels, f"{config.mode}_rollout")
-    outs = (log.poses, log.commands, log.u, log.theta_id, est_log)
+    outs = (log.poses, log.commands, log.u, log.heading_errors, est_log)
 
     runtime = 0.0
     r0 = 0

@@ -15,7 +15,9 @@ poses (n, 3) as (x, y, theta); the K observer estimates as one (n, 2K)
 array, channel k in columns 2k and 2k + 1; edges (a, 2) of 0-based
 indices; d2 the squared desired distances per edge.  The references
 are one signal row per step of a call, one chunk's rows at a time:
-v_0 for flock, [v_T, p_T, a_T] for intercept.
+v_0 for flock, [v_T, p_T, a_T] for intercept.  The logs ``outs`` are
+(pose, cmd, u, heading_err, est): (v, omega) in cmd, and theta_err =
+wrap(theta - theta_id), the error that steers the heading loop.
 
 ``flock_law`` and ``intercept_law`` are the one place a mode maps onto
 the law's parameters.  ``rollout`` runs a law in the form it picks (the
@@ -122,7 +124,7 @@ if HAS_NUMBA:
 
 def _rollout_loops(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
                    k_a, c, smooth_eps, dt, n_steps, sample_every,
-                   out_pose, out_cmd, out_u, out_tid, out_est):
+                   out_pose, out_cmd, out_u, out_te, out_est):
     """Explicit-Euler rollout of the closed loop, written as scalar loops.
 
     The law's parameters are those of ``_Law``, with ``leader`` -1 for
@@ -158,7 +160,6 @@ def _rollout_loops(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
     bux = _zeros(n)
     buy = _zeros(n)
     te = _zeros(n)
-    tid = _zeros(n)
     udx = _zeros(n)
     udy = _zeros(n)
     vc = _zeros(n)
@@ -241,7 +242,6 @@ def _rollout_loops(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
             bs = math.sin(tei)
             ux[i] = uxi
             uy[i] = uyi
-            tid[i] = tdi
             te[i] = tei
             bux[i] = bc * (bc * uxi - bs * uyi)
             buy[i] = bc * (bs * uxi + bc * uyi)
@@ -288,7 +288,7 @@ def _rollout_loops(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
             out_cmd[row, :, 1] = wc
             out_u[row, :, 0] = ux
             out_u[row, :, 1] = uy
-            out_tid[row] = tid
+            out_te[row] = te
             out_est[row] = est
             row += 1
         if step == n_steps:
@@ -364,8 +364,8 @@ class _Law:
     exp(i theta_err) u needs no cosine or sine.  Parked agents
     (|u| <= EPS_U), which have no heading to aim for, and an error of
     exactly -pi, which belongs at +pi, are rare: one reduction each
-    tells whether ``_parked`` must run.  theta_id is only logged, so
-    ``theta_id()`` computes it on demand.
+    tells whether ``_parked`` must run.  theta_id is read only on logged
+    rows, so ``theta_id()`` computes it on demand.
     """
 
     def __init__(self, edges, d2, anchor, leader, alphas, weights, k_a, c,
@@ -514,7 +514,7 @@ def _planar(x):
 
 def _rollout_numpy(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
                    k_a, c, smooth_eps, dt, n_steps, sample_every,
-                   out_pose, out_cmd, out_u, out_tid, out_est):
+                   out_pose, out_cmd, out_u, out_te, out_est):
     """The numpy form of ``_rollout_loops``: same arguments, same effects."""
     law = _Law(edges, d2, anchor, leader, alphas, weights, k_a, c, smooth_eps)
     X = law.state(pose, est)
@@ -532,7 +532,7 @@ def _rollout_numpy(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
             out_cmd[row, :, 0] = v
             out_cmd[row, :, 1] = omega
             out_u[row] = _planar(u)
-            out_tid[row] = law.theta_id()
+            out_te[row] = wrap_angle(th - law.theta_id())  # the loop form's bytes
             out_est[row] = Z[:, 2:]
             row += 1
         if step == n_steps:
@@ -636,7 +636,7 @@ def rollout(law, pose, est, sig, dt, n_steps, sample_every, outs, *,
     selected implementation.
 
     ``sig`` holds the references per step and ``outs`` the logs
-    (out_pose, out_cmd, out_u, out_tid, out_est), laid out as in the
+    (out_pose, out_cmd, out_u, out_te, out_est), laid out as in the
     module docstring.  ``force`` overrides the environment default with
     "jit" or "numpy".  Updates pose and est in place and fills the logs.
     Returns ``(kernel, form, status)``: "numba" (compiled) or "numpy"

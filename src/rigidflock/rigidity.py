@@ -149,25 +149,26 @@ class TargetFormation:
         return self.framework.n
 
 
-def shape_distance(positions: np.ndarray, target: TargetFormation) -> float:
+def shape_distance(positions: np.ndarray,
+                   target_positions: np.ndarray) -> float | np.ndarray:
     """RMS distance to the target shape over rotations and translations.
 
-    Minimizes ``rms_i |(p_i - pbar) - Rot(phi) (q_i - qbar)|`` over the
-    rotation angle phi (reflections excluded), where q is the target
-    embedding.  Zero exactly on rotated/translated copies of the target.
+    Every row of (..., n, 2) ``positions`` at once (one row gives a
+    ``float``) against the (n, 2) target embedding q: minimizes ``rms_i
+    |(p_i - pbar) - Rot(phi) (q_i - qbar)|`` over phi (no reflections).
+    With A = sum(pc . qc) and B = sum(pc x qc), the aligned cost is
+    (|pc|^2 + |qc|^2 - 2 sqrt(A^2 + B^2)) / n; zero on isometric copies.
     """
-    p = np.asarray(positions, dtype=float)
-    q = target.framework.positions
-    if p.shape != q.shape:
+    p, q = np.asarray(positions, dtype=float), np.asarray(target_positions, dtype=float)
+    if p.shape[-2:] != q.shape:
         raise ValueError(f"positions shape {p.shape} does not match {q.shape}")
-    n = p.shape[0]
-    pc = p - p.mean(axis=0)
+    shape, p = p.shape[:-2], p.reshape(-1, *q.shape)
     qc = q - q.mean(axis=0)
-    # Optimal rotation angle from the 2x2 cross-covariance: with
-    # A = sum(pc . qc) and B = sum(pc x qc), the aligned cost is
-    # (|pc|^2 + |qc|^2 - 2 sqrt(A^2 + B^2)) / n.
-    A = float(np.einsum("ij,ij->", pc, qc))
-    B = float(np.einsum("i,i->", pc[:, 1], qc[:, 0]) - np.einsum("i,i->", pc[:, 0], qc[:, 1]))
-    sq = (np.einsum("ij,ij->", pc, pc) + np.einsum("ij,ij->", qc, qc)
-          - 2.0 * np.hypot(A, B)) / n
-    return float(np.sqrt(max(sq, 0.0)))
+    qnorm = float(np.einsum("ij,ij->", qc, qc))
+    pc = p - p.mean(axis=1, keepdims=True)
+    A = np.einsum("rij,ij->r", pc, qc)
+    B = np.einsum("ri,i->r", pc[:, :, 1], qc[:, 0]) - np.einsum(
+        "ri,i->r", pc[:, :, 0], qc[:, 1])
+    sq = (np.einsum("rij,rij->r", pc, pc) + qnorm - 2.0 * np.hypot(A, B)) / q.shape[0]
+    dist = np.sqrt(np.maximum(sq, 0.0))
+    return float(dist[0]) if not shape else dist.reshape(shape)

@@ -308,8 +308,10 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
                if "v_f_hat" in init else None)
         by_mode = dict(access_flags=flags, initial_v_f_hat=vfh,
                        v0_access=tuple(access), gamma0=gamma0)
-        bounds = [("alpha", "gamma0", gamma0),
-                  ("alpha", "flock_velocity's acceleration bound", signal.sup_accel())]
+        bounds = [("alpha", "gamma0", gamma0)]
+        if "gamma0" in data:  # else gamma0 is the velocity's bound
+            bounds.append(("alpha", "flock_velocity's acceleration bound",
+                           signal.sup_accel()))
     else:
         try:
             signal = make_trajectory(_need(data, "target"))
@@ -329,9 +331,7 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
         # The leader measures the target velocity, so its estimate starts
         # exact; anything else in the file is overridden.
         _, vt0, _ = signal.state(0.0)
-        if "v_t_hat" in init and not np.allclose(vth[n - 1], vt0):
-            logger.warning("initial.v_t_hat: leader row replaced by the target "
-                           "velocity at t = 0")
+        replaced = "v_t_hat" in init and not np.allclose(vth[n - 1], vt0)
         vth[n - 1] = vt0
         gamma_t1 = _number(data.get("gamma_t1", signal.sup_accel()), "gamma_t1")
         if "gamma_t2" in data:
@@ -352,6 +352,9 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
     except ConfigError as exc:
         _fail(_POINTERS.get(exc.field, exc.field), str(exc))
     # Only a valid file warns: gain_check needs a gain > 0.
+    if mode == "intercept" and replaced:
+        logger.warning("initial.v_t_hat: leader row replaced by the target "
+                       "velocity at t = 0")
     for gain, bound, value in bounds:
         if not gain_check(getattr(scn, gain), value):
             logger.warning("gains.%s = %g does not dominate %s = %g; finite-time "

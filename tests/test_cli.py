@@ -342,8 +342,12 @@ def reference_csvs(log, edges):
 
 
 def written_csvs(log, edges, tmp_path):
-    cli.write_trajectory_csv(log, tmp_path / "trajectory.csv")
-    cli.write_metrics_csv(log, edges, tmp_path / "metrics.csv")
+    trajectory, metrics = tmp_path / "trajectory.csv", tmp_path / "metrics.csv"
+    with cli._Outputs([(trajectory, cli._trajectory_table),
+                       (metrics, lambda log: cli._metrics_table(log, edges))]) as outputs:
+        cli.write_trajectory_csv(log, trajectory, outputs)
+        cli.write_metrics_csv(log, metrics, outputs)
+        outputs.commit()
     return ((tmp_path / "trajectory.csv").read_bytes(),
             (tmp_path / "metrics.csv").read_bytes())
 
@@ -825,6 +829,12 @@ def test_check_rigidity_bad_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     path.write_text(json.dumps({"positions_m": [[0, 0]]}), encoding="utf-8")
     assert main(["check-rigidity", str(path)]) == 1
+    capsys.readouterr()
+    path.write_text(json.dumps({"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]}),
+                    encoding="utf-8")
+    assert main(["check-rigidity", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: formation file needs positions_m or target_positions_m\n"
 
 
 def test_parser_requires_subcommand():

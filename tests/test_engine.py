@@ -18,7 +18,7 @@ from rigidflock.engine import (
 )
 from rigidflock.graph import Graph
 from rigidflock.oracle import Measurement, measure, measurement_commands, measurement_step
-from rigidflock.rigidity import Framework, TargetFormation, edge_function, shape_distance
+from rigidflock.rigidity import Framework, edge_function
 from rigidflock.scenario import bundled_scenario_path, load_scenario
 from rigidflock.trajectories import CirclePath, LinePath
 
@@ -123,7 +123,8 @@ def test_run_config_validation():
                             ({"smoothing_epsilon": "x"}, "smoothing_epsilon"),
                             ({"duration": None}, "duration"),
                             ({"c": [10.0]}, "c"),  # a list is one gain per agent
-                            ({"mode": "intercept", "anchor_sign": 5.0}, "anchor_sign")):
+                            ({"mode": "intercept", "anchor_sign": 5.0}, "anchor_sign"),
+                            ({"initial_poses": np.zeros((3, 2))}, "initial_poses")):
         with pytest.raises(engine.ConfigError, match=name) as info:
             right_triangle_config(**overrides)
         assert info.value.field == name
@@ -323,7 +324,7 @@ def test_chunked_run_equals_one_chunk(monkeypatch, mode, form, sample_every):
     monkeypatch.setattr(engine, "_CHUNK_ROWS", 10**9)
     whole = run(cfg, force_kernel="numpy")
     expected = log_arrays(whole)
-    assert len(expected) == {"flock": 11, "intercept": 16}[mode]  # all of them
+    assert len(expected) == {"flock": 10, "intercept": 15}[mode]  # all of them
     for rows in (1, 2, 3):
         monkeypatch.setattr(engine, "_CHUNK_ROWS", rows)
         reports = []
@@ -447,14 +448,21 @@ def test_run_matches_repeated_step_world_intercept():
     np.testing.assert_allclose(w.e_t_hat, log.e_t_hat[2], atol=1e-12)
 
 
+def kabsch_distance(p, q):
+    """RMS residual of q rotated onto p about the centroids: the SVD of
+    the 2x2 cross-covariance, with the det sign fix against reflections."""
+    pc, qc = p - p.mean(axis=0), q - q.mean(axis=0)
+    u, _, vt = np.linalg.svd(qc.T @ pc)
+    d = np.sign(np.linalg.det(vt.T @ u.T))
+    rot = vt.T @ np.diag([1.0, d]) @ u.T
+    return float(np.sqrt(np.mean(np.sum((pc - qc @ rot.T) ** 2, axis=1))))
+
+
 def test_shape_distance_series_matches_pointwise():
     cfg = flock_config()
     log = run(cfg)
-    g = cfg.graph
-    fw = Framework(g, cfg.target_positions)
-    target = TargetFormation(fw, np.sqrt(edge_function(fw)))
     for r in (0, log.rows // 2, log.rows - 1):
-        expect = shape_distance(log.poses[r, :, :2], target)
+        expect = kabsch_distance(log.poses[r, :, :2], cfg.target_positions)
         assert log.shape_dist[r] == pytest.approx(expect, abs=1e-12)
 
 
@@ -476,6 +484,12 @@ def test_metrics_flock_keys_and_settle_tag():
     # Default settle time is half the run.
     m2 = metrics(log)
     assert m2["settle_time_s"] == pytest.approx(0.1)
+    # A settle time past the last row: the tail keys read the last row.
+    late = metrics(log, settle_time_s=10.0)
+    assert late["max_edge_error_after_10s"] == late["final_max_edge_error"]
+    assert late["max_heading_error_after_10s"] == late["final_max_heading_error"]
+    assert late["max_estimation_error_after_10s"] == late["final_max_estimation_error"]
+    assert late["max_shape_distance_after_10s"] == late["final_shape_distance"]
 
 
 def test_metrics_intercept_keys():

@@ -236,14 +236,14 @@ def test_shape_distance_zero_under_isometry():
         phi = rng.uniform(-np.pi, np.pi)
         off = rng.normal(size=2)
         p = t.framework.positions @ rot_matrix(phi).T + off
-        assert shape_distance(p, t) < 1e-9
+        assert shape_distance(p, t.framework.positions) < 1e-9
 
 
 def test_shape_distance_bounded_by_perturbation():
     t = pentagon_target()
     p = t.framework.positions.copy()
     p[0] += [1e-3, 0.0]
-    d = shape_distance(p, t)
+    d = shape_distance(p, t.framework.positions)
     assert 0.0 < d <= 1e-3
 
 
@@ -251,4 +251,4 @@ def test_shape_distance_positive_for_reflection():
     t = pentagon_target()
     p = t.framework.positions.copy()
     p[:, 0] *= -1.0
-    assert shape_distance(p, t) > 1e-3
+    assert shape_distance(p, t.framework.positions) > 1e-3

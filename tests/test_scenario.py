@@ -189,6 +189,15 @@ def test_intercept_scenario_fields():
     pytest.param(lambda d: d["initial"].update(perturbation_radius_m="x"),
                  "initial.perturbation_radius_m",
                  id="initial.perturbation_radius_m-str"),
+    pytest.param(lambda d: d["sim"].update(sample_every=1.5),
+                 "sim.sample_every: must be an integer", id="sim.sample_every-float"),
+    pytest.param(lambda d: d["sim"].update(sample_every=True),
+                 "sim.sample_every: must be an integer", id="sim.sample_every-bool"),
+    pytest.param(lambda d: d.update(gains=5), "gains: must be an object",
+                 id="gains-not-an-object"),
+    # json.load reads NaN as a float.
+    pytest.param(lambda d: d.update(initial={"poses": [[float("nan"), 0.0, 0.0]] * 5}),
+                 "initial.poses: entries must be finite", id="initial.poses-nan"),
 ])
 def test_flock_validation_errors_name_the_field(mutate, pointer):
     d = flock_dict()
@@ -410,6 +419,13 @@ def test_leader_estimate_row_forced(caplog):
     assert any("leader row" in r.message for r in caplog.records)
 
 
+def dominate_warnings(caplog, d):
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="rigidflock.scenario"):
+        scenario_from_dict(d)
+    return [r.getMessage() for r in caplog.records if "does not dominate" in r.getMessage()]
+
+
 def test_weak_gain_warns_but_loads(caplog):
     d = flock_dict()
     d["gains"]["alpha"] = 1e-6
@@ -417,16 +433,32 @@ def test_weak_gain_warns_but_loads(caplog):
         scn = scenario_from_dict(d)
     assert isinstance(scn, Scenario)
     assert any("dominate" in r.message for r in caplog.records)
+    # One bound, one warning: without gamma0, gamma0 is the velocity's bound.
+    del d["gamma0"]
+    assert len(dominate_warnings(caplog, d)) == 1
+    d["gamma0"], d["gains"]["alpha"] = 0.001, 0.005
+    [warning] = dominate_warnings(caplog, d)
+    assert "flock_velocity's acceleration bound = 0.0135" in warning
 
 
-@pytest.mark.parametrize("make, gain", [(flock_dict, "alpha"), (intercept_dict, "alpha2")])
+def intercept_with_leader_row_override():
+    d = intercept_dict()
+    d["initial"]["v_t_hat"] = [[0.7, 0.7]] * d["agents"]
+    return d
+
+
+@pytest.mark.parametrize("make, gain", [
+    (flock_dict, "alpha"), (intercept_dict, "alpha2"),
+    pytest.param(intercept_with_leader_row_override, "k_a",
+                 id="intercept_dict-leader-row-k_a")])
 def test_rejected_file_logs_no_gain_warning(caplog, make, gain):
     d = make()
     d["gains"][gain] = 0
     with caplog.at_level(logging.WARNING, logger="rigidflock.scenario"):
         with pytest.raises(ScenarioError, match=rf"^gains\.{gain}: "):
             scenario_from_dict(d)
-    assert not [r for r in caplog.records if "does not dominate" in r.getMessage()]
+    assert not [r for r in caplog.records if "does not dominate" in r.getMessage()
+                or "leader row" in r.getMessage()]
 
 
 def test_unknown_field_warns(caplog):
@@ -506,4 +538,7 @@ def test_invalid_json_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ScenarioError, match="JSON"):
+        load_scenario(path)
+    path.write_text("[1, 2]", encoding="utf-8")
+    with pytest.raises(ScenarioError, match="^scenario: top level must be a JSON object$"):
         load_scenario(path)
