@@ -11,9 +11,12 @@ once all three are complete.
 Where ``os.fork`` exists and the rollout spans more than one chunk, one
 forked writer formats the rows of both CSVs while the rollout runs;
 otherwise this process writes them after the rollout.  The bytes are
-the same either way.  ``check-rigidity`` prints a JSON rigidity report
-for a formation file (either a scenario file or a minimal {"n",
-"edges", "positions_m"} object).
+the same either way: every value is what ``b"%.17g" % x`` prints, made
+a block at a time in numpy by ``_format_rows``, which calls ``%`` only
+for values it cannot round exactly (near-ties, inf, nan, subnormals and
+magnitudes outside about 1e-290 to 1e291).  ``check-rigidity`` prints
+a JSON rigidity report for a formation file (either a scenario file or
+a minimal {"n", "edges", "positions_m"} object).
 
 Exit codes: 0 success (for check-rigidity: infinitesimally and
 minimally rigid), 1 input/validation or I/O error (including a
@@ -40,6 +43,7 @@ import contextlib
 import gc
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -74,23 +78,179 @@ EXIT_NOT_RIGID = 2
 EXIT_DIVERGED = 3
 
 
-# Values per formatted block: bounds the transient lists and strings
-# whether a row holds 40 values or 2,000.
+# Values per formatted block: bounds the block's arrays (48 bytes of
+# output words and about 150 bytes of temporaries a value, under 1 MB)
+# whether a row holds 40 values or 2,000.  Median formatting cost of
+# dense_log's 816,102 values (10 alternating rounds, 2 vCPUs): 2,048
+# values 123 ns a value, 4,096 112 ns, 8,192 176 ns, 16,384 192 ns.
 _BLOCK_VALUES = 4096
 # Longest exception text a failed writer process reports.
 _REASON_CHARS = 1000
 
+# ``b"%.17g" % x`` for a block of doubles, in numpy.  A finite x != 0 with
+# k = floor(log10|x|) prints the 17 digits of D = round(|x| * 10**(16 - k))
+# by the %g rules.  The product is taken in double-double arithmetic: hi +
+# lo = 10**(16 - k) to 2**-106, and |x| * hi is split exactly by Dekker's
+# two-product (numpy has no fma), so D's fraction is off by less than
+# 2**-46.  A fraction within 2**-40 of one half (exact ties included), inf,
+# nan, subnormals and k outside [_K_MIN, _K_MAX] take the exact fallback.
+_K_MIN, _K_MAX = -290, 290  # both splits stay finite and normal in between
+_TIE = 0.5 - 2.0 ** -40
+# A value is 6 words of 8 bytes, its bytes in order, NUL where nothing
+# prints: word 0 holds the sign, the "0.000" of 1e-4 <= |x| < 1, digit 0
+# and a point slot; words 1-4 hold digits 1-16, each with a point slot;
+# word 5 holds "e+XX" or "e-XXX" and the separator, ',' or CRLF.
+_WORD = np.dtype("<i8")
+_WORD0 = int.from_bytes(b"\x000.0000.", "little")  # digit 0 is added to byte 6
 
-def _write_rows(out, line: str, step: int, block, r0: int, r1: int) -> None:
-    """Rows ``[r0, r1)`` as ASCII CSV lines, ``step`` rows per block."""
+
+def _pow10(e0: int, e1: int) -> np.ndarray:
+    """(hi, lo) rows: hi + lo = 10**e to 2**-106 for e in [e0, e1], e0 < 0.
+
+    From Python ints: hi is 10**e rounded to a double and lo the rounded
+    rest; for e < 0 both come from the top 120 bits of 2**1120 // 10**-e.
+    """
+    hi, lo = [], []
+    f = 1 << 1120
+    for _ in range(-e0):
+        f //= 10
+        s = f.bit_length() - 120
+        top = f >> s
+        h = float(top)
+        hi.append(math.ldexp(h, s - 1120))
+        lo.append(math.ldexp(float(top - int(h)), s - 1120))
+    hi.reverse()
+    lo.reverse()
+    p = 1
+    for _ in range(e1 + 1):
+        h = float(p)
+        hi.append(h)
+        lo.append(float(p - int(h)))
+        p *= 10
+    return np.array([hi, lo])
+
+
+def _format_tables() -> tuple:
+    """The lookup tables of ``_format_rows``."""
+    # Slot j is k = _K_MIN + j, up to _K_MAX + 2 after rounding; the last
+    # slot is zero's, printed as D = 0 with k = 0.
+    k = np.arange(_K_MIN, _K_MAX + 3)
+    e0 = min(_K_MIN + 1, 14 - _K_MAX)
+    hi, lo = _pow10(e0, max(_K_MAX + 3, 16 - _K_MIN))
+    scale = np.zeros((4, k.size + 1))  # hi, lo and hi's two halves
+    scale[:2, :-1] = hi[16 - k - e0], lo[16 - k - e0]
+    m, ex = np.frexp(scale[0])
+    m = m * 134217729.0 - (m * 134217729.0 - m)  # Veltkamp: 26 + 26 bits
+    scale[2] = np.ldexp(m, ex)
+    scale[3] = scale[0] - scale[2]
+    up_hi, up_lo = hi[k + 1 - e0], lo[k + 1 - e0]  # the least double >= 10**(k + 1)
+    threshold = np.append(np.where(up_lo > 0, np.nextafter(up_hi, np.inf), up_hi), np.inf)
+    e = np.arange(2048)  # biased exponents: |x| in [2**(e - 1023), 2**(e - 1022))
+    k0 = ((e - 1023) * 78913) >> 18  # floor(log10 2**(e - 1023)), exact here
+    inside = (e > 0) & (k0 >= _K_MIN) & (k0 <= _K_MAX)
+    slot = np.where(inside, k0 - _K_MIN, k.size)
+    k = np.append(k, 0)
+    fixed = (k >= -4) & (k <= 16)
+    point = np.where(fixed, np.where(k >= 0, k, 16 - k), 0)  # 17-20: "0." and 0-3 zeros
+    ak = np.abs(k)
+    exponent = np.where(fixed, 0, 101 | np.where(k < 0, 45, 43) << 8
+                        | np.where(ak >= 100, 48 + ak // 100, 0) << 16
+                        | (48 + ak // 10 % 10) << 24 | (48 + ak % 10) << 32)
+    d = np.arange(10)
+    digits = (d[:, None, None, None] | d[:, None, None] << 16 | d[:, None] << 32 | d << 48
+              ).reshape(-1) + int.from_bytes(b"0.0.0.0.", "little")
+    # Layout code 21 * keep + point: digits 0..keep-1 print (through the
+    # last nonzero one, and all before the point).  Group i of four digits
+    # raises keep to its last nonzero digit.
+    last = np.where(d > 0, 4, np.where(d[:, None] > 0, 3, np.where(d[:, None, None] > 0, 2, 1)))
+    last = np.broadcast_to(last, (10,) * 4).reshape(-1)
+    keep_codes = (21 * (1 + 4 * np.arange(4)[:, None] + last)).astype(np.int16)
+    keep_codes[:, 0] = 21
+    p = np.arange(21)[:, None]
+    keep = np.maximum(np.arange(18)[:, None, None], np.where(p <= 16, p + 1, 1))
+    b = np.arange(40)
+    digit = (b - 6) >> 1  # bytes 6 + 2i and 7 + 2i: digit i and the point after it
+    shown = ((b == 0) | (p >= 17) & (b >= 1) & (b < p - 14)
+             | (b >= 6) & (b % 2 == 0) & (digit < keep)
+             | (b % 2 == 1) & (digit == p) & (keep > p + 1))
+    masks = (shown * np.uint8(255)).view(_WORD).reshape(-1, 5).T.copy()
+    return (scale, threshold, slot, ~inside, point.astype(np.int16),
+            exponent.astype(_WORD), digits.astype(_WORD), keep_codes, masks)
+
+
+(_SCALE, _THRESHOLD, _SLOT, _OUTSIDE, _POINT, _EXPONENT, _DIGITS, _KEEP_CODES,
+ _MASKS) = _format_tables()
+
+
+def _decimal(x: np.ndarray) -> tuple:
+    """Each |x|'s 17 digits D as an int64, its slot j (k = _K_MIN + j) and
+    whether the exact fallback prints it instead."""
+    a = np.abs(x)
+    e = a.view(np.int64) >> 52
+    j = _SLOT[e]
+    slow = _OUTSIDE[e] & (a != 0)
+    if slow.any():
+        a[slow] = 0.0
+    j += a >= _THRESHOLD[j]  # k is k0 or k0 + 1
+    hi, lo, hh, hl = (table[j] for table in _SCALE)
+    p = a * hi  # a * hi = p + err exactly; a splits into 26 + 27 bits
+    ah = (a.view(np.int64) & -(1 << 27)).view(float)
+    al = a - ah
+    frac = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo  # err + a * lo
+    r = np.rint(frac)
+    frac -= r
+    slow |= np.abs(frac) > _TIE
+    d = p.astype(np.int64)
+    d += r.astype(np.int64)
+    up = d == 10 ** 17
+    if up.any():
+        d[up] = 10 ** 16
+        j += up
+    return d, j, slow
+
+
+def _format_rows(values: np.ndarray) -> bytes:
+    """A (rows, width) float block as CSV lines of ``b"%.17g" % v`` values."""
+    rows, width = values.shape
+    x = np.ascontiguousarray(values, dtype=float).reshape(-1)
+    d, j, slow = _decimal(x)
+    # D is the lead digit and four groups of four digits.
+    high = d // 10 ** 8
+    low = d - high * 10 ** 8
+    lead = high // 10 ** 8
+    high -= lead * 10 ** 8
+    g0, g2 = high // 10 ** 4, low // 10 ** 4
+    groups = (g0, high - g0 * 10 ** 4, g2, low - g2 * 10 ** 4)
+    code = _KEEP_CODES[0][groups[0]]
+    for i in (1, 2, 3):
+        np.maximum(code, _KEEP_CODES[i][groups[i]], out=code)
+    code = np.add(code, _POINT[j], dtype=np.intp)  # one index conversion, not five
+    out = np.empty((rows, width, 6), _WORD)
+    words = out.reshape(-1, 6)
+    lead <<= 48
+    lead += _WORD0
+    lead |= (x.view(np.int64) >> 63) & 45  # '-'
+    np.bitwise_and(lead, _MASKS[0][code], out=words[:, 0])
+    for i in range(4):
+        np.bitwise_and(_DIGITS[groups[i]], _MASKS[i + 1][code], out=words[:, i + 1])
+    sep = np.full(width, 44 << 40, _WORD)
+    sep[-1] = 0x0A0D << 40
+    np.bitwise_or(_EXPONENT[j].reshape(rows, width), sep, out=out[:, :, 5])
+    for i in np.flatnonzero(slow):
+        text = b"%.17g" % x[i]
+        words[i, :5] = np.frombuffer(text.ljust(40, b"\0"), _WORD)
+        words[i, 5] &= 0xFFFF << 40  # the separator
+    return out.tobytes().translate(None, b"\0")
+
+
+def _write_rows(out, step: int, block, r0: int, r1: int) -> None:
+    """Rows ``[r0, r1)`` as CSV lines, ``step`` rows per block."""
     for a in range(r0, r1, step):
-        values = block(a, min(a + step, r1))
-        out.write((line * values.shape[0] % tuple(values.ravel().tolist()))
-                  .encode("ascii"))
+        out.write(_format_rows(block(a, min(a + step, r1))))
 
 
-def _table_format(table, log: TrajectoryLog) -> tuple[bytes, str, int, object]:
-    """``table(log)``'s header line, row format, rows per block and block.
+def _table_format(table, log: TrajectoryLog) -> tuple[bytes, int, object]:
+    """``table(log)``'s header line, rows per block and block.
 
     ``table(log)`` gives a CSV's header and ``block(r0, r1)``, which
     returns a (r1 - r0, len(header)) float array.  Every value is written
@@ -98,9 +258,8 @@ def _table_format(table, log: TrajectoryLog) -> tuple[bytes, str, int, object]:
     CRLF line ends, about ``_BLOCK_VALUES`` values at a time.
     """
     header, block = table(log)
-    width = len(header)
     return ((",".join(header) + "\r\n").encode("utf-8"),
-            ",".join(["%.17g"] * width) + "\r\n", max(1, _BLOCK_VALUES // width), block)
+            max(1, _BLOCK_VALUES // len(header)), block)
 
 
 def _part(path) -> str:
@@ -157,7 +316,7 @@ def _metrics_table(log: TrajectoryLog, edges) -> tuple[list[str], object]:
 
 
 def _write_files(parts, formats, counts) -> None:
-    """Each ``(head, line, step, block)`` table to its file in ``parts``:
+    """Each ``(head, step, block)`` table to its file in ``parts``:
     the header, then the rows up to every count of final rows in ``counts``."""
     with contextlib.ExitStack() as files:
         outs = [files.enter_context(open(tmp, "wb")) for tmp in parts]
@@ -166,8 +325,8 @@ def _write_files(parts, formats, counts) -> None:
         done = 0
         for count in counts:
             ready = int(count)
-            for out, (_, line, step, block) in zip(outs, formats):
-                _write_rows(out, line, step, block, done, ready)
+            for out, (_, step, block) in zip(outs, formats):
+                _write_rows(out, step, block, done, ready)
             done = ready
 
 

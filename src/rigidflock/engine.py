@@ -346,8 +346,10 @@ class TrajectoryLog:
 # costs one kernel call and one extra evaluation (its last row is the
 # next chunk's first); a larger one leaves more rows to format after
 # the rollout.  Median CLI wall time of dense_log (8,001 rows, 10
-# interleaved runs each, 2 vCPUs): 8 rows 1.44 s, 32 rows 1.29 s, 128 to
-# 512 rows 1.23 s, 1,024 rows 1.30 s, 2,048 rows 1.33 s, one chunk 1.52 s.
+# rotated runs each, 2 vCPUs, numpy CSV formatter): 128 rows 0.69 s,
+# 256 rows 0.79 s, 512 rows 0.69 s, 1,024 rows 0.67 s, 2,048 rows 0.68 s,
+# with overlapping quartiles; 1,024 against 512 won 7 of 12 pairs on
+# wall time and 9 of 12 on CPU time.
 _CHUNK_ROWS = 512
 
 

@@ -6,11 +6,14 @@ import dataclasses
 import errno
 import io
 import json
+import math
 import os
 import signal
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -407,12 +410,19 @@ def test_writers_match_reference_on_extreme_values(tmp_path, name):
     log.edge_errors[0, :4] = specials
     log.heading_errors[3, :4] = specials
     log.shape_dist[:4] = specials
+    # inf, nan, a 17-digit tie (1.00000762939453125) and 2**53 + 2
+    more = [np.inf, np.nan, 1 + 2.0 ** -17, 2.0 ** 53 + 2]
+    log.t[4:6] = more[:2]
+    log.poses[2, 0, :3] = more[1:]
+    log.edge_errors[1, :4] = more
+    log.heading_errors[4, :4] = more
     if log.mode == "intercept":
         log.hull_inside[1] = False
     traj, metrics = written_csvs(log, edges, tmp_path)
     assert (traj, metrics) == reference_csvs(log, edges)
     for text in (b"-0,", b"4.9406564584124654e-324,", b"1e+308,",
-                 b"0.33333333333333331,"):
+                 b"0.33333333333333331,", b"inf,", b"nan,", b"1.0000076293945312,",
+                 b"9007199254740994,"):
         assert text in traj and text in metrics
 
 
@@ -420,6 +430,86 @@ def test_tables_are_written_in_process_without_fork(tmp_path, monkeypatch):
     monkeypatch.delattr(os, "fork")
     log, edges = simulated("pentagon_intercept", 0.02)
     assert written_csvs(log, edges, tmp_path) == reference_csvs(log, edges)
+
+
+# ---------------------------------------------------------------------------
+# The block formatter against format(x, ".17g")
+# ---------------------------------------------------------------------------
+
+def formatted(values, width):
+    """CSV rows of ``width`` values, one ``format(x, ".17g")`` per value."""
+    rows = np.asarray(values, dtype=float).reshape(-1, width)
+    return "".join(",".join(format(float(v), ".17g") for v in row) + "\r\n"
+                   for row in rows).encode()
+
+
+def ties():
+    """Doubles whose exact value has 18 significant digits, the last a 5."""
+    ones = 1 + (2 * np.arange(500) + 1) * 2.0 ** -17  # 1.00000762939453125, ...
+    rng = np.random.default_rng(5)
+    small = [math.ldexp(float(m | 1), -e) for e in range(1, 40)
+             for m in rng.integers(1, 2**53, 300).tolist()]
+    found = [v for v in small
+             if (t := Decimal(v).as_tuple()).digits[-1] == 5 and len(t.digits) == 18]
+    assert len(found) > 100
+    return np.concatenate([ones, found[:300]])
+
+
+def powers_of_ten():
+    """10**k, its two neighbours and their negatives for k in [-324, 308]."""
+    p = np.array([float(f"1e{k}") for k in range(-324, 309)])
+    p = np.stack([p, np.nextafter(p, np.inf), np.nextafter(p, -np.inf)], axis=1)
+    return np.concatenate([p, -p], axis=1)
+
+
+VALUE_SETS = {
+    "random-bits": (lambda: np.random.default_rng(24).integers(
+        0, 2**64, 10**5, dtype=np.uint64).view(float), 50),
+    "powers-of-ten": (powers_of_ten, 6),
+    "specials": (lambda: [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                          2.225073858507201e-308, 1.7976931348623157e308,
+                          -np.inf, np.inf, np.nan], 10),
+    "integers": (lambda: np.concatenate([
+        np.arange(2**53 - 64, 2**53 + 64), 10**16 + np.arange(-64, 64),
+        10**17 + 8 * np.arange(-128, 128)]).astype(float), 16),
+    "ties": (ties, 8),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_SETS)
+def test_format_rows_matches_format(name):
+    make, width = VALUE_SETS[name]
+    values = np.asarray(make(), dtype=float).reshape(-1, width)
+    assert cli._format_rows(values) == formatted(values, width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(), min_size=1, max_size=64))
+def test_format_rows_matches_format_on_any_floats(values):
+    assert cli._format_rows(np.array([values])) == formatted(values, len(values))
+
+
+def test_exact_fallback_prints_ties_and_values_outside_the_table():
+    # 1 + 2**-17 ends in ...125 at 18 digits; 5e-324 is subnormal and 1e300
+    # lies beyond the power table.  The last two take the numpy path.
+    values = np.array([1 + 2.0 ** -17, 5e-324, 1e300, 0.1, -0.0])
+    _, _, slow = cli._decimal(values)
+    assert slow.tolist() == [True, True, True, False, False]
+    assert cli._format_rows(values[None]) == (
+        b"1.0000076293945312,4.9406564584124654e-324,1.0000000000000001e+300,"
+        b"0.10000000000000001,-0\r\n")
+
+
+def test_power_table_is_exact():
+    e0, e1 = min(cli._K_MIN + 1, 14 - cli._K_MAX), max(cli._K_MAX + 3, 16 - cli._K_MIN)
+    for e, (hi, lo) in zip(range(e0, e1 + 1), cli._pow10(e0, e1).T):
+        exact = Fraction(10) ** e
+        assert hi == float(exact)
+        assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact * Fraction(1, 2**106)
+    # Every slot's threshold is the least double >= 10**(k + 1).
+    for k, threshold in zip(range(cli._K_MIN, cli._K_MAX + 3), cli._THRESHOLD):
+        exact = Fraction(10) ** (k + 1)
+        assert Fraction(threshold) >= exact > Fraction(np.nextafter(threshold, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -782,13 +872,16 @@ def test_cli_import_freezes_the_heap_and_keeps_the_gc_setting(before, module,
                                            ("check-rigidity", "pentagon_intercept")])
 def test_cli_never_imports_numpy_random(tmp_path, command, name):
     # numpy.random would load secrets and OpenSSL's _hashlib, about 5 MB
-    # of a process's peak, for a seeded scenario's 3n uniform draws.
+    # of a process's peak, for a seeded scenario's 3n uniform draws.  The
+    # CSV formatter builds its powers of ten from ints, without fractions
+    # or decimal.
     argv = [command, str(bundled_scenario_path(name))]
     if command == "simulate":
         argv += ["--out", str(tmp_path / "o"), "--duration", "0.1"]
     out = run_child(argv, code=(
         "import sys; from rigidflock.cli import main; rc = main(sys.argv[1:]); "
-        "print(rc, sorted({'numpy.random', 'secrets', '_hashlib'} & set(sys.modules)))"))
+        "print(rc, sorted({'numpy.random', 'secrets', '_hashlib', 'fractions', 'decimal'}"
+        " & set(sys.modules)))"))
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "0 []"
 
