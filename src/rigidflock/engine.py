@@ -3,8 +3,8 @@
 The engine advances all agents synchronously against frozen snapshots:
 each step first evaluates observer rates and planar controls for every
 agent, then control rates and unicycle commands, and only then
-integrates.  Long rollouts dispatch to the kernels module; single
-steps use the vectorized evaluation directly.
+integrates.  ``run`` is the one way to advance the loop: it hands the
+rollout to the kernels module one chunk of rows at a time.
 
 Estimates are stored in the common frame for bookkeeping, but every
 signum is evaluated inside the owning agent's body frame, so the whole
@@ -213,9 +213,6 @@ class RunConfig:
             self._array("target_positions", (n, 2))
         self._d2 = self.distances**2
         self._edges = self.graph.edge_array()
-        self._dist_by_pair = {
-            e: float(d) for e, d in zip(self.graph.edges, self.distances)
-        }
 
     def _array(self, name: str, shape: tuple) -> None:
         """Field ``name`` as an owned finite float array of ``shape``."""
@@ -234,9 +231,6 @@ class RunConfig:
     def leader(self) -> int:
         """Leader id (intercept mode): always the highest id n."""
         return self.graph.n
-
-    def distance_of(self, i: int, j: int) -> float:
-        return self._dist_by_pair[(min(i, j), max(i, j))]
 
     def law(self) -> tuple:
         """The closed loop's parameters for this run: the one place
@@ -260,40 +254,6 @@ def initial_state(config: RunConfig) -> WorldState:
     """WorldState at t = 0 from the config's initial arrays (copied in)."""
     return WorldState(0.0, config.initial_poses, **{
         name: getattr(config, "initial_" + name) for name in _ESTIMATES[config.mode]})
-
-
-# ---------------------------------------------------------------------------
-# single-step evaluation and stepping
-# ---------------------------------------------------------------------------
-
-def _euler_step(world: WorldState, config: RunConfig, v, omega, **rates) -> WorldState:
-    """``world`` advanced one explicit-Euler step of ``config.dt`` under
-    commands (v, omega) and the estimate ``rates``, keyed by WorldState field."""
-    dt = config.dt
-    out = world.copy()
-    out.poses[:, 0] += v * np.cos(world.poses[:, 2]) * dt
-    out.poses[:, 1] += v * np.sin(world.poses[:, 2]) * dt
-    out.poses[:, 2] = wrap_angle(world.poses[:, 2] + omega * dt)
-    finite = np.all(np.isfinite(out.poses), axis=1)
-    for name, rate in rates.items():
-        setattr(out, name, getattr(world, name) + rate * dt)
-        finite &= np.all(np.isfinite(getattr(out, name)), axis=1)
-    out.time = world.time + dt
-    bad = ~(finite & (np.abs(out.poses[:, 0]) <= kernels.POS_LIMIT)
-            & (np.abs(out.poses[:, 1]) <= kernels.POS_LIMIT))
-    if bad.any():
-        raise SimulationDiverged(int(np.argmax(bad)) + 1, out.time)
-    return out
-
-
-def step_world(world: WorldState, config: RunConfig) -> WorldState:
-    """Advance the world one explicit-Euler step; returns a new state."""
-    fields = _ESTIMATES[config.mode]
-    est = np.concatenate([getattr(world, name) for name in fields], axis=1)
-    rate, u, tid, te, v, omega, udot = kernels._eval(
-        config.law(), world.poses, est, config.references(world.time)[0])
-    return _euler_step(world, config, v, omega,
-                       **{name: rate[:, k] for k, name in enumerate(fields)})
 
 
 # ---------------------------------------------------------------------------

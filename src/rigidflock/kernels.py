@@ -16,13 +16,15 @@ array, channel k in columns 2k and 2k + 1; edges (a, 2) of 0-based
 indices; d2 the squared desired distances per edge.  The references
 are one signal row per step of a call, one chunk's rows at a time:
 v_0 for flock, [v_T, p_T, a_T] for intercept.  The logs ``outs`` are
-(pose, cmd, u, heading_err, est): (v, omega) in cmd, and theta_err =
-wrap(theta - theta_id), the error that steers the heading loop.
+(pose, cmd, u, heading_err, est): (v, omega) in cmd, and theta_err in
+(-pi, pi], the heading error that steered the heading loop at that step
+(the desired heading atan2(u) itself is never logged).
 
 ``flock_law`` and ``intercept_law`` are the one place a mode maps onto
 the law's parameters.  ``rollout`` runs a law in the form it picks (the
 one kernel-choice rule), and ``flock_eval``/``intercept_eval`` evaluate
-it once.  ``flock_rollout`` and ``intercept_rollout`` are both
+it once (perfbench times them; nothing in the package steps with them).
+``flock_rollout`` and ``intercept_rollout`` are both
 ``rollout``: perfbench traces the rollout through those two names.
 ``EPS_U`` is the law's parking threshold on |u|; ``oracle``'s per-agent
 equations read it from here.
@@ -364,8 +366,7 @@ class _Law:
     exp(i theta_err) u needs no cosine or sine.  Parked agents
     (|u| <= EPS_U), which have no heading to aim for, and an error of
     exactly -pi, which belongs at +pi, are rare: one reduction each
-    tells whether ``_parked`` must run.  theta_id is read only on logged
-    rows, so ``theta_id()`` computes it on demand.
+    tells whether ``_parked`` must run.
     """
 
     def __init__(self, edges, d2, anchor, leader, alphas, weights, k_a, c,
@@ -389,7 +390,7 @@ class _Law:
         d_z, self.d_theta = self.split(self.delta)
         self.d_pos, self.d_est = d_z.view(complex)[:, 0], d_z.view(complex)[:, 1:]
         self.ref = np.empty(nk, dtype=complex)
-        self.u, self.live = None, None
+        self.live = None
         self._x = self._views = None  # the last state evaluated, and its views
 
     def split(self, X):
@@ -458,7 +459,6 @@ class _Law:
             bu = u * qu * (v / nu2)  # B u = cos(theta_err) exp(i theta_err) u
         else:
             v, bu = self._parked(u, nu2, qu, q, th, te)
-        self.u = u
 
         udot = np.dot(rate, w)
         if a:
@@ -485,7 +485,7 @@ class _Law:
         """``__call__``'s v and B u when some agent is parked (|u| <= EPS_U,
         or nan) or has an error of -pi, which belongs at +pi.
 
-        A parked agent has theta_id = 0, so theta_err = wrap(theta) (set
+        A parked agent aims for heading 0, so theta_err = wrap(theta) (set
         in ``te``) and exp(i theta_err) = q; ``qu`` is set to q |u|.
         """
         nu = np.sqrt(nu2)
@@ -498,13 +498,6 @@ class _Law:
         bu = u * qu * np.divide(v, nu2, out=np.zeros_like(nu2), where=live)
         bu[parked] = u[parked] * q[parked] * q.real[parked]
         return v, bu
-
-    def theta_id(self):
-        """The heading the last call aimed for: atan2(u), 0 when parked."""
-        tid = np.arctan2(self.u.imag, self.u.real)
-        if self.live is not None:
-            tid[~self.live] = 0.0
-        return tid
 
 
 def _planar(x):
@@ -525,14 +518,14 @@ def _rollout_numpy(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
     row = 0
     sig = sig.view(complex)
     for step in range(n_steps + 1):
-        _rate, u, _te, v, omega, _udot = law(X, sig[step])
+        _rate, u, te, v, omega, _udot = law(X, sig[step])
         if step % sample_every == 0:
             out_pose[row, :, :2] = Z[:, :2]
             out_pose[row, :, 2] = th
             out_cmd[row, :, 0] = v
             out_cmd[row, :, 1] = omega
             out_u[row] = _planar(u)
-            out_te[row] = wrap_angle(th - law.theta_id())  # the loop form's bytes
+            out_te[row] = te
             out_est[row] = Z[:, 2:]
             row += 1
         if step == n_steps:
@@ -592,21 +585,21 @@ def intercept_law(n, edges, d2, leader, k_a, k_t, c, alpha1, alpha2, smooth_eps)
 def _eval(law, pose, est, sig):
     """One synchronous evaluation of ``law`` under the signal row ``sig``.
 
-    Returns (rate, u, theta_id, theta_err, v, omega, udot), rate real
-    (n, K, 2); does not mutate its inputs.
+    Returns (rate, u, theta_err, v, omega, udot), rate real (n, K, 2);
+    does not mutate its inputs.
     """
     loop = _Law(*law)
     rate, u, te, v, omega, udot = loop(loop.state(pose, est),
                                        np.ascontiguousarray(sig, dtype=float).view(complex))
-    return _planar(rate), _planar(u), loop.theta_id(), te, v, omega, _planar(udot)
+    return _planar(rate), _planar(u), te, v, omega, _planar(udot)
 
 
 def flock_eval(pose, est, v0, edges, d2, bflag,
                k_a, c, alpha, anchor_sign, smooth_eps):
     """One synchronous evaluation of the flocking loop, vectorized.
 
-    Returns (rate, u, theta_id, theta_err, v, omega, udot); does not
-    mutate its inputs.
+    Returns (rate, u, theta_err, v, omega, udot); does not mutate its
+    inputs.
     """
     rate, *rest = _eval(flock_law(edges, d2, bflag, k_a, c, alpha, anchor_sign,
                                   smooth_eps), pose, est, v0)
@@ -617,7 +610,7 @@ def intercept_eval(pose, vthat, ethat, target_pos, target_vel, target_acc,
                    edges, d2, leader, k_a, k_t, c, alpha1, alpha2, smooth_eps):
     """One synchronous evaluation of the interception loop, vectorized.
 
-    Returns (rate_v, rate_e, u, theta_id, theta_err, v, omega, udot).
+    Returns (rate_v, rate_e, u, theta_err, v, omega, udot).
     """
     rate, *rest = _eval(intercept_law(len(pose), edges, d2, leader, k_a, k_t, c,
                                       alpha1, alpha2, smooth_eps),

@@ -5,8 +5,10 @@ body frame, and ``measurement_commands`` turns them into (v, omega)
 through the per-agent equations below: a distance-error gradient plus a
 feedforward (the flocking velocity estimate, or a follower's estimated
 chase terms), or the leader's direct chase of the target, then a heading
-loop toward u.  The array kernels must agree with it up to roundoff.
-The CLI never imports this module.
+loop toward u.  ``measurement_step`` integrates those commands with its
+own explicit-Euler step (``euler_step``), so the reference shares no
+integrator with the kernels.  The array kernels must agree with it up
+to roundoff.  The CLI never imports this module.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import RunConfig, WorldState, _euler_step
+from .engine import RunConfig, WorldState
 from .graph import neighbors
 from .kernels import EPS_U
 from .observers import sgn
@@ -148,6 +150,7 @@ def measure(world: WorldState, agent: int, config: RunConfig) -> Measurement:
     k = agent - 1
     th = world.poses[k, 2]
     nbrs = neighbors(config.graph, agent)
+    distance = dict(zip(config.graph.edges, config.distances))
     idx = [j - 1 for j in nbrs]
     rel = world.poses[k, :2][None, :] - world.poses[idx, :2]
     m = Measurement(
@@ -156,7 +159,8 @@ def measure(world: WorldState, agent: int, config: RunConfig) -> Measurement:
         heading=th,
         rel_positions=_to_body(rel, th),
         rel_headings=wrap_angle(th - world.poses[idx, 2]),
-        target_distances=np.array([config.distance_of(agent, j) for j in nbrs]),
+        target_distances=np.array([distance[min(agent, j), max(agent, j)]
+                                   for j in nbrs]),
     )
     if config.mode == "flock":
         m.own_v_f_hat = _to_body(world.v_f_hat[k], th)
@@ -207,8 +211,8 @@ def _pass1(meas: Measurement, config: RunConfig) -> dict:
             u = control_u(meas.rel_positions, z,
                           config.k_t * meas.own_e_t_hat + meas.own_v_t_hat, config.k_a)
     if np.hypot(u[0], u[1]) > EPS_U:
-        # theta_id in the body frame is just the direction of u there,
-        # and theta_err = -theta_id^body.
+        # The desired heading in the body frame is just the direction of
+        # u there, and theta_err is minus that direction.
         theta_err = wrap_angle(-desired_heading(u))
     else:
         # Parked: the desired heading is the global zero direction.
@@ -264,8 +268,23 @@ def measurement_commands(world: WorldState, config: RunConfig):
     return commands, rates
 
 
+def euler_step(world: WorldState, dt: float, v, omega, **rates) -> WorldState:
+    """``world`` advanced one explicit-Euler step of ``dt`` under commands
+    (v, omega) and the estimate ``rates``, keyed by WorldState field."""
+    out = world.copy()
+    th = world.poses[:, 2]
+    out.poses[:, 0] += v * np.cos(th) * dt
+    out.poses[:, 1] += v * np.sin(th) * dt
+    out.poses[:, 2] = wrap_angle(th + omega * dt)
+    for name, rate in rates.items():
+        setattr(out, name, getattr(world, name) + rate * dt)
+    out.time = world.time + dt
+    return out
+
+
 def measurement_step(world: WorldState, config: RunConfig) -> WorldState:
-    """step_world computed entirely through the measurement path."""
+    """One step of the closed loop computed entirely through the
+    measurement path."""
     commands, rates = measurement_commands(world, config)
-    return _euler_step(world, config, commands[:, 0], commands[:, 1],
-                       **{key + "_hat": rate for key, rate in rates.items()})
+    return euler_step(world, config.dt, commands[:, 0], commands[:, 1],
+                      **{key + "_hat": rate for key, rate in rates.items()})

@@ -13,7 +13,6 @@ from rigidflock.engine import (
     initial_state,
     metrics,
     run,
-    step_world,
     velocity_tracking_errors,
 )
 from rigidflock.graph import Graph
@@ -54,6 +53,17 @@ def flock_config():
 def intercept_config():
     scn = load_scenario(bundled_scenario_path("pentagon_intercept"), duration=0.2)
     return scn.to_run_config()
+
+
+def world_at(log, r):
+    """The WorldState that row ``r`` of ``log`` records."""
+    return WorldState(float(log.t[r]), log.poses[r], **{
+        name: getattr(log, name)[r] for name in engine._ESTIMATES[log.mode]})
+
+
+# The forms a bundled pentagon runs in: the default (the loop form, or
+# rollout_jit where numba is installed) and the numpy law.
+FORMS = (None, "numpy")
 
 
 # --- WorldState and RunConfig validation -----------------------------------
@@ -148,8 +158,6 @@ def test_run_config_broadcasts_scalar_c():
     cfg = right_triangle_config(c=7.0)
     np.testing.assert_array_equal(cfg.c, [7.0, 7.0, 7.0])
     assert cfg.leader == 3
-    assert cfg.distance_of(2, 1) == 3.0
-    assert cfg.distance_of(3, 2) == 5.0
 
 
 def test_initial_state_by_mode():
@@ -163,8 +171,8 @@ def test_initial_state_by_mode():
 
 @pytest.mark.parametrize("name", ["pentagon_flock", "pentagon_intercept"])
 def test_law_mapping_matches_the_eval_wrappers(name):
-    # step_world evaluates RunConfig.law() and references(); perfbench
-    # times flock_eval/intercept_eval with the config's fields.  Both
+    # run evaluates RunConfig.law() and references(); perfbench times
+    # flock_eval/intercept_eval with the config's fields.  Both
     # mappings of a run onto the law must give the same bits.
     cfg = load_scenario(bundled_scenario_path(name)).to_run_config()
     w = initial_state(cfg)
@@ -192,39 +200,38 @@ def test_law_mapping_matches_the_eval_wrappers(name):
 def test_exact_equilibrium_is_bitwise_stationary():
     cfg = right_triangle_config()
     w0 = initial_state(cfg)
-    w = w0
-    for _ in range(25):
-        w = step_world(w, cfg)
-    np.testing.assert_array_equal(w.poses, w0.poses)
-    np.testing.assert_array_equal(w.v_f_hat, w0.v_f_hat)
-    log = run(cfg)
-    np.testing.assert_array_equal(log.poses[-1], w0.poses)
-    assert log.edge_errors.max() == 0.0
-    m = metrics(log)
-    assert m["final_max_edge_error"] == 0.0
-    assert m["final_shape_distance"] == pytest.approx(0.0, abs=1e-12)
+    for form in FORMS:
+        log = run(cfg, force_kernel=form)
+        for r in range(log.rows):
+            np.testing.assert_array_equal(log.poses[r], w0.poses, err_msg=(form, r))
+            np.testing.assert_array_equal(log.v_f_hat[r], w0.v_f_hat, err_msg=(form, r))
+        assert log.edge_errors.max() == 0.0
+        m = metrics(log)
+        assert m["final_max_edge_error"] == 0.0
+        assert m["final_shape_distance"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_step_world_rejects_bad_dt():
-    # Both steppers step by config.dt, and RunConfig rejects a bad one.
+    # The oracle steps by config.dt, and RunConfig rejects a bad one.
     cfg = right_triangle_config()
-    for stepper in (step_world, measurement_step):
-        assert stepper(initial_state(cfg), cfg).time == cfg.dt
+    assert measurement_step(initial_state(cfg), cfg).time == cfg.dt
     for dt in (-1e-3, 0.0, float("nan")):
         with pytest.raises(ValueError, match="dt must be positive"):
             dataclasses.replace(cfg, dt=dt)
 
 
 def test_step_world_divergence_reports_agent():
-    cfg = right_triangle_config(k_a=1e12, initial_poses=[[0.0, 0.0, 0.0],
-                                                         [3.5, 0.0, 0.0],
-                                                         [0.0, 4.0, 0.0]])
-    w = initial_state(cfg)
-    with pytest.raises(SimulationDiverged) as err:
-        for _ in range(10):
-            w = step_world(w, cfg)
-    assert 1 <= err.value.agent <= 3
-    assert err.value.time_s > 0.0
+    # A run that diverges within its first ten steps names an agent and a
+    # time after the start, in either form.
+    cfg = right_triangle_config(k_a=1e12, duration=0.01,
+                                initial_poses=[[0.0, 0.0, 0.0],
+                                               [3.5, 0.0, 0.0],
+                                               [0.0, 4.0, 0.0]])
+    for form in FORMS:
+        with pytest.raises(SimulationDiverged) as err:
+            run(cfg, force_kernel=form)
+        assert 1 <= err.value.agent <= 3
+        assert err.value.time_s > 0.0
 
 
 # Only edge (2, 3) is off in OFF_23, so agent 1 is still sane when 2 and
@@ -248,8 +255,8 @@ DIVERGENCE_CASES = [  # (overrides, agent, time_s)
 ]
 
 
-def assert_divergences_match_step_world(monkeypatch, sample_every=10):
-    """Every runtime of ``run`` names the agent and time step_world names.
+def assert_divergences_match(monkeypatch, sample_every=10):
+    """Every runtime of ``run`` names the expected agent and time.
 
     The runtimes are the unforced default (rollout_jit where numba is
     installed, the list runtime where it is not), the numpy law, and the
@@ -275,11 +282,6 @@ def assert_divergences_match_step_world(monkeypatch, sample_every=10):
                     with pytest.raises(SimulationDiverged) as by_run:
                         run(cfg, force_kernel="numpy")
                 found.append((by_run.value.agent, by_run.value.time_s))
-            w = initial_state(cfg)
-            with pytest.raises(SimulationDiverged) as by_step:
-                for _ in range(10):
-                    w = step_world(w, cfg)
-            found.append((by_step.value.agent, by_step.value.time_s))
         assert all(f == found[0] for f in found), (overrides, found)
         assert found[0][0] == agent, overrides
         assert found[0][1] == pytest.approx(time_s)
@@ -287,8 +289,8 @@ def assert_divergences_match_step_world(monkeypatch, sample_every=10):
 
 def test_run_divergence_matches_step_world(monkeypatch):
     # The rollout checks one reduction per step and scans per agent only
-    # when it fails; it must name the agent and time step_world names.
-    assert_divergences_match_step_world(monkeypatch)
+    # when it fails; it must name the agent and time the loop form names.
+    assert_divergences_match(monkeypatch)
 
 
 def test_chunked_run_divergence_matches_step_world(monkeypatch):
@@ -296,7 +298,7 @@ def test_chunked_run_divergence_matches_step_world(monkeypatch):
     # happen in the first, second and third chunk, whose kernels count
     # steps from their own start.
     monkeypatch.setattr(engine, "_CHUNK_ROWS", 1)
-    assert_divergences_match_step_world(monkeypatch, sample_every=1)
+    assert_divergences_match(monkeypatch, sample_every=1)
 
 
 # --- chunked rollouts ---------------------------------------------------------
@@ -427,27 +429,6 @@ def test_log_meta_fields():
     assert log.meta["n_steps"] == 200
 
 
-def test_run_matches_repeated_step_world_flock():
-    cfg = flock_config()
-    log = run(cfg, force_kernel="numpy")
-    w = initial_state(cfg)
-    for _ in range(cfg.sample_every * 3):
-        w = step_world(w, cfg)
-    np.testing.assert_allclose(w.poses, log.poses[3], atol=1e-12)
-    np.testing.assert_allclose(w.v_f_hat, log.v_f_hat[3], atol=1e-12)
-
-
-def test_run_matches_repeated_step_world_intercept():
-    cfg = intercept_config()
-    log = run(cfg, force_kernel="numpy")
-    w = initial_state(cfg)
-    for _ in range(cfg.sample_every * 2):
-        w = step_world(w, cfg)
-    np.testing.assert_allclose(w.poses, log.poses[2], atol=1e-12)
-    np.testing.assert_allclose(w.v_t_hat, log.v_t_hat[2], atol=1e-12)
-    np.testing.assert_allclose(w.e_t_hat, log.e_t_hat[2], atol=1e-12)
-
-
 def kabsch_distance(p, q):
     """RMS residual of q rotated onto p about the centroids: the SVD of
     the 2x2 cross-covariance, with the det sign fix against reflections."""
@@ -533,6 +514,18 @@ def test_measure_body_frame_rotation():
     assert not m.has_reference
 
 
+def test_measure_target_distances_follow_the_edges():
+    # Each neighbour's desired distance is the one of their edge, in
+    # either order of the pair.
+    cfg = right_triangle_config()
+    w = initial_state(cfg)
+    for agent, nbrs, dists in ((1, (2, 3), [3.0, 4.0]), (2, (1, 3), [3.0, 5.0]),
+                               (3, (1, 2), [4.0, 5.0])):
+        m = measure(w, agent, cfg)
+        assert m.neighbors == nbrs
+        np.testing.assert_array_equal(m.target_distances, dists)
+
+
 def test_measure_locality():
     # Perturbing a non-neighbor must not change an agent's measurement.
     cfg = flock_config()
@@ -566,36 +559,35 @@ def test_measure_reference_access():
         measure(wi, 0, icfg)
 
 
+def assert_measurement_commands_match(cfg, rows):
+    """The oracle's commands on the states of a run's first ``rows``
+    logged rows are the commands that run logged, in every form."""
+    for form in FORMS:
+        log = run(cfg, force_kernel=form)
+        for r in range(rows):
+            cmds, _ = measurement_commands(world_at(log, r), cfg)
+            np.testing.assert_allclose(cmds, log.commands[r], atol=1e-9,
+                                       err_msg=(form, r))
+
+
 def test_measurement_commands_match_kernel_flock():
-    cfg = flock_config()
-    log = run(cfg, force_kernel="numpy")
-    w = initial_state(cfg)
-    for r in range(4):
-        cmds, _ = measurement_commands(w, cfg)
-        np.testing.assert_allclose(cmds, log.commands[r], atol=1e-9)
-        for _ in range(cfg.sample_every):
-            w = step_world(w, cfg)
+    assert_measurement_commands_match(flock_config(), 4)
 
 
 def test_measurement_commands_match_kernel_intercept():
-    cfg = intercept_config()
-    log = run(cfg, force_kernel="numpy")
-    w = initial_state(cfg)
-    for r in range(3):
-        cmds, _ = measurement_commands(w, cfg)
-        np.testing.assert_allclose(cmds, log.commands[r], atol=1e-9)
-        for _ in range(cfg.sample_every):
-            w = step_world(w, cfg)
+    assert_measurement_commands_match(intercept_config(), 3)
 
 
 def test_measurement_step_tracks_step_world():
+    # The oracle, stepped on its own, follows a run logged every step.
     for cfg in (flock_config(), intercept_config()):
-        wa = initial_state(cfg)
-        wb = initial_state(cfg)
-        for _ in range(20):
-            wa = step_world(wa, cfg)
-            wb = measurement_step(wb, cfg)
-        np.testing.assert_allclose(wa.poses, wb.poses, atol=1e-10)
+        cfg = dataclasses.replace(cfg, sample_every=1)
+        logs = [run(cfg, force_kernel=form) for form in FORMS]
+        w = initial_state(cfg)
+        for r in range(1, 21):
+            w = measurement_step(w, cfg)
+            for log in logs:
+                np.testing.assert_allclose(w.poses, log.poses[r], atol=1e-10)
 
 
 def test_measurement_dataclass_is_plain_data():

@@ -20,7 +20,7 @@ from rigidflock.graph import Graph
 from rigidflock.kernels import EPS_U
 from rigidflock.rigidity import Framework, edge_function, is_minimally_rigid
 from rigidflock.scenario import bundled_scenario_path, load_scenario
-from rigidflock.trajectories import CirclePath
+from rigidflock.trajectories import CirclePath, LinePath
 
 
 def run_both(name, duration):
@@ -110,7 +110,7 @@ LOGGED_ESTIMATES = {"flock": ("v_f_hat",), "intercept": ("v_t_hat", "e_t_hat")}
 
 
 def assert_logs_match(log, ref):
-    for name in ("poses", "commands") + LOGGED_ESTIMATES[log.mode]:
+    for name in ("poses", "commands", "heading_errors") + LOGGED_ESTIMATES[log.mode]:
         diff = np.abs(getattr(log, name) - getattr(ref, name)).max()
         assert diff < 1e-9, (name, diff)
 
@@ -228,24 +228,27 @@ def test_list_runtime_equals_array_loop_form_from_zero_estimates(
 def test_measurement_oracle_matches_law_on_random_rigid_graphs(
         n, seed, mode, smoothing):
     # The agent's-eye path (body-frame measurements, one agent at a time)
-    # against one evaluation of the law, on the states step_world reaches.
-    cfg = estimates_near_references(
+    # against one evaluation of the law, on the first 5 states a law run
+    # logs.
+    cfg = dataclasses.replace(estimates_near_references(
         henneberg_config(n, seed, steps=10, mode=mode,
-                         smoothing_epsilon=smoothing), seed)
+                         smoothing_epsilon=smoothing), seed), sample_every=1)
     gains = (cfg.k_a, cfg.c, cfg.alpha, cfg.anchor_sign) if mode == "flock" else (
         cfg.k_a, cfg.k_t, cfg.c, cfg.alpha1, cfg.alpha2)
-    world = engine.initial_state(cfg)
-    for _ in range(5):
+    log = engine.run(cfg, force_kernel="numpy")
+    for r in range(5):
+        world = engine.WorldState(float(log.t[r]), log.poses[r], **{
+            name: getattr(log, name)[r] for name in LOGGED_ESTIMATES[mode]})
         commands, rates = oracle.measurement_commands(world, cfg)
         if mode == "flock":
             _, v0, _ = cfg.signal.state(world.time)
-            rate, _u, _tid, _te, v, omega, _udot = kernels.flock_eval(
+            rate, _u, _te, v, omega, _udot = kernels.flock_eval(
                 world.poses, world.v_f_hat, v0, cfg._edges, cfg._d2,
                 cfg.access_flags, *gains, cfg.smoothing_epsilon)
             law_rates = {"v_f": rate}
         else:
             pt, vt, at = cfg.signal.state(world.time)
-            rate_v, rate_e, _u, _tid, _te, v, omega, _udot = kernels.intercept_eval(
+            rate_v, rate_e, _u, _te, v, omega, _udot = kernels.intercept_eval(
                 world.poses, world.v_t_hat, world.e_t_hat, pt, vt, at, cfg._edges,
                 cfg._d2, cfg.leader - 1, *gains, cfg.smoothing_epsilon)
             law_rates = {"v_t": rate_v, "e_t": rate_e}
@@ -255,7 +258,6 @@ def test_measurement_oracle_matches_law_on_random_rigid_graphs(
         for key, rate in law_rates.items():
             np.testing.assert_allclose(rates[key], rate, rtol=0, atol=1e-9,
                                        err_msg=key)
-        world = engine.step_world(world, cfg)
 
 
 def complete_config(cfg):
@@ -288,13 +290,22 @@ def test_dispatch_picks_the_form_by_formation_size(monkeypatch):
 def test_law_heading_error_of_pi_is_plus_pi():
     # Heading 0 and u = (-1, 0): arctan2 of q conj(u) = -1 - 0j is -pi,
     # which (-pi, pi] puts at +pi, as the loop form's wrap does.
-    rate, u, tid, te, v, omega, udot = kernels.flock_eval(
+    rate, u, te, v, omega, udot = kernels.flock_eval(
         np.zeros((1, 3)), np.array([[-1.0, 0.0]]), np.zeros(2),
         np.zeros((0, 2), dtype=np.intp), np.zeros(0), np.zeros(1), 1.0,
         np.ones(1), 1.0, 1.0, 0.0)
-    assert tid[0] == np.pi
-    assert te[0] == kernels._wrap(0.0 - tid[0]) == np.pi
+    assert te[0] == kernels._wrap(0.0 - np.pi) == np.pi
     assert omega[0] == -np.pi
+    # The logged row of a zero-step rollout reads +pi in both forms.
+    cfg = engine.RunConfig(
+        mode="flock", graph=Graph(1, []), distances=np.zeros(0),
+        initial_poses=np.zeros((1, 3)), signal=LinePath([0.0, 0.0], [0.0, 0.0]),
+        dt=1e-3, duration=0.0, c=1.0, access_flags=[0],
+        initial_v_f_hat=[[-1.0, 0.0]])
+    for force in (None, "numpy"):
+        log = engine.run(cfg, force_kernel=force)
+        assert log.meta["form"] == ("law" if force else "loops")
+        assert log.heading_errors[0, 0] == np.pi, force
 
 
 def test_jit_arguments_are_numba_types(monkeypatch):
@@ -325,20 +336,29 @@ def test_jit_arguments_are_numba_types(monkeypatch):
                 assert type(value) in (int, float), (name, type(value))
 
 
-def test_numpy_rollout_matches_step_world():
-    # The vectorized rollout must reproduce repeated single steps.
-    scn = load_scenario(bundled_scenario_path("pentagon_flock"), duration=0.05)
+@pytest.mark.parametrize("mode", ["flock", "intercept"])
+def test_numpy_rollout_matches_repeated_evaluations(mode):
+    # The vectorized rollout must reproduce one evaluation of the law per
+    # step, each integrated by the oracle's explicit-Euler step.
+    scn = load_scenario(bundled_scenario_path(f"pentagon_{mode}"), duration=0.05)
     cfg = scn.to_run_config()
     log = engine.run(cfg, force_kernel="numpy")
+    fields, law = LOGGED_ESTIMATES[mode], cfg.law()
     world = engine.initial_state(cfg)
     for r in range(log.rows):
         step = r * cfg.sample_every
         if r:
             for _ in range(cfg.sample_every):
-                world = engine.step_world(world, cfg)
+                est = np.concatenate([getattr(world, f) for f in fields], axis=1)
+                rate, _u, _te, v, omega, _udot = kernels._eval(
+                    law, world.poses, est, cfg.references(world.time)[0])
+                world = oracle.euler_step(world, cfg.dt, v, omega, **{
+                    f: rate[:, k] for k, f in enumerate(fields)})
         assert world.time == pytest.approx(step * cfg.dt)
         np.testing.assert_allclose(world.poses, log.poses[r], atol=1e-12)
-        np.testing.assert_allclose(world.v_f_hat, log.v_f_hat[r], atol=1e-12)
+        for f in fields:
+            np.testing.assert_allclose(getattr(world, f), getattr(log, f)[r],
+                                       atol=1e-12, err_msg=f)
 
 
 def test_force_argument_validation():
