@@ -16,7 +16,13 @@ from rigidflock.engine import (
     velocity_tracking_errors,
 )
 from rigidflock.graph import Graph
-from rigidflock.oracle import Measurement, measure, measurement_commands, measurement_step
+from rigidflock.oracle import (
+    Measurement,
+    euler_step,
+    measure,
+    measurement_commands,
+    measurement_step,
+)
 from rigidflock.rigidity import Framework, edge_function
 from rigidflock.scenario import bundled_scenario_path, load_scenario
 from rigidflock.trajectories import CirclePath, LinePath
@@ -427,6 +433,39 @@ def test_log_meta_fields():
         assert key in log.meta
     assert log.meta["mode"] == "flock"
     assert log.meta["n_steps"] == 200
+
+
+def law_step(world, cfg):
+    """``world`` advanced one step: one evaluation of the law, integrated
+    by the oracle's explicit-Euler step."""
+    fields = engine._ESTIMATES[cfg.mode]
+    est = np.concatenate([getattr(world, f) for f in fields], axis=1)
+    rate, _u, _te, v, omega, _udot = engine.kernels._eval(
+        cfg.law(), world.poses, est, cfg.references(world.time)[0])
+    return euler_step(world, cfg.dt, v, omega,
+                      **{f: rate[:, k] for k, f in enumerate(fields)})
+
+
+def test_run_matches_repeated_step_world_flock():
+    # run's numpy rollout reproduces the law stepped one step at a time.
+    cfg = flock_config()
+    log = run(cfg, force_kernel="numpy")
+    w = initial_state(cfg)
+    for _ in range(cfg.sample_every * 3):
+        w = law_step(w, cfg)
+    np.testing.assert_allclose(w.poses, log.poses[3], atol=1e-12)
+    np.testing.assert_allclose(w.v_f_hat, log.v_f_hat[3], atol=1e-12)
+
+
+def test_run_matches_repeated_step_world_intercept():
+    cfg = intercept_config()
+    log = run(cfg, force_kernel="numpy")
+    w = initial_state(cfg)
+    for _ in range(cfg.sample_every * 2):
+        w = law_step(w, cfg)
+    np.testing.assert_allclose(w.poses, log.poses[2], atol=1e-12)
+    np.testing.assert_allclose(w.v_t_hat, log.v_t_hat[2], atol=1e-12)
+    np.testing.assert_allclose(w.e_t_hat, log.e_t_hat[2], atol=1e-12)
 
 
 def kabsch_distance(p, q):

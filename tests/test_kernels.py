@@ -336,10 +336,14 @@ def test_jit_arguments_are_numba_types(monkeypatch):
                 assert type(value) in (int, float), (name, type(value))
 
 
-@pytest.mark.parametrize("mode", ["flock", "intercept"])
-def test_numpy_rollout_matches_repeated_evaluations(mode):
+def test_numpy_rollout_matches_step_world():
     # The vectorized rollout must reproduce one evaluation of the law per
     # step, each integrated by the oracle's explicit-Euler step.
+    for mode in ("flock", "intercept"):
+        assert_numpy_rollout_matches_repeated_evaluations(mode)
+
+
+def assert_numpy_rollout_matches_repeated_evaluations(mode):
     scn = load_scenario(bundled_scenario_path(f"pentagon_{mode}"), duration=0.05)
     cfg = scn.to_run_config()
     log = engine.run(cfg, force_kernel="numpy")
