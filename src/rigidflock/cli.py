@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
 import json
 import logging
@@ -130,8 +131,9 @@ def _pow10(e0: int, e1: int) -> np.ndarray:
     return np.array([hi, lo])
 
 
+@functools.cache
 def _format_tables() -> tuple:
-    """The lookup tables of ``_format_rows``."""
+    """The lookup tables of ``_format_rows``, built on its first call."""
     # Slot j is k = _K_MIN + j, up to _K_MAX + 2 after rounding; the last
     # slot is zero's, printed as D = 0 with k = 0.
     k = np.arange(_K_MIN, _K_MAX + 3)
@@ -178,21 +180,18 @@ def _format_tables() -> tuple:
             exponent.astype(_WORD), digits.astype(_WORD), keep_codes, masks)
 
 
-(_SCALE, _THRESHOLD, _SLOT, _OUTSIDE, _POINT, _EXPONENT, _DIGITS, _KEEP_CODES,
- _MASKS) = _format_tables()
-
-
 def _decimal(x: np.ndarray) -> tuple:
     """Each |x|'s 17 digits D as an int64, its slot j (k = _K_MIN + j) and
     whether the exact fallback prints it instead."""
+    scale, threshold, slots, outside = _format_tables()[:4]
     a = np.abs(x)
     e = a.view(np.int64) >> 52
-    j = _SLOT[e]
-    slow = _OUTSIDE[e] & (a != 0)
+    j = slots[e]
+    slow = outside[e] & (a != 0)
     if slow.any():
         a[slow] = 0.0
-    j += a >= _THRESHOLD[j]  # k is k0 or k0 + 1
-    hi, lo, hh, hl = (table[j] for table in _SCALE)
+    j += a >= threshold[j]  # k is k0 or k0 + 1
+    hi, lo, hh, hl = (table[j] for table in scale)
     p = a * hi  # a * hi = p + err exactly; a splits into 26 + 27 bits
     ah = (a.view(np.int64) & -(1 << 27)).view(float)
     al = a - ah
@@ -212,6 +211,7 @@ def _decimal(x: np.ndarray) -> tuple:
 def _format_rows(values: np.ndarray) -> bytes:
     """A (rows, width) float block as CSV lines of ``b"%.17g" % v`` values."""
     rows, width = values.shape
+    points, exponents, digits, keep_codes, masks = _format_tables()[4:]
     x = np.ascontiguousarray(values, dtype=float).reshape(-1)
     d, j, slow = _decimal(x)
     # D is the lead digit and four groups of four digits.
@@ -221,21 +221,21 @@ def _format_rows(values: np.ndarray) -> bytes:
     high -= lead * 10 ** 8
     g0, g2 = high // 10 ** 4, low // 10 ** 4
     groups = (g0, high - g0 * 10 ** 4, g2, low - g2 * 10 ** 4)
-    code = _KEEP_CODES[0][groups[0]]
+    code = keep_codes[0][groups[0]]
     for i in (1, 2, 3):
-        np.maximum(code, _KEEP_CODES[i][groups[i]], out=code)
-    code = np.add(code, _POINT[j], dtype=np.intp)  # one index conversion, not five
+        np.maximum(code, keep_codes[i][groups[i]], out=code)
+    code = np.add(code, points[j], dtype=np.intp)  # one index conversion, not five
     out = np.empty((rows, width, 6), _WORD)
     words = out.reshape(-1, 6)
     lead <<= 48
     lead += _WORD0
     lead |= (x.view(np.int64) >> 63) & 45  # '-'
-    np.bitwise_and(lead, _MASKS[0][code], out=words[:, 0])
+    np.bitwise_and(lead, masks[0][code], out=words[:, 0])
     for i in range(4):
-        np.bitwise_and(_DIGITS[groups[i]], _MASKS[i + 1][code], out=words[:, i + 1])
+        np.bitwise_and(digits[groups[i]], masks[i + 1][code], out=words[:, i + 1])
     sep = np.full(width, 44 << 40, _WORD)
     sep[-1] = 0x0A0D << 40
-    np.bitwise_or(_EXPONENT[j].reshape(rows, width), sep, out=out[:, :, 5])
+    np.bitwise_or(exponents[j].reshape(rows, width), sep, out=out[:, :, 5])
     for i in np.flatnonzero(slow):
         text = b"%.17g" % x[i]
         words[i, :5] = np.frombuffer(text.ljust(40, b"\0"), _WORD)

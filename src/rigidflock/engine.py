@@ -232,7 +232,7 @@ class RunConfig:
         """Leader id (intercept mode): always the highest id n."""
         return self.graph.n
 
-    def law(self) -> tuple:
+    def law(self) -> kernels.Law:
         """The closed loop's parameters for this run: the one place
         ``engine`` maps a mode onto ``kernels``' law."""
         if self.mode == "flock":

@@ -21,19 +21,23 @@ v_0 for flock, [v_T, p_T, a_T] for intercept.  The logs ``outs`` are
 (the desired heading atan2(u) itself is never logged).
 
 ``flock_law`` and ``intercept_law`` are the one place a mode maps onto
-the law's parameters.  ``rollout`` runs a law in the form it picks (the
-one kernel-choice rule), and ``flock_eval``/``intercept_eval`` evaluate
-it once (perfbench times them; nothing in the package steps with them).
-``flock_rollout`` and ``intercept_rollout`` are both
-``rollout``: perfbench traces the rollout through those two names.
-``EPS_U`` is the law's parking threshold on |u|; ``oracle``'s per-agent
-equations read it from here.
+the law's parameters, a ``Law``.  They broadcast one signum width to
+``Law.smooth_eps``, an (n, 2K) table, or take a table; both forms read
+it per agent and component, all 0 (plain sign) or all positive.
+``rollout`` runs a law in the form it picks (the one kernel-choice
+rule), and ``flock_eval``/``intercept_eval`` evaluate it once
+(perfbench times them; nothing in the package steps with them).
+``flock_rollout`` and ``intercept_rollout`` are both ``rollout``:
+perfbench traces the rollout through those two names.  ``EPS_U`` is
+the law's parking threshold on |u|; ``oracle``'s per-agent equations
+read it from here.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,6 +124,21 @@ if HAS_NUMBA:
         return lambda n, m: np.zeros((n, m))
 
 
+class Law(NamedTuple):
+    """The closed loop's parameters (see ``_Law``); ``rollout`` passes them
+    positionally, so the loop form receives arrays, ints and floats only."""
+
+    edges: np.ndarray  # (a, 2) agent indices
+    d2: np.ndarray  # (a,) squared desired distances
+    anchor: np.ndarray  # (n,) weight of the reference in each agent's sums
+    leader: int  # the free leader, -1 for none
+    alphas: np.ndarray  # (K,) observer gains
+    weights: np.ndarray  # (K,) channel weights in the planar control
+    k_a: float
+    c: np.ndarray  # (n,) heading gains
+    smooth_eps: np.ndarray  # (n, 2K) signum widths, all 0 (plain sign) or all > 0
+
+
 # ---------------------------------------------------------------------------
 # the closed loop, loop form (numba target, and CPython on lists)
 # ---------------------------------------------------------------------------
@@ -129,8 +148,8 @@ def _rollout_loops(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
                    out_pose, out_cmd, out_u, out_te, out_est):
     """Explicit-Euler rollout of the closed loop, written as scalar loops.
 
-    The law's parameters are those of ``_Law``, with ``leader`` -1 for
-    none; row ``step`` of ``sig`` holds the references (see the module
+    The law's parameters are the fields of ``Law``, in its order; row
+    ``step`` of ``sig`` holds the references (see the module
     docstring).  Updates pose and est in place, logs steps 0,
     ``sample_every``, ... into rows 0, 1, ... of the ``out_*`` arrays and
     returns (status, agent, steps), with steps counted from this call's
@@ -138,8 +157,8 @@ def _rollout_loops(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
     chunks, each one continuing from the state the last one left.
 
     One source, two runtimes.  numba compiles it with every argument an
-    array, an int or a float.  CPython runs it with pose, est, edges,
-    d2, anchor, alphas, weights and c as lists (``_rollout_lists``), so
+    array, an int or a float.  CPython runs it with pose, est and
+    the law's arrays as lists (``_rollout_lists``), so
     the arithmetic is on Python floats; ``sig`` and the ``out_*`` logs
     stay arrays, written one slice per logged row.  Rows are read by
     chained indexing (``pose[i][0]``), which both runtimes index
@@ -209,6 +228,7 @@ def _rollout_loops(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
             ei = est[i]
             si = sums[i]
             ri = rate[i]
+            epi = smooth_eps[i]
             bi = anchor[i]
             uxi = 0.0
             uyi = 0.0
@@ -220,8 +240,8 @@ def _rollout_loops(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
                 wk = weights[k]
                 ax = si[kx] + bi * (ei[kx] - ref[kx])
                 ay = si[ky] + bi * (ei[ky] - ref[ky])
-                sx = _sgn(ct * ax + st * ay, smooth_eps)
-                sy = _sgn(-st * ax + ct * ay, smooth_eps)
+                sx = _sgn(ct * ax + st * ay, epi[kx])
+                sy = _sgn(-st * ax + ct * ay, epi[ky])
                 rx = -alphas[k] * (ct * sx - st * sy)
                 ry = -alphas[k] * (st * sx + ct * sy)
                 ri[kx] = rx
@@ -327,7 +347,7 @@ def _rollout_lists(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
     pose_l, est_l = pose.tolist(), est.tolist()
     status = _rollout_loops(pose_l, est_l, sig, edges.tolist(), d2.tolist(),
                             anchor.tolist(), leader, alphas.tolist(),
-                            weights.tolist(), k_a, c.tolist(), smooth_eps, dt,
+                            weights.tolist(), k_a, c.tolist(), smooth_eps.tolist(), dt,
                             n_steps, sample_every, *outs)
     pose[:] = pose_l
     est[:] = est_l
@@ -369,17 +389,17 @@ class _Law:
     tells whether ``_parked`` must run.
     """
 
-    def __init__(self, edges, d2, anchor, leader, alphas, weights, k_a, c,
-                 smooth_eps):
-        n, a, nk = len(anchor), len(edges), len(weights)
-        self.a, self.d2, self.k_a, self.neg_c = a, d2, k_a, -c
-        self.w = np.asarray(weights, dtype=complex)
-        self.neg_alpha = -np.asarray(alphas, dtype=complex)
-        self.anchor = np.asarray(anchor, dtype=complex)[:, None]
-        self.leader, self.smooth_eps = leader, smooth_eps
-        self.n, self.width = n, 2 + 2 * nk
+    def __init__(self, law: Law):
+        n, a, nk = len(law.anchor), len(law.edges), len(law.weights)
+        self.a, self.d2, self.k_a, self.neg_c = a, law.d2, law.k_a, -law.c
+        self.w = np.asarray(law.weights, dtype=complex)
+        self.neg_alpha = -np.asarray(law.alphas, dtype=complex)
+        self.anchor = np.asarray(law.anchor, dtype=complex)[:, None]
+        self.leader, self.n, self.width = law.leader, n, 2 + 2 * nk
+        # 0.0 is signum_rates' plain sign: the table is tested once, here
+        self.smooth_eps = law.smooth_eps if law.smooth_eps.any() else 0.0
         # Edge k adds its row of Z to agent i's sums and subtracts it from j's.
-        self.ends = np.concatenate([edges[:, 0], edges[:, 1]]).astype(np.intp)
+        self.ends = np.concatenate([law.edges[:, 0], law.edges[:, 1]]).astype(np.intp)
         self.sum_idx = (self.ends[:, None] * self.width
                         + np.arange(self.width)).ravel()
         self.udot_idx = (self.ends[:, None] * 2 + np.arange(2)).ravel()
@@ -509,7 +529,7 @@ def _rollout_numpy(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
                    k_a, c, smooth_eps, dt, n_steps, sample_every,
                    out_pose, out_cmd, out_u, out_te, out_est):
     """The numpy form of ``_rollout_loops``: same arguments, same effects."""
-    law = _Law(edges, d2, anchor, leader, alphas, weights, k_a, c, smooth_eps)
+    law = _Law(Law(edges, d2, anchor, leader, alphas, weights, k_a, c, smooth_eps))
     X = law.state(pose, est)
     Z, th = law.split(X)
     delta, mag = law.delta, np.empty_like(X)
@@ -560,26 +580,27 @@ rollout_jit = numba.njit(cache=True)(_rollout_loops) if HAS_NUMBA else None
 # the two modes: parameters, evaluation and rollout dispatch
 # ---------------------------------------------------------------------------
 
-def flock_law(edges, d2, bflag, k_a, c, alpha, anchor_sign, smooth_eps):
-    """The law's parameters (edges ... smooth_eps) for flocking.
+def flock_law(edges, d2, bflag, k_a, c, alpha, anchor_sign, smooth_eps) -> Law:
+    """The ``Law`` of flocking.
 
     One channel, v_f with weight 1; the flagged agents measure v_0 with
     ``anchor_sign``; no leader.
     """
-    return (edges, d2, anchor_sign * np.asarray(bflag, dtype=float), -1,
-            np.array([alpha], dtype=float), np.ones(1), float(k_a), c,
-            float(smooth_eps))
+    anchor = anchor_sign * np.asarray(bflag, dtype=float)
+    return Law(edges, d2, anchor, -1, np.array([alpha], dtype=float), np.ones(1),
+               float(k_a), c, np.full((len(anchor), 2), smooth_eps, dtype=float))
 
 
-def intercept_law(n, edges, d2, leader, k_a, k_t, c, alpha1, alpha2, smooth_eps):
-    """The law's parameters (edges ... smooth_eps) for interception.
+def intercept_law(n, edges, d2, leader, k_a, k_t, c, alpha1, alpha2, smooth_eps) -> Law:
+    """The ``Law`` of interception.
 
     Channels v_T with weight 1 and e_T with weight k_t; only the free
     ``leader`` measures the target.
     """
     anchor = (np.arange(n) == leader).astype(float)
-    return (edges, d2, anchor, int(leader), np.array([alpha1, alpha2], dtype=float),
-            np.array([1.0, k_t], dtype=float), float(k_a), c, float(smooth_eps))
+    return Law(edges, d2, anchor, int(leader), np.array([alpha1, alpha2], dtype=float),
+               np.array([1.0, k_t], dtype=float), float(k_a), c,
+               np.full((n, 4), smooth_eps, dtype=float))
 
 
 def _eval(law, pose, est, sig):
@@ -588,7 +609,7 @@ def _eval(law, pose, est, sig):
     Returns (rate, u, theta_err, v, omega, udot), rate real (n, K, 2);
     does not mutate its inputs.
     """
-    loop = _Law(*law)
+    loop = _Law(law)
     rate, u, te, v, omega, udot = loop(loop.state(pose, est),
                                        np.ascontiguousarray(sig, dtype=float).view(complex))
     return _planar(rate), _planar(u), te, v, omega, _planar(udot)
@@ -636,8 +657,11 @@ def rollout(law, pose, est, sig, dt, n_steps, sample_every, outs, *,
     (uncompiled), the form that ran ("loops" or "law") and the
     rollout's status triple.  Without numba, formations of at most
     ``LIST_MAX_EDGES`` edges run the loop form on Python floats unless
-    ``force`` is "numpy".
+    ``force`` is "numpy".  Raises ValueError for a signum-width table
+    that mixes zero and positive widths (or holds any other value).
     """
+    if law.smooth_eps.any() and not (law.smooth_eps > 0.0).all():
+        raise ValueError("smooth_eps must be all 0 (plain sign) or all > 0")
     if force == "jit":
         if rollout_jit is None:
             raise KernelUnavailable("numba is not installed")
@@ -648,7 +672,7 @@ def rollout(law, pose, est, sig, dt, n_steps, sample_every, outs, *,
         raise ValueError(f"force must be 'jit' or 'numpy', got {force!r}")
     elif USE_NUMBA:
         impl = rollout_jit
-    elif len(law[0]) <= LIST_MAX_EDGES:
+    elif len(law.edges) <= LIST_MAX_EDGES:
         impl = _rollout_lists
     else:
         impl = _rollout_numpy

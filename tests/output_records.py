@@ -127,10 +127,11 @@ def compare(got: dict, want: dict) -> list[str]:
                             f"{want_rows.shape} in the record")
             continue
         for (r, c), value in np.ndenumerate(rows):
-            if _differs(value, want_rows[r, c]):
+            value, wanted = float(value), float(want_rows[r, c])
+            if _differs(value, wanted):
                 problems.append(
                     f"{csv}: first difference at row {r * EVERY}, column {head[c]}: "
-                    f"{value!r} against {want_rows[r, c]!r} in the record")
+                    f"{value!r} against {wanted!r} in the record")
                 break
     nums, want_nums = got["summary.json"], want["summary.json"]
     if nums.keys() != want_nums.keys():

@@ -507,7 +507,7 @@ def test_power_table_is_exact():
         assert hi == float(exact)
         assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact * Fraction(1, 2**106)
     # Every slot's threshold is the least double >= 10**(k + 1).
-    for k, threshold in zip(range(cli._K_MIN, cli._K_MAX + 3), cli._THRESHOLD):
+    for k, threshold in zip(range(cli._K_MIN, cli._K_MAX + 3), cli._format_tables()[1]):
         exact = Fraction(10) ** (k + 1)
         assert Fraction(threshold) >= exact > Fraction(np.nextafter(threshold, 0))
 
@@ -884,6 +884,20 @@ def test_cli_never_imports_numpy_random(tmp_path, command, name):
         " & set(sys.modules)))"))
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "0 []"
+
+
+def test_cli_builds_the_format_tables_on_first_use():
+    # check-rigidity formats no value, so importing the CLI builds no
+    # formatter table; the first formatted block builds them once.
+    out = run_child([str(bundled_scenario_path("pentagon_flock"))], code=(
+        "import sys, numpy as np; from rigidflock import cli; "
+        "built = cli._format_tables.cache_info().currsize; "
+        "rc = cli.main(['check-rigidity', sys.argv[1]]); "
+        "after = cli._format_tables.cache_info().currsize; "
+        "cli._format_rows(np.ones((2, 3))); cli._format_rows(np.ones((1, 1))); "
+        "print(built, rc, after, cli._format_tables.cache_info().currsize)"))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 0 0 1"
 
 
 def test_cli_never_imports_the_oracle(tmp_path):

@@ -24,5 +24,5 @@ def test_compare_reports_the_first_differing_row_and_column(tmp_path):
                           "summary.json": dict(record["summary.json"], agents=6)})
     assert compare(got, record) == [
         f"trajectory.csv: first difference at row 100, column {header[3]}: "
-        f"{moved[2, 3]!r} against {rows[2, 3]!r} in the record",
+        f"{float(moved[2, 3])!r} against {float(rows[2, 3])!r} in the record",
         "summary.json: first difference at agents: 6 against 5 in the record"]
