@@ -644,7 +644,7 @@ class KernelUnavailable(RuntimeError):
     """The requested kernel implementation is not installed."""
 
 
-def rollout(law, pose, est, sig, dt, n_steps, sample_every, outs, *,
+def rollout(law: Law, pose, est, sig, dt, n_steps, sample_every, outs, *,
             force: str | None = None):
     """Roll out ``law`` (from ``flock_law`` or ``intercept_law``) in the
     selected implementation.
