@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -33,6 +34,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tests"))
+from output_records import numbers, read_csv  # noqa: E402  (tests/ is no package)
+
 BUNDLED = ("pentagon_flock", "pentagon_intercept")
 WORKLOADS = ("dense_log", "wide_formation")
 SEEDS = (1, 2, 3)
@@ -71,31 +75,32 @@ def run_all(tree: Path, scratch: Path) -> dict[str, Path]:
 
 
 def csv_differences(a: Path, b: Path) -> list[str]:
-    heads = [p.open(encoding="utf-8").readline().strip().split(",") for p in (a, b)]
-    if heads[0] != heads[1]:
+    (head, x), (other_head, y) = read_csv(a), read_csv(b)
+    if head != other_head:
         return ["headers differ"]
-    x, y = (np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2) for p in (a, b))
     if x.shape != y.shape:
         return [f"shapes differ: {x.shape} against {y.shape}"]
     diff = np.abs(x - y)
     diff[np.isnan(x) & np.isnan(y)] = 0.0
     worst = diff.max(axis=0, initial=0.0)
-    return [f"{heads[0][c]} {worst[c]:.3g}" for c in np.flatnonzero(worst != 0)] or [
+    return [f"{head[c]} {worst[c]:.3g}" for c in np.flatnonzero(worst != 0)] or [
         "bytes differ, values equal"]
 
 
 def summary_differences(a: Path, b: Path) -> list[str]:
+    """Every number of two summaries that differs (``runtime_s`` aside), and
+    every top-level text field."""
     x, y = (json.loads(p.read_text(encoding="utf-8")) for p in (a, b))
-    for s in (x, y):
-        s.pop("runtime_s", None)
-    if x == y:
-        return []
-    out = []
+    nx, ny = numbers(x), numbers(y)
+    out = [f"{key}: in one summary only" for key in sorted(nx.keys() ^ ny.keys())]
+    for key in sorted(nx.keys() & ny.keys()):
+        u, v = nx[key], ny[key]
+        if u != v and not (math.isnan(u) and math.isnan(v)):
+            out.append(f"{key} {abs(u - v):.3g}")
     for key in sorted(x.keys() | y.keys()):
         u, v = x.get(key), y.get(key)
-        if u != v:
-            num = all(isinstance(w, (int, float)) for w in (u, v))
-            out.append(f"{key} {abs(u - v):.3g}" if num else f"{key}: {u!r} against {v!r}")
+        if str in (type(u), type(v)) and u != v:
+            out.append(f"{key}: {u!r} against {v!r}")
     return out
 
 

@@ -21,16 +21,13 @@ v_0 for flock, [v_T, p_T, a_T] for intercept.  The logs ``outs`` are
 (the desired heading atan2(u) itself is never logged).
 
 ``flock_law`` and ``intercept_law`` are the one place a mode maps onto
-the law's parameters, a ``Law``.  They broadcast one signum width to
-``Law.smooth_eps``, an (n, 2K) table, or take a table; both forms read
-it per agent and component, all 0 (plain sign) or all positive.
-``rollout`` runs a law in the form it picks (the one kernel-choice
-rule), and ``flock_eval``/``intercept_eval`` evaluate it once
-(perfbench times them; nothing in the package steps with them).
-``flock_rollout`` and ``intercept_rollout`` are both ``rollout``:
-perfbench traces the rollout through those two names.  ``EPS_U`` is
-the law's parking threshold on |u|; ``oracle``'s per-agent equations
-read it from here.
+the law's parameters, a ``Law``.  ``rollout`` runs a law in the form it
+picks (the one kernel-choice rule), and ``flock_eval``/``intercept_eval``
+evaluate it once (perfbench times them; nothing in the package steps
+with them).  ``flock_rollout`` and ``intercept_rollout`` are both
+``rollout``: perfbench traces the rollout through those two names.
+``EPS_U`` is the law's parking threshold on |u|; ``oracle``'s per-agent
+equations read it from here.
 """
 
 from __future__ import annotations
@@ -136,7 +133,7 @@ class Law(NamedTuple):
     weights: np.ndarray  # (K,) channel weights in the planar control
     k_a: float
     c: np.ndarray  # (n,) heading gains
-    smooth_eps: np.ndarray  # (n, 2K) signum widths, all 0 (plain sign) or all > 0
+    smooth_eps: float  # signum width, 0 for the plain sign
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +154,8 @@ def _rollout_loops(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
     chunks, each one continuing from the state the last one left.
 
     One source, two runtimes.  numba compiles it with every argument an
-    array, an int or a float.  CPython runs it with pose, est and
-    the law's arrays as lists (``_rollout_lists``), so
+    array, an int or a float.  CPython runs it with pose, est, edges,
+    d2, anchor, alphas, weights and c as lists (``_rollout_lists``), so
     the arithmetic is on Python floats; ``sig`` and the ``out_*`` logs
     stay arrays, written one slice per logged row.  Rows are read by
     chained indexing (``pose[i][0]``), which both runtimes index
@@ -228,7 +225,6 @@ def _rollout_loops(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
             ei = est[i]
             si = sums[i]
             ri = rate[i]
-            epi = smooth_eps[i]
             bi = anchor[i]
             uxi = 0.0
             uyi = 0.0
@@ -240,8 +236,8 @@ def _rollout_loops(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
                 wk = weights[k]
                 ax = si[kx] + bi * (ei[kx] - ref[kx])
                 ay = si[ky] + bi * (ei[ky] - ref[ky])
-                sx = _sgn(ct * ax + st * ay, epi[kx])
-                sy = _sgn(-st * ax + ct * ay, epi[ky])
+                sx = _sgn(ct * ax + st * ay, smooth_eps)
+                sy = _sgn(-st * ax + ct * ay, smooth_eps)
                 rx = -alphas[k] * (ct * sx - st * sy)
                 ry = -alphas[k] * (st * sx + ct * sy)
                 ri[kx] = rx
@@ -347,7 +343,7 @@ def _rollout_lists(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
     pose_l, est_l = pose.tolist(), est.tolist()
     status = _rollout_loops(pose_l, est_l, sig, edges.tolist(), d2.tolist(),
                             anchor.tolist(), leader, alphas.tolist(),
-                            weights.tolist(), k_a, c.tolist(), smooth_eps.tolist(), dt,
+                            weights.tolist(), k_a, c.tolist(), smooth_eps, dt,
                             n_steps, sample_every, *outs)
     pose[:] = pose_l
     est[:] = est_l
@@ -395,9 +391,8 @@ class _Law:
         self.w = np.asarray(law.weights, dtype=complex)
         self.neg_alpha = -np.asarray(law.alphas, dtype=complex)
         self.anchor = np.asarray(law.anchor, dtype=complex)[:, None]
-        self.leader, self.n, self.width = law.leader, n, 2 + 2 * nk
-        # 0.0 is signum_rates' plain sign: the table is tested once, here
-        self.smooth_eps = law.smooth_eps if law.smooth_eps.any() else 0.0
+        self.leader, self.smooth_eps = law.leader, law.smooth_eps
+        self.n, self.width = n, 2 + 2 * nk
         # Edge k adds its row of Z to agent i's sums and subtracts it from j's.
         self.ends = np.concatenate([law.edges[:, 0], law.edges[:, 1]]).astype(np.intp)
         self.sum_idx = (self.ends[:, None] * self.width
@@ -586,9 +581,9 @@ def flock_law(edges, d2, bflag, k_a, c, alpha, anchor_sign, smooth_eps) -> Law:
     One channel, v_f with weight 1; the flagged agents measure v_0 with
     ``anchor_sign``; no leader.
     """
-    anchor = anchor_sign * np.asarray(bflag, dtype=float)
-    return Law(edges, d2, anchor, -1, np.array([alpha], dtype=float), np.ones(1),
-               float(k_a), c, np.full((len(anchor), 2), smooth_eps, dtype=float))
+    return Law(edges, d2, anchor_sign * np.asarray(bflag, dtype=float), -1,
+               np.array([alpha], dtype=float), np.ones(1), float(k_a), c,
+               float(smooth_eps))
 
 
 def intercept_law(n, edges, d2, leader, k_a, k_t, c, alpha1, alpha2, smooth_eps) -> Law:
@@ -599,8 +594,7 @@ def intercept_law(n, edges, d2, leader, k_a, k_t, c, alpha1, alpha2, smooth_eps)
     """
     anchor = (np.arange(n) == leader).astype(float)
     return Law(edges, d2, anchor, int(leader), np.array([alpha1, alpha2], dtype=float),
-               np.array([1.0, k_t], dtype=float), float(k_a), c,
-               np.full((n, 4), smooth_eps, dtype=float))
+               np.array([1.0, k_t], dtype=float), float(k_a), c, float(smooth_eps))
 
 
 def _eval(law, pose, est, sig):
@@ -657,11 +651,8 @@ def rollout(law: Law, pose, est, sig, dt, n_steps, sample_every, outs, *,
     (uncompiled), the form that ran ("loops" or "law") and the
     rollout's status triple.  Without numba, formations of at most
     ``LIST_MAX_EDGES`` edges run the loop form on Python floats unless
-    ``force`` is "numpy".  Raises ValueError for a signum-width table
-    that mixes zero and positive widths (or holds any other value).
+    ``force`` is "numpy".
     """
-    if law.smooth_eps.any() and not (law.smooth_eps > 0.0).all():
-        raise ValueError("smooth_eps must be all 0 (plain sign) or all > 0")
     if force == "jit":
         if rollout_jit is None:
             raise KernelUnavailable("numba is not installed")

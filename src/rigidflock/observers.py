@@ -151,8 +151,8 @@ def consensus_observer_rate(
                         smoothing_epsilon).view(float)
 
 
-def signum_rates(arg: np.ndarray, q: np.ndarray, neg_alpha, smoothing_epsilon,
-                 out: np.ndarray | None = None) -> np.ndarray:
+def signum_rates(arg: np.ndarray, q: np.ndarray, neg_alpha,
+                 smoothing_epsilon: float, out: np.ndarray | None = None) -> np.ndarray:
     """Observer rates -alpha q sgn(conj(q) arg) for K channels at once.
 
     ``arg`` is complex (n, K): each agent's consensus-plus-anchor sum
@@ -160,11 +160,10 @@ def signum_rates(arg: np.ndarray, q: np.ndarray, neg_alpha, smoothing_epsilon,
     agent's frame, and ``neg_alpha`` the negated gain per channel.  The
     signum is taken in each agent's frame and the result rotated back,
     which keeps the closed loop equivariant under global rotations.
-    ``smoothing_epsilon`` is a width, 0 for the plain sign, or a positive (n, 2K) table.
     The rates are written to ``out`` (complex (n, K)) when it is given.
     """
     body = (arg * q.conj()[:, None]).view(float)
-    if isinstance(smoothing_epsilon, np.ndarray) or smoothing_epsilon > 0.0:
+    if smoothing_epsilon > 0.0:
         np.divide(body, smoothing_epsilon, out=body)
         # np.clip's result, without its Python-level argument handling
         np.minimum(np.maximum(body, -1.0, out=body), 1.0, out=body)

@@ -1,7 +1,6 @@
 """Tests for the rollout kernels: jit/numpy parity and dispatch."""
 
 import dataclasses
-import importlib.util
 import inspect
 import itertools
 import json
@@ -50,37 +49,23 @@ def test_intercept_kernels_agree():
     assert np.abs(jit_log.e_t_hat - np_log.e_t_hat).max() < 1e-9
 
 
-def perfbench_workloads():
-    """``perfbench/workloads.py`` as a module."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def henneberg_config(n, seed, steps, mode="flock", smoothing_epsilon=0.01, apex=False):
+def henneberg_config(n, seed, steps, mode="flock", smoothing_epsilon=0.01):
     """A seeded run on a minimally rigid graph grown by Henneberg type-I steps.
 
     Each new agent joins both ends of a random existing edge, placed
-    near that edge's midpoint, so the graph has 2n - 3 edges; with
-    ``apex``, perfbench's ``henneberg_formation`` places it on the
-    outward apex of its edge instead, which keeps the formation well
-    conditioned.  The observers use the smoothed signum by default,
-    which the pentagons do not.  In intercept mode the last agent is the
-    free leader and chases a circling target.
+    near that edge's midpoint, so the graph has 2n - 3 edges.  The
+    observers use the smoothed signum by default, which the pentagons
+    do not.  In intercept mode the last agent is the free leader and
+    chases a circling target.
     """
     rng = np.random.default_rng(seed)
-    if apex:
-        pos, edges = perfbench_workloads().henneberg_formation(n, rng)
-    else:
-        pos = [np.array([0.0, 0.0]), np.array([0.1, 0.0]), np.array([0.05, 0.09])]
-        edges = [(1, 2), (1, 3), (2, 3)]
-        for k in range(4, n + 1):
-            i, j = edges[rng.integers(len(edges))]
-            pos.append(0.5 * (pos[i - 1] + pos[j - 1]) + rng.normal(scale=0.05, size=2))
-            edges += [(i, k), (j, k)]
-        pos = np.array(pos)
+    pos = [np.array([0.0, 0.0]), np.array([0.1, 0.0]), np.array([0.05, 0.09])]
+    edges = [(1, 2), (1, 3), (2, 3)]
+    for k in range(4, n + 1):
+        i, j = edges[rng.integers(len(edges))]
+        pos.append(0.5 * (pos[i - 1] + pos[j - 1]) + rng.normal(scale=0.05, size=2))
+        edges += [(i, k), (j, k)]
+    pos = np.array(pos)
     g = Graph(n, edges)
     assert is_minimally_rigid(Framework(g, pos))
     poses = np.column_stack([pos + rng.normal(scale=0.01, size=(n, 2)),
@@ -273,54 +258,6 @@ def test_measurement_oracle_matches_law_on_random_rigid_graphs(
         for key, rate in law_rates.items():
             np.testing.assert_allclose(rates[key], rate, rtol=0, atol=1e-9,
                                        err_msg=key)
-
-
-def with_law(cfg, law):
-    """``cfg``, run with ``law`` instead of the law it builds."""
-    cfg.law = lambda: law
-    return cfg
-
-
-def law_of(cfg, smooth_eps):
-    """``cfg``'s law built with the signum widths ``smooth_eps``."""
-    if cfg.mode == "flock":
-        return kernels.flock_law(cfg._edges, cfg._d2, cfg.access_flags, cfg.k_a, cfg.c,
-                                 cfg.alpha, cfg.anchor_sign, smooth_eps)
-    return kernels.intercept_law(cfg.n, cfg._edges, cfg._d2, cfg.leader - 1, cfg.k_a,
-                                 cfg.k_t, cfg.c, cfg.alpha1, cfg.alpha2, smooth_eps)
-
-
-@settings(max_examples=16, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(3, 12), seed=st.integers(0, 2**16),
-       mode=st.sampled_from(["flock", "intercept"]))
-def test_loop_form_matches_law_with_a_per_agent_width_table(n, seed, mode):
-    # Every agent and body-frame component gets its own signum width.
-    cfg = estimates_near_references(
-        henneberg_config(n, seed, steps=300, mode=mode, apex=True), seed)
-    table = np.random.default_rng(seed).uniform(0.002, 0.02, size=(n, 2 * len(
-        LOGGED_ESTIMATES[mode])))
-    tabled = with_law(dataclasses.replace(cfg), law_of(cfg, table))
-    assert tabled.law().smooth_eps.tolist() == table.tolist()
-    got = engine.run(tabled, force_kernel="numpy")
-    assert_logs_match(run_lists(tabled), got)
-    # The table is read: one width for all moves the same run.
-    moved = max(np.abs(getattr(engine.run(cfg, force_kernel="numpy"), name)
-                       - getattr(got, name)).max() for name in LOGGED_ESTIMATES[mode])
-    assert moved > 1e-6
-
-
-@pytest.mark.parametrize("mode", ["flock", "intercept"])
-def test_width_table_is_all_zero_or_all_positive(mode):
-    cfg = henneberg_config(5, seed=3, steps=10, mode=mode, smoothing_epsilon=0.0)
-    k = len(LOGGED_ESTIMATES[mode])
-    law = cfg.law()
-    assert law.smooth_eps.shape == (5, 2 * k) and not law.smooth_eps.any()
-    for bad in (0.0, -0.01, np.nan):
-        table = np.full((5, 2 * k), 0.01)
-        table[2, 1] = bad
-        for force in (None, "numpy"):
-            with pytest.raises(ValueError, match="all 0 .* or all > 0"):
-                engine.run(with_law(cfg, law_of(cfg, table)), force_kernel=force)
 
 
 def complete_config(cfg):

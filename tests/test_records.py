@@ -4,11 +4,10 @@ here, in both forms, and names the first row and column that moved."""
 
 import pytest
 
-from output_records import KERNELS, RUNS, compare, read_record, simulate
+from output_records import RECORDED, compare, read_record, simulate
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize("name", list(RUNS))
+@pytest.mark.parametrize("name, kernel", RECORDED)
 def test_outputs_match_their_record(name, kernel, tmp_path):
     problems = compare(simulate(name, kernel, tmp_path), read_record(name, kernel))
     assert not problems, "\n".join(problems)
