@@ -3,11 +3,14 @@
 The env flag ``RIGIDFLOCK_NUMBA`` picks the default path ("0" disables
 the compiled loop form, anything else or unset enables it when numba
 imports).  Uncompiled, small formations run the loop form in CPython on
-Python floats and larger ones the numpy form.  Every form stays
-importable so they can be benchmarked and cross-checked in one
-process.  Within a form, rollouts are deterministic: canonical edge
-order, fixed summation order, and no form starts a thread.  The CLI
-process runs on one thread: it pins OpenBLAS to one before numpy loads.
+Python floats and larger ones the numpy form.  On floats, a call of at
+least ``UNROLL_MIN_STEPS`` steps runs a straight-line function that
+``unrolled`` generates for the law, bit for bit ``_rollout_lists``;
+shorter calls run ``_rollout_lists``.  Every form stays importable so
+they can be benchmarked and cross-checked in one process.  Within a
+form, rollouts are deterministic: canonical edge order, fixed summation
+order, and no form starts a thread.  The CLI process runs on one
+thread: it pins OpenBLAS to one before numpy loads.
 
 Flock and intercept are two parameterizations of one law (``_Law``),
 and both forms take one argument list (``_rollout_loops``).  Layout:
@@ -66,6 +69,16 @@ STATUS_DIVERGED = 1
 # Set from the measured crossover (README, "Kernels and environment
 # flags").
 LIST_MAX_EDGES = 15
+
+# Fewest steps for which an uncompiled loop-form call runs the law's
+# generated straight-line function (``unrolled``) instead of
+# ``_rollout_lists``.  The first such call per law builds the function
+# (about 5 ms for the intercept pentagon), and each step then costs
+# about 14 instead of 33-36 us there, so a call of this length about
+# repays the build.  It stays below ``engine._CHUNK_ROWS`` so that every
+# chunk of a long run logging each step takes it (README, "Kernels and
+# environment flags").
+UNROLL_MIN_STEPS = 256
 
 
 def _jitable(func):
@@ -153,8 +166,10 @@ def _rollout_loops(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
     first step.  The caller keeps the times: a rollout may be run in
     chunks, each one continuing from the state the last one left.
 
-    One source, two runtimes.  numba compiles it with every argument an
-    array, an int or a float.  CPython runs it with pose, est, edges,
+    One source, two runtimes, and the reference of a third.  numba
+    compiles it with every argument an array, an int or a float.
+    ``unrolled`` generates straight-line Python that runs its operations
+    in its order.  CPython runs it with pose, est, edges,
     d2, anchor, alphas, weights and c as lists (``_rollout_lists``), so
     the arithmetic is on Python floats; ``sig`` and the ``out_*`` logs
     stay arrays, written one slice per logged row.  Rows are read by
@@ -651,7 +666,9 @@ def rollout(law: Law, pose, est, sig, dt, n_steps, sample_every, outs, *,
     (uncompiled), the form that ran ("loops" or "law") and the
     rollout's status triple.  Without numba, formations of at most
     ``LIST_MAX_EDGES`` edges run the loop form on Python floats unless
-    ``force`` is "numpy".
+    ``force`` is "numpy": as ``unrolled.rollout`` when ``n_steps`` is at
+    least ``UNROLL_MIN_STEPS``, else as ``_rollout_lists``.  Both report
+    ("numpy", "loops").
     """
     if force == "jit":
         if rollout_jit is None:
@@ -663,10 +680,13 @@ def rollout(law: Law, pose, est, sig, dt, n_steps, sample_every, outs, *,
         raise ValueError(f"force must be 'jit' or 'numpy', got {force!r}")
     elif USE_NUMBA:
         impl = rollout_jit
-    elif len(law.edges) <= LIST_MAX_EDGES:
+    elif len(law.edges) > LIST_MAX_EDGES:
+        impl = _rollout_numpy
+    elif n_steps < UNROLL_MIN_STEPS:
         impl = _rollout_lists
     else:
-        impl = _rollout_numpy
+        from . import unrolled  # only long calls pay for its import and build
+        impl = unrolled.rollout
     status = impl(pose, est, np.ascontiguousarray(sig, dtype=float), *law, float(dt),
                   int(n_steps), int(sample_every), *outs)
     return (("numba" if impl is rollout_jit else "numpy"),

@@ -912,6 +912,26 @@ def test_cli_never_imports_the_oracle(tmp_path):
     assert out.stdout.splitlines()[-1] == "[0, 0] False"
 
 
+def test_only_long_loop_form_runs_import_the_generator(tmp_path):
+    # Set-up runs (--duration 0) and numpy-law runs never import
+    # rigidflock.unrolled, so they pay neither its import nor a build; a
+    # 0.1 s intercept run (one call of 400 steps) does, and its summary
+    # names the uncompiled loop form as before.
+    scenario = str(bundled_scenario_path("pentagon_intercept"))
+    runs = {"setup": ["--duration", "0"], "law": ["--duration", "0.1", "--kernel", "numpy"],
+            "loops": ["--duration", "0.1"]}
+    for name, args in runs.items():
+        out = run_child([str(tmp_path / name), scenario, *args], code=(
+            "import sys; from rigidflock.cli import main; out, scn, *args = sys.argv[1:]; "
+            "rc = main(['simulate', scn, '--out', out, *args]); "
+            "print(rc, 'rigidflock.unrolled' in sys.modules)"))
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == f"0 {name == 'loops'}", name
+        summary = json.loads((tmp_path / name / "summary.json").read_text())
+        assert (summary["kernel"], summary["form"]) == (
+            "numpy", "law" if name == "law" else "loops"), name
+
+
 @pytest.mark.parametrize("n_key, pos_key", [("n", "positions_m"),
                                             ("agents", "target_positions_m")])
 def test_check_rigidity_rejects_non_number_positions(tmp_path, n_key, pos_key):

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rigidflock
-from rigidflock import engine, kernels, oracle
+from rigidflock import engine, kernels, oracle, unrolled
 from rigidflock.graph import Graph
 from rigidflock.kernels import EPS_U
 from rigidflock.rigidity import Framework, edge_function, is_minimally_rigid
-from rigidflock.scenario import bundled_scenario_path, load_scenario
+from rigidflock.scenario import bundled_scenario_path, load_scenario, scenario_from_dict
 from rigidflock.trajectories import CirclePath, LinePath
 
 
@@ -208,17 +209,97 @@ def test_list_runtime_equals_array_loop_form_from_zero_estimates(
         n, seed, mode, smoothing):
     # From zero estimates the closed loop amplifies rounding (see
     # estimates_near_references), so the law is no reference there.  The
-    # two runtimes of the loop form run the same operations in the same
-    # order on IEEE doubles, so they must agree bit for bit.
+    # runtimes of the loop form (on arrays, on lists, and the generated
+    # straight-line function, called whatever the step count) run the
+    # same operations in the same order on IEEE doubles, so they must
+    # agree bit for bit.
     cfg = henneberg_config(n, seed, steps=200, mode=mode,
                            smoothing_epsilon=smoothing)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(kernels, "_rollout_numpy", kernels._rollout_loops)
-        on_arrays = engine.run(cfg, force_kernel="numpy")
-    on_lists = run_lists(cfg)
-    for name in ("poses", "commands") + LOGGED_ESTIMATES[mode]:
-        np.testing.assert_array_equal(getattr(on_lists, name),
-                                      getattr(on_arrays, name), err_msg=name)
+    logs = []
+    for runtime in (kernels._rollout_loops, kernels._rollout_lists, unrolled.rollout):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(kernels, "_rollout_numpy", runtime)
+            logs.append(engine.run(cfg, force_kernel="numpy"))
+    for log in logs[1:]:
+        for name in ("poses", "commands", "u", "heading_errors") + LOGGED_ESTIMATES[mode]:
+            assert_same_bits(getattr(log, name), getattr(logs[0], name), name)
+
+
+def assert_same_bits(a, b, err_msg=""):
+    """``a`` and ``b`` hold the same doubles bit for bit, signs of zero
+    and nan included."""
+    np.testing.assert_array_equal(np.asarray(a).view(np.uint64),
+                                  np.asarray(b).view(np.uint64), err_msg=err_msg)
+
+
+def direct_rollouts(runtime, cfg, calls, sample_every):
+    """``runtime`` called directly for ``calls`` consecutive spans of
+    steps, each continuing from the state the last one left, as
+    ``engine.run``'s chunks do.  Returns every status, the final pose
+    and estimates, and each call's logs, unlogged rows left nan."""
+    law = cfg.law()
+    pose = cfg.initial_poses.copy()
+    est = np.concatenate([getattr(cfg, "initial_" + f)
+                          for f in LOGGED_ESTIMATES[cfg.mode]], axis=1)
+    statuses, logs, s0 = [], [], 0
+    for steps in calls:
+        rows, n = steps // sample_every + 1, cfg.n
+        outs = [np.full(shape, np.nan) for shape in (
+            (rows, n, 3), (rows, n, 2), (rows, n, 2), (rows, n), (rows,) + est.shape)]
+        sig = cfg.references(np.arange(s0, s0 + steps + 1) * cfg.dt)
+        with np.errstate(all="ignore"):  # the array runtime overflows loudly
+            statuses.append(runtime(pose, est, sig, *law, cfg.dt, steps,
+                                    sample_every, *outs))
+        logs.append(outs)
+        s0 += steps
+    return statuses, pose, est, logs
+
+
+@pytest.mark.parametrize("case", ["sample_every_7", "two_calls", "diverging"])
+@pytest.mark.parametrize("mode", ["flock", "intercept"])
+def test_generated_kernel_equals_loop_form(case, mode):
+    # Beside engine.run's one call per chunk: sparse logging, a second
+    # call continuing from the first one's state, and a divergence, after
+    # which the status, the state left in place (agents after the diverged
+    # one not yet stepped) and the rows logged so far must be the loop
+    # form's too.
+    cfg = henneberg_config(7, seed=3, steps=0, mode=mode, smoothing_epsilon=0.01)
+    calls, sample_every = {"sample_every_7": ([300], 7), "two_calls": ([300, 301], 1),
+                           "diverging": ([600], 3)}[case]
+    if case == "diverging":
+        cfg = dataclasses.replace(cfg, k_a=3e4)  # agent 1 leaves at step 7 or 8
+    ref = direct_rollouts(kernels._rollout_loops, cfg, calls, sample_every)
+    got = direct_rollouts(unrolled.rollout, cfg, calls, sample_every)
+    assert got[0] == ref[0]
+    assert ref[0][-1][0] == (kernels.STATUS_DIVERGED if case == "diverging"
+                             else kernels.STATUS_OK)
+    for a, b in zip(got[1:3], ref[1:3]):
+        assert_same_bits(a, b)
+    for outs_got, outs_ref in zip(got[3], ref[3]):
+        for a, b in zip(outs_got, outs_ref):
+            assert_same_bits(a, b)
+
+
+def test_generated_source_takes_only_finite_floats_and_ints():
+    # The generator writes repr(float(x)) of finite values and Python ints
+    # into the source, and raises on anything else.
+    assert unrolled._num(0.5) == "0.5" and unrolled._num(-2.0) == "(-2.0)"
+    assert unrolled._num(np.float64(0.25)) == "0.25"
+    assert unrolled._int(3) == 3
+    for bad in (math.nan, math.inf, -math.inf, "1.0", "__import__('os')", 1, True, None):
+        with pytest.raises(ValueError):
+            unrolled._num(bad)
+    for bad in (True, 1.0, "1", np.int64(1), None):
+        with pytest.raises(TypeError):
+            unrolled._int(bad)
+    args = dict(n=2, nk=1, edges=((0, 1),), d2=(0.01,), anchor=(1.0, 0.0), leader=-1,
+                alphas=(0.05,), weights=(1.0,), k_a=6.0, c=(10.0, 10.0), smooth_eps=0.0)
+    compile(unrolled.source(**args), "<test>", "exec")
+    for name, bad in (("d2", (math.nan,)), ("k_a", "6.0"), ("c", (10.0, math.inf)),
+                      ("smooth_eps", "0.01; import os"), ("edges", ((0, "1"),)),
+                      ("leader", -1.0), ("n", 2.0)):
+        with pytest.raises((ValueError, TypeError)):
+            unrolled.source(**dict(args, **{name: bad}))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -270,7 +351,10 @@ def complete_config(cfg):
 
 def test_dispatch_picks_the_form_by_formation_size(monkeypatch):
     # The loop form's cost follows the edge count, so a dense formation
-    # of few agents runs the law.
+    # of few agents runs the law.  On floats, a call of at least
+    # UNROLL_MIN_STEPS steps runs the law's generated function, and
+    # shorter ones, set-up runs (0 steps) among them, run
+    # _rollout_lists; both report the uncompiled loop form.
     monkeypatch.setattr(kernels, "USE_NUMBA", False)
     limit = kernels.LIST_MAX_EDGES
     sparse = {n: henneberg_config(n, seed=n, steps=10) for n in (9, 10, 200)}
@@ -285,6 +369,41 @@ def test_dispatch_picks_the_form_by_formation_size(monkeypatch):
         assert (meta["kernel"], meta["form"]) == ("numpy", form), (cfg.n, edges)
         forced = engine.run(cfg, force_kernel="numpy").meta
         assert (forced["kernel"], forced["form"]) == ("numpy", "law"), cfg.n
+
+    calls = []
+
+    def spy(name, impl):
+        def recorder(*args):
+            calls.append((name, args[13]))  # n_steps
+            return impl(*args)
+        return recorder
+
+    for name, owner in (("_rollout_lists", kernels), ("_rollout_numpy", kernels),
+                        ("rollout", unrolled)):
+        monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+    cut = kernels.UNROLL_MIN_STEPS
+    assert 0 < cut < engine._CHUNK_ROWS
+    for steps, impl in ((0, "_rollout_lists"), (cut - 1, "_rollout_lists"),
+                        (cut, "rollout"), (engine._CHUNK_ROWS, "rollout")):
+        calls.clear()
+        cfg = dataclasses.replace(henneberg_config(6, seed=6, steps=10),
+                                  duration=steps * 1e-3, sample_every=1)
+        meta = engine.run(cfg).meta
+        assert calls == [(impl, steps)]
+        assert (meta["kernel"], meta["form"]) == ("numpy", "loops")
+
+    # dense_log's shape: the intercept pentagon logging every step for
+    # 2 s, 8,000 steps in 16 chunks, each long enough for the generated
+    # function, which the first builds and the rest reuse.
+    data = json.loads(Path(bundled_scenario_path("pentagon_intercept")).read_text())
+    data["sim"]["sample_every"] = 1
+    unrolled._build.cache_clear()
+    calls.clear()
+    log = engine.run(scenario_from_dict(data, duration=2.0).to_run_config())
+    assert calls == [("rollout", 512)] * 15 + [("rollout", 320)]
+    assert (log.meta["kernel"], log.meta["form"]) == ("numpy", "loops")
+    info = unrolled._build.cache_info()
+    assert (info.misses, info.hits) == (1, 15)
 
 
 def test_law_heading_error_of_pi_is_plus_pi():
@@ -422,8 +541,6 @@ def test_divergence_status_from_kernel():
     with open(bundled_scenario_path("pentagon_flock")) as fh:
         data = json.load(fh)
     data["gains"]["k_a"] = 1e12
-    from rigidflock.scenario import scenario_from_dict
-
     bad = scenario_from_dict(data, duration=1.0)
     for force in ("jit", "numpy"):
         if force == "jit" and not kernels.HAS_NUMBA:
