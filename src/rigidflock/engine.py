@@ -169,8 +169,11 @@ class RunConfig:
         self.distances = np.asarray(self.distances, dtype=float)
         if self.distances.shape != (self.graph.edge_count,):
             raise ConfigError("distances", "distances must have one entry per edge")
-        if np.any(self.distances <= 0) or not np.all(np.isfinite(self.distances)):
-            raise ConfigError("distances", "distances must be positive and finite")
+        with np.errstate(over="ignore"):
+            self._d2 = self.distances**2
+        if np.any(self.distances <= 0) or not np.all(np.isfinite(self._d2)):
+            raise ConfigError("distances", "distances must be positive, with finite "
+                                           "squares")
         self._array("initial_poses", (n, 3))
         self.initial_poses[:, 2] = wrap_angle(self.initial_poses[:, 2])
         for name in ("dt", "duration", "sample_every", "anchor_sign",
@@ -211,7 +214,6 @@ class RunConfig:
             self._array(name, (n, 2))
         if self.target_positions is not None:
             self._array("target_positions", (n, 2))
-        self._d2 = self.distances**2
         self._edges = self.graph.edge_array()
 
     def _array(self, name: str, shape: tuple) -> None:

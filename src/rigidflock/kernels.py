@@ -3,14 +3,13 @@
 The env flag ``RIGIDFLOCK_NUMBA`` picks the default path ("0" disables
 the compiled loop form, anything else or unset enables it when numba
 imports).  Uncompiled, small formations run the loop form in CPython on
-Python floats and larger ones the numpy form.  On floats, a call of at
-least ``UNROLL_MIN_STEPS`` steps runs a straight-line function that
-``unrolled`` generates for the law, bit for bit ``_rollout_lists``;
-shorter calls run ``_rollout_lists``.  Every form stays importable so
-they can be benchmarked and cross-checked in one process.  Within a
-form, rollouts are deterministic: canonical edge order, fixed summation
-order, and no form starts a thread.  The CLI process runs on one
-thread: it pins OpenBLAS to one before numpy loads.
+Python floats, as the straight-line function that ``unrolled``
+generates for the law (bit for bit ``_rollout_loops``), and larger ones
+the numpy form.  Every form stays importable so they can be benchmarked
+and cross-checked in one process.  Within a form, rollouts are
+deterministic: canonical edge order, fixed summation order, and no form
+starts a thread.  The CLI process runs on one thread: it pins OpenBLAS
+to one before numpy loads.
 
 Flock and intercept are two parameterizations of one law (``_Law``),
 and both forms take one argument list (``_rollout_loops``).  Layout:
@@ -70,22 +69,12 @@ STATUS_DIVERGED = 1
 # flags").
 LIST_MAX_EDGES = 15
 
-# Fewest steps for which an uncompiled loop-form call runs the law's
-# generated straight-line function (``unrolled``) instead of
-# ``_rollout_lists``.  The first such call per law builds the function
-# (about 5 ms for the intercept pentagon), and each step then costs
-# about 14 instead of 33-36 us there, so a call of this length about
-# repays the build.  It stays below ``engine._CHUNK_ROWS`` so that every
-# chunk of a long run logging each step takes it (README, "Kernels and
-# environment flags").
-UNROLL_MIN_STEPS = 256
-
 
 def _jitable(func):
     """``func`` unchanged, and compiled inline where numba compiles a caller.
 
     CPython calls the plain function whether or not numba is installed,
-    so the list runtime runs the same code with numba disabled.
+    so ``_rollout_loops`` runs uncompiled on arrays with numba disabled.
     """
     return register_jitable(func) if HAS_NUMBA else func
 
@@ -150,7 +139,7 @@ class Law(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# the closed loop, loop form (numba target, and CPython on lists)
+# the closed loop, loop form (numba source, and the reference of ``unrolled``)
 # ---------------------------------------------------------------------------
 
 def _rollout_loops(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
@@ -166,15 +155,13 @@ def _rollout_loops(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
     first step.  The caller keeps the times: a rollout may be run in
     chunks, each one continuing from the state the last one left.
 
-    One source, two runtimes, and the reference of a third.  numba
+    One source, and the reference of the uncompiled runtime.  numba
     compiles it with every argument an array, an int or a float.
     ``unrolled`` generates straight-line Python that runs its operations
-    in its order.  CPython runs it with pose, est, edges,
-    d2, anchor, alphas, weights and c as lists (``_rollout_lists``), so
-    the arithmetic is on Python floats; ``sig`` and the ``out_*`` logs
-    stay arrays, written one slice per logged row.  Rows are read by
-    chained indexing (``pose[i][0]``), which both runtimes index
-    natively, and the scratch buffers come from ``_zeros``/``_zeros2``.
+    in its order on Python floats, and tests hold that function to this
+    one run uncompiled on arrays, bit for bit.  Rows are read by chained
+    indexing (``pose[i][0]``), which numba and CPython both index, and
+    the scratch buffers come from ``_zeros``/``_zeros2``.
     """
     n = len(pose)
     a = len(edges)
@@ -346,23 +333,6 @@ def _rollout_loops(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
             if not ok:
                 return STATUS_DIVERGED, i, step + 1
     return STATUS_OK, -1, n_steps
-
-
-def _rollout_lists(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
-                   k_a, c, smooth_eps, dt, n_steps, sample_every, *outs):
-    """``_rollout_loops`` in CPython on lists: same arguments and effects.
-
-    Every argument array but the signal and the logs is copied with
-    ``tolist()``; pose and est are copied back at the end.
-    """
-    pose_l, est_l = pose.tolist(), est.tolist()
-    status = _rollout_loops(pose_l, est_l, sig, edges.tolist(), d2.tolist(),
-                            anchor.tolist(), leader, alphas.tolist(),
-                            weights.tolist(), k_a, c.tolist(), smooth_eps, dt,
-                            n_steps, sample_every, *outs)
-    pose[:] = pose_l
-    est[:] = est_l
-    return status
 
 
 # ---------------------------------------------------------------------------
@@ -665,10 +635,9 @@ def rollout(law: Law, pose, est, sig, dt, n_steps, sample_every, outs, *,
     Returns ``(kernel, form, status)``: "numba" (compiled) or "numpy"
     (uncompiled), the form that ran ("loops" or "law") and the
     rollout's status triple.  Without numba, formations of at most
-    ``LIST_MAX_EDGES`` edges run the loop form on Python floats unless
-    ``force`` is "numpy": as ``unrolled.rollout`` when ``n_steps`` is at
-    least ``UNROLL_MIN_STEPS``, else as ``_rollout_lists``.  Both report
-    ("numpy", "loops").
+    ``LIST_MAX_EDGES`` edges run the loop form on Python floats as
+    ``unrolled.rollout``, reported as ("numpy", "loops"), unless
+    ``force`` is "numpy".
     """
     if force == "jit":
         if rollout_jit is None:
@@ -682,10 +651,8 @@ def rollout(law: Law, pose, est, sig, dt, n_steps, sample_every, outs, *,
         impl = rollout_jit
     elif len(law.edges) > LIST_MAX_EDGES:
         impl = _rollout_numpy
-    elif n_steps < UNROLL_MIN_STEPS:
-        impl = _rollout_lists
     else:
-        from . import unrolled  # only long calls pay for its import and build
+        from . import unrolled  # numpy-law runs never import it
         impl = unrolled.rollout
     status = impl(pose, est, np.ascontiguousarray(sig, dtype=float), *law, float(dt),
                   int(n_steps), int(sample_every), *outs)

@@ -1,11 +1,12 @@
 """The loop form as straight-line Python, generated for one law.
 
 ``rollout`` takes ``kernels._rollout_loops``' arguments and has its
-effects.  It runs a function compiled from source written for the
-law's edges and parameters, which performs the same floating-point
-operations in the same order, so its logs, state and status are bit
-for bit those of ``_rollout_lists``; CPython runs a step of it in
-about 40% of the time (README, "Kernels and environment flags"):
+effects, and is the loop form's one uncompiled runtime.  It runs a
+function compiled from source written for the law's edges and
+parameters, which performs the same floating-point operations in the
+same order, so its logs, state and status are bit for bit those of
+``_rollout_loops``; CPython runs a step of it in about 40% of the time
+the loop form took on lists (README, "Kernels and environment flags"):
 
 - the step loop is inside the function, and pose and estimates live in
   locals (``x_3``, ``e_3_1``) from the call's start to its return, on
@@ -20,10 +21,12 @@ about 40% of the time (README, "Kernels and environment flags"):
   reach the ``out_*`` logs as one array when the call returns.
 
 Indexed names end in ``_<index>``; scratch names have neither digits
-nor underscores, so no two collide.  Only ``repr(float(x))`` of finite
-floats and ``repr`` of Python ints is written into the source (``_num``,
-``_int``); anything else raises, so no text from a scenario reaches it.  A law's
-function is built once (``_build`` is cached).
+nor underscores, so no two collide.  Only ``repr(float(x))`` of floats
+other than nan and ``repr`` of Python ints is written into the source
+(``_num``, ``_int``), +-inf as the name ``inf``, bound in the function's
+namespace; anything else raises, so no text from a scenario reaches it.
+A law's function is built once (``_build`` is cached), by the first
+call, of 0 steps or more.
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ from .unicycle import TWO_PI
 
 
 def _num(x) -> str:
-    """Source text of a finite float, parenthesized when negative."""
-    if not isinstance(x, float) or not math.isfinite(x):
-        raise ValueError(f"a law constant must be a finite float, got {x!r}")
+    """Source text of a float other than nan, parenthesized when negative."""
+    if not isinstance(x, float) or math.isnan(x):
+        raise ValueError(f"a law constant must be a float other than nan, got {x!r}")
     text = repr(float(x))
     return f"({text})" if text.startswith("-") else text
 
@@ -83,7 +86,7 @@ def _build(n, nk, edges, d2, anchor, leader, alphas, weights, k_a, c, smooth_eps
     so adding +-0.0 to it leaves it unchanged.
     """
     namespace = {"cos": math.cos, "sin": math.sin, "sqrt": math.sqrt,
-                 "atan2": math.atan2,
+                 "atan2": math.atan2, "inf": math.inf,
                  "pack": struct.Struct(f"{n * (8 + 2 * nk)}d").pack}
     exec(compile(source(n, nk, edges, d2, anchor, leader, alphas, weights, k_a, c,
                         smooth_eps), "<rigidflock.unrolled>", "exec"), namespace)

@@ -912,11 +912,11 @@ def test_cli_never_imports_the_oracle(tmp_path):
     assert out.stdout.splitlines()[-1] == "[0, 0] False"
 
 
-def test_only_long_loop_form_runs_import_the_generator(tmp_path):
-    # Set-up runs (--duration 0) and numpy-law runs never import
-    # rigidflock.unrolled, so they pay neither its import nor a build; a
-    # 0.1 s intercept run (one call of 400 steps) does, and its summary
-    # names the uncompiled loop form as before.
+def test_only_loop_form_runs_import_the_generator(tmp_path):
+    # Numpy-law runs never import rigidflock.unrolled, so they pay
+    # neither its import nor a build; loop-form runs do, set-up runs
+    # (--duration 0) included, and their summaries name the uncompiled
+    # loop form as before.
     scenario = str(bundled_scenario_path("pentagon_intercept"))
     runs = {"setup": ["--duration", "0"], "law": ["--duration", "0.1", "--kernel", "numpy"],
             "loops": ["--duration", "0.1"]}
@@ -926,7 +926,7 @@ def test_only_long_loop_form_runs_import_the_generator(tmp_path):
             "rc = main(['simulate', scn, '--out', out, *args]); "
             "print(rc, 'rigidflock.unrolled' in sys.modules)"))
         assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines()[-1] == f"0 {name == 'loops'}", name
+        assert out.stdout.splitlines()[-1] == f"0 {name != 'law'}", name
         summary = json.loads((tmp_path / name / "summary.json").read_text())
         assert (summary["kernel"], summary["form"]) == (
             "numpy", "law" if name == "law" else "loops"), name

@@ -1,11 +1,12 @@
 """Tests for the simulation engine: stepping, rollouts, metrics, sensing."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
-from rigidflock import engine
+from rigidflock import engine, unrolled
 from rigidflock.engine import (
     RunConfig,
     SimulationDiverged,
@@ -94,6 +95,12 @@ def test_run_config_validation():
         right_triangle_config(distances=[3.0, 4.0])
     with pytest.raises(ValueError, match="positive"):
         right_triangle_config(distances=[3.0, 4.0, -5.0])
+    # A distance whose square overflows is rejected, without a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(engine.ConfigError, match="finite squares") as info:
+            right_triangle_config(distances=[1e200, 4.0, 5.0])
+    assert info.value.field == "distances"
     with pytest.raises(ValueError, match="dt"):
         right_triangle_config(dt=0.0)
     with pytest.raises(ValueError, match="duration"):
@@ -265,8 +272,9 @@ def assert_divergences_match(monkeypatch, sample_every=10):
     """Every runtime of ``run`` names the expected agent and time.
 
     The runtimes are the unforced default (rollout_jit where numba is
-    installed, the list runtime where it is not), the numpy law, and the
-    loop form uncompiled on arrays (the numba source) and on lists.
+    installed, the generated function where it is not), the numpy law,
+    and the loop form uncompiled on arrays (the numba source) and as its
+    generated function on Python floats.
     """
     for overrides, agent, time_s in DIVERGENCE_CASES:
         overrides = dict(overrides)
@@ -280,8 +288,7 @@ def assert_divergences_match(monkeypatch, sample_every=10):
             with pytest.raises(SimulationDiverged) as by_run:
                 run(cfg)
             found.append((by_run.value.agent, by_run.value.time_s))
-            for impl in (None, engine.kernels._rollout_loops,
-                         engine.kernels._rollout_lists):
+            for impl in (None, engine.kernels._rollout_loops, unrolled.rollout):
                 with monkeypatch.context() as m:
                     if impl is not None:
                         m.setattr(engine.kernels, "_rollout_numpy", impl)
@@ -325,7 +332,7 @@ def test_chunked_run_equals_one_chunk(monkeypatch, mode, form, sample_every):
         load_scenario(bundled_scenario_path(f"pentagon_{mode}")).to_run_config(),
         duration=0.042 if mode == "flock" else 0.0105, sample_every=sample_every)
     assert round(cfg.duration / cfg.dt) == 42
-    impl = {"lists": engine.kernels._rollout_lists,
+    impl = {"lists": unrolled.rollout,
             "loops": engine.kernels._rollout_loops}.get(form)
     if impl is not None:
         monkeypatch.setattr(engine.kernels, "_rollout_numpy", impl)

@@ -101,8 +101,9 @@ def test_loop_form_matches_numpy_rollout(case, monkeypatch):
         cfg = load_scenario(bundled_scenario_path(case),
                             duration=duration).to_run_config()
     numpy_log = engine.run(cfg, force_kernel="numpy")
-    # The loop form on arrays (the numba source uncompiled) and on lists.
-    for loops in (kernels._rollout_loops, kernels._rollout_lists):
+    # The loop form on arrays (the numba source uncompiled) and as the
+    # law's generated function on Python floats.
+    for loops in (kernels._rollout_loops, unrolled.rollout):
         monkeypatch.setattr(kernels, "_rollout_numpy", loops)
         assert_logs_match(engine.run(cfg, force_kernel="numpy"), numpy_log)
 
@@ -116,10 +117,11 @@ def assert_logs_match(log, ref):
         assert diff < 1e-9, (name, diff)
 
 
-def run_lists(cfg):
-    """``engine.run`` on the list runtime, whatever the formation size."""
+def run_generated(cfg):
+    """``engine.run`` on the loop form's generated function, whatever the
+    formation size."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(kernels, "_rollout_numpy", kernels._rollout_lists)
+        m.setattr(kernels, "_rollout_numpy", unrolled.rollout)
         return engine.run(cfg, force_kernel="numpy")
 
 
@@ -180,12 +182,12 @@ def test_law_matches_loop_form_with_parked_and_live_agents(mode, smoothing):
     # Every step has parked and live agents, so the law's parked branch
     # runs on each one (and must not divide by a parked |u|).
     cfg = parked_beside_live_config(mode, seed=12, smoothing=smoothing)
-    lists = run_lists(cfg)
-    nu = np.hypot(lists.u[..., 0], lists.u[..., 1])
-    assert lists.rows == 101
+    loops = run_generated(cfg)
+    nu = np.hypot(loops.u[..., 0], loops.u[..., 1])
+    assert loops.rows == 101
     assert (nu[:, :4] <= EPS_U).all() and (nu[:, 4:] > EPS_U).all()
     assert 0 < nu[:, 2:4].min()
-    assert_logs_match(engine.run(cfg, force_kernel="numpy"), lists)
+    assert_logs_match(engine.run(cfg, force_kernel="numpy"), loops)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -193,12 +195,12 @@ def test_law_matches_loop_form_with_parked_and_live_agents(mode, smoothing):
        mode=st.sampled_from(["flock", "intercept"]),
        smoothing=st.sampled_from([0.0, 0.01]))
 def test_list_runtime_matches_law_on_random_rigid_graphs(n, seed, mode, smoothing):
-    # Formations above LIST_MAX_EDGES never reach the list runtime by
-    # dispatch; called directly, they are covered too.
+    # Formations above LIST_MAX_EDGES never reach the generated function
+    # by dispatch; called directly, they are covered too.
     cfg = estimates_near_references(
         henneberg_config(n, seed, steps=300, mode=mode,
                          smoothing_epsilon=smoothing), seed)
-    assert_logs_match(run_lists(cfg), engine.run(cfg, force_kernel="numpy"))
+    assert_logs_match(run_generated(cfg), engine.run(cfg, force_kernel="numpy"))
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -209,14 +211,13 @@ def test_list_runtime_equals_array_loop_form_from_zero_estimates(
         n, seed, mode, smoothing):
     # From zero estimates the closed loop amplifies rounding (see
     # estimates_near_references), so the law is no reference there.  The
-    # runtimes of the loop form (on arrays, on lists, and the generated
-    # straight-line function, called whatever the step count) run the
-    # same operations in the same order on IEEE doubles, so they must
-    # agree bit for bit.
+    # loop form on arrays and its generated straight-line function on
+    # Python floats run the same operations in the same order on IEEE
+    # doubles, so they must agree bit for bit.
     cfg = henneberg_config(n, seed, steps=200, mode=mode,
                            smoothing_epsilon=smoothing)
     logs = []
-    for runtime in (kernels._rollout_loops, kernels._rollout_lists, unrolled.rollout):
+    for runtime in (kernels._rollout_loops, unrolled.rollout):
         with pytest.MonkeyPatch.context() as m:
             m.setattr(kernels, "_rollout_numpy", runtime)
             logs.append(engine.run(cfg, force_kernel="numpy"))
@@ -280,13 +281,15 @@ def test_generated_kernel_equals_loop_form(case, mode):
             assert_same_bits(a, b)
 
 
-def test_generated_source_takes_only_finite_floats_and_ints():
-    # The generator writes repr(float(x)) of finite values and Python ints
-    # into the source, and raises on anything else.
+def test_generated_source_takes_only_non_nan_floats_and_ints():
+    # The generator writes repr(float(x)) of floats other than nan (+-inf
+    # as the name inf) and Python ints into the source, and raises on
+    # anything else.
     assert unrolled._num(0.5) == "0.5" and unrolled._num(-2.0) == "(-2.0)"
     assert unrolled._num(np.float64(0.25)) == "0.25"
+    assert unrolled._num(math.inf) == "inf" and unrolled._num(-math.inf) == "(-inf)"
     assert unrolled._int(3) == 3
-    for bad in (math.nan, math.inf, -math.inf, "1.0", "__import__('os')", 1, True, None):
+    for bad in (math.nan, -math.nan, "1.0", "inf", "__import__('os')", 1, True, None):
         with pytest.raises(ValueError):
             unrolled._num(bad)
     for bad in (True, 1.0, "1", np.int64(1), None):
@@ -295,7 +298,12 @@ def test_generated_source_takes_only_finite_floats_and_ints():
     args = dict(n=2, nk=1, edges=((0, 1),), d2=(0.01,), anchor=(1.0, 0.0), leader=-1,
                 alphas=(0.05,), weights=(1.0,), k_a=6.0, c=(10.0, 10.0), smooth_eps=0.0)
     compile(unrolled.source(**args), "<test>", "exec")
-    for name, bad in (("d2", (math.nan,)), ("k_a", "6.0"), ("c", (10.0, math.inf)),
+    # An infinite constant is the name inf, which the function's
+    # namespace binds.
+    for name, inf in (("d2", (math.inf,)), ("k_a", math.inf), ("c", (10.0, -math.inf)),
+                      ("alphas", (math.inf,)), ("smooth_eps", math.inf)):
+        assert unrolled._build(**dict(args, **{name: inf}))
+    for name, bad in (("d2", (math.nan,)), ("k_a", "6.0"), ("c", (10.0, math.nan)),
                       ("smooth_eps", "0.01; import os"), ("edges", ((0, "1"),)),
                       ("leader", -1.0), ("n", 2.0)):
         with pytest.raises((ValueError, TypeError)):
@@ -351,10 +359,9 @@ def complete_config(cfg):
 
 def test_dispatch_picks_the_form_by_formation_size(monkeypatch):
     # The loop form's cost follows the edge count, so a dense formation
-    # of few agents runs the law.  On floats, a call of at least
-    # UNROLL_MIN_STEPS steps runs the law's generated function, and
-    # shorter ones, set-up runs (0 steps) among them, run
-    # _rollout_lists; both report the uncompiled loop form.
+    # of few agents runs the law.  On floats, every call runs the law's
+    # generated function, set-up runs (0 steps) among them, and reports
+    # the uncompiled loop form.
     monkeypatch.setattr(kernels, "USE_NUMBA", False)
     limit = kernels.LIST_MAX_EDGES
     sparse = {n: henneberg_config(n, seed=n, steps=10) for n in (9, 10, 200)}
@@ -378,23 +385,20 @@ def test_dispatch_picks_the_form_by_formation_size(monkeypatch):
             return impl(*args)
         return recorder
 
-    for name, owner in (("_rollout_lists", kernels), ("_rollout_numpy", kernels),
+    for name, owner in (("_rollout_loops", kernels), ("_rollout_numpy", kernels),
                         ("rollout", unrolled)):
         monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
-    cut = kernels.UNROLL_MIN_STEPS
-    assert 0 < cut < engine._CHUNK_ROWS
-    for steps, impl in ((0, "_rollout_lists"), (cut - 1, "_rollout_lists"),
-                        (cut, "rollout"), (engine._CHUNK_ROWS, "rollout")):
+    for steps in (0, 255, 256, engine._CHUNK_ROWS):
         calls.clear()
         cfg = dataclasses.replace(henneberg_config(6, seed=6, steps=10),
                                   duration=steps * 1e-3, sample_every=1)
         meta = engine.run(cfg).meta
-        assert calls == [(impl, steps)]
+        assert calls == [("rollout", steps)]
         assert (meta["kernel"], meta["form"]) == ("numpy", "loops")
 
     # dense_log's shape: the intercept pentagon logging every step for
-    # 2 s, 8,000 steps in 16 chunks, each long enough for the generated
-    # function, which the first builds and the rest reuse.
+    # 2 s, 8,000 steps in 16 chunks, each run by the generated function,
+    # which the first builds and the rest reuse.
     data = json.loads(Path(bundled_scenario_path("pentagon_intercept")).read_text())
     data["sim"]["sample_every"] = 1
     unrolled._build.cache_clear()
