@@ -166,6 +166,9 @@ class RunConfig:
             raise ConfigError("mode", "mode must be 'flock' or 'intercept', "
                                       f"got {self.mode!r}")
         n = self.graph.n
+        if self.mode == "intercept" and n < 2:
+            raise ConfigError("graph", "intercept mode needs a leader and at least one "
+                                       f"follower in its graph, got n = {n}")
         self.distances = np.asarray(self.distances, dtype=float)
         if self.distances.shape != (self.graph.edge_count,):
             raise ConfigError("distances", "distances must have one entry per edge")

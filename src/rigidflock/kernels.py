@@ -4,12 +4,12 @@ The env flag ``RIGIDFLOCK_NUMBA`` picks the default path ("0" disables
 the compiled loop form, anything else or unset enables it when numba
 imports).  Uncompiled, small formations run the loop form in CPython on
 Python floats, as the straight-line function that ``unrolled``
-generates for the law (bit for bit ``_rollout_loops``), and larger ones
-the numpy form.  Every form stays importable so they can be benchmarked
-and cross-checked in one process.  Within a form, rollouts are
-deterministic: canonical edge order, fixed summation order, and no form
-starts a thread.  The CLI process runs on one thread: it pins OpenBLAS
-to one before numpy loads.
+generates for the law's graph and calls with its values (bit for bit
+``_rollout_loops``), and larger ones the numpy form.  Every form stays
+importable so they can be benchmarked and cross-checked in one process.
+Within a form, rollouts are deterministic: canonical edge order, fixed
+summation order, and no form starts a thread.  The CLI process runs on
+one thread: it pins OpenBLAS to one before numpy loads.
 
 Flock and intercept are two parameterizations of one law (``_Law``),
 and both forms take one argument list (``_rollout_loops``).  Layout:

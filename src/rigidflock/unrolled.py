@@ -1,10 +1,11 @@
-"""The loop form as straight-line Python, generated for one law.
+"""The loop form as straight-line Python, generated for one graph.
 
 ``rollout`` takes ``kernels._rollout_loops``' arguments and has its
 effects, and is the loop form's one uncompiled runtime.  It runs a
-function compiled from source written for the law's edges and
-parameters, which performs the same floating-point operations in the
-same order, so its logs, state and status are bit for bit those of
+function compiled from source written for the law's graph (agents,
+channels, edges, leader, plain or smoothed sign), which takes the law's
+values as arguments and performs the same floating-point operations in
+the same order, so its logs, state and status are bit for bit those of
 ``_rollout_loops``; CPython runs a step of it in about 40% of the time
 the loop form took on lists (README, "Kernels and environment flags"):
 
@@ -13,20 +14,21 @@ the loop form took on lists (README, "Kernels and environment flags"):
   divergence too;
 - per-edge and per-agent temporaries are locals, and every sum is one
   expression accumulated from 0.0 in edge order;
-- ``_sgn`` and ``_wrap`` are inlined, and the law's constants are
-  literals;
+- ``_sgn`` and ``_wrap`` are inlined, and the law's values are
+  arguments: each array is read into one local per entry once per call,
+  -alpha and -c negated there (exactly);
 - the cos/sin of each heading and the cosine of each heading error are
   computed once per step, and reused for the Euler step and v;
 - a logged row is packed into one bytes object of doubles, and the rows
   reach the ``out_*`` logs as one array when the call returns.
 
 Indexed names end in ``_<index>``; scratch names have neither digits
-nor underscores, so no two collide.  Only ``repr(float(x))`` of floats
-other than nan and ``repr`` of Python ints is written into the source
-(``_num``, ``_int``), +-inf as the name ``inf``, bound in the function's
-namespace; anything else raises, so no text from a scenario reaches it.
-A law's function is built once (``_build`` is cached), by the first
-call, of 0 steps or more.
+nor underscores, and argument names end in a letter, so no two collide.
+Only Python ints (``_int``, which raises on anything else) and the
+constants 2 pi, pi, ``EPS_U`` and ``POS_LIMIT`` enter the source, so no
+value of a law or text from a scenario reaches it.  A graph's
+function is built once (``_build`` is cached), by the first call, of 0
+steps or more, and laws on one graph share it.
 """
 
 from __future__ import annotations
@@ -41,14 +43,6 @@ from .kernels import EPS_U, POS_LIMIT, STATUS_DIVERGED, STATUS_OK
 from .unicycle import TWO_PI
 
 
-def _num(x) -> str:
-    """Source text of a float other than nan, parenthesized when negative."""
-    if not isinstance(x, float) or math.isnan(x):
-        raise ValueError(f"a law constant must be a float other than nan, got {x!r}")
-    text = repr(float(x))
-    return f"({text})" if text.startswith("-") else text
-
-
 def _int(i) -> int:
     """``i`` if it is a Python int (not a bool), whose text is its repr."""
     if type(i) is not int:
@@ -59,12 +53,11 @@ def _int(i) -> int:
 def rollout(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
             k_a, c, smooth_eps, dt, n_steps, sample_every, *outs):
     """``kernels._rollout_loops`` run by the function generated for its
-    law: same arguments and effects."""
-    run = _build(len(anchor), len(weights), tuple(map(tuple, edges.tolist())),
-                 tuple(d2.tolist()), tuple(anchor.tolist()), leader,
-                 tuple(alphas.tolist()), tuple(weights.tolist()), k_a,
-                 tuple(c.tolist()), smooth_eps)
-    status, rows = run(pose, est, sig, dt, n_steps, sample_every)
+    law's graph: same arguments and effects."""
+    run = _build(len(anchor), len(weights), tuple(map(tuple, edges.tolist())), leader,
+                 smooth_eps > 0.0)
+    status, rows = run(pose, est, sig, d2, anchor, alphas, weights, k_a, c, smooth_eps,
+                       dt, n_steps, sample_every)
     logged = np.frombuffer(b"".join(rows)).reshape(len(rows), -1)
     col = 0
     for out in outs:
@@ -76,34 +69,27 @@ def rollout(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
 
 
 @functools.lru_cache(maxsize=8)
-def _build(n, nk, edges, d2, anchor, leader, alphas, weights, k_a, c, smooth_eps):
-    """The compiled function of ``source``'s law.
-
-    Laws whose constants compare equal share one function, so they may
-    differ in the sign of a zero constant.  ``RunConfig.law()`` gives
-    zeros only as the signum width, which just picks the plain sign, and
-    as anchors, whose product joins a consensus sum that is never -0.0,
-    so adding +-0.0 to it leaves it unchanged.
-    """
+def _build(n, nk, edges, leader, smoothed):
+    """The compiled function of ``source``'s graph."""
     namespace = {"cos": math.cos, "sin": math.sin, "sqrt": math.sqrt,
-                 "atan2": math.atan2, "inf": math.inf,
-                 "pack": struct.Struct(f"{n * (8 + 2 * nk)}d").pack}
-    exec(compile(source(n, nk, edges, d2, anchor, leader, alphas, weights, k_a, c,
-                        smooth_eps), "<rigidflock.unrolled>", "exec"), namespace)
+                 "atan2": math.atan2, "pack": struct.Struct(f"{n * (8 + 2 * nk)}d").pack}
+    exec(compile(source(n, nk, edges, leader, smoothed), "<rigidflock.unrolled>", "exec"),
+         namespace)
     return namespace["rollout"]
 
 
-def source(n, nk, edges, d2, anchor, leader, alphas, weights, k_a, c, smooth_eps):
-    """The source of ``rollout(pose, est, sig, dt, n_steps, sample_every)``
-    for one law, given as Python numbers in ``kernels.Law``'s field order
-    (edges as pairs of ints).  It returns the status and the logged rows,
-    each ``pack``ed as pose, cmd, u, heading error and est."""
+def source(n, nk, edges, leader, smoothed):
+    """The source of ``rollout(pose, est, sig, d2, anchor, alphas, weights,
+    k_a, c, smooth_eps, dt, n_steps, sample_every)`` for n agents, nk
+    channels, the edges (pairs of ints) and the leader (-1 for none), with
+    the smoothed sign if ``smoothed`` (the law has ``smooth_eps`` > 0).
+    It returns the status and the logged rows, each ``pack``ed as pose,
+    cmd, u, heading error and est."""
     agents = range(_int(n))
     m2 = 2 * _int(nk)
     if _int(leader) >= 0 and nk < 2:
         raise ValueError("a leader needs the v_T and e_T channels")
-    two_pi, pi, eps_u, limit = (_num(x) for x in (TWO_PI, math.pi, EPS_U, POS_LIMIT))
-    w, k_a = [_num(x) for x in weights], _num(k_a)
+    two_pi, pi, eps_u, limit = map(repr, (TWO_PI, math.pi, EPS_U, POS_LIMIT))
     ends = [(_int(i), _int(j)) for i, j in edges]
     # (sign, edge) per agent in edge order: edge k adds to its first
     # end's sums and subtracts from its second's.
@@ -120,11 +106,9 @@ def source(n, nk, edges, d2, anchor, leader, alphas, weights, k_a, c, smooth_eps
             return f"g_{m}"
         return f"r_{m}" if leader >= 0 and m < 4 else "0.0"
 
-    eps = _num(smooth_eps)
-
     def sgn(dst, expr):
-        if smooth_eps > 0.0:
-            return [f"{dst} = ({expr}) / {eps}",
+        if smoothed:
+            return [f"{dst} = ({expr}) / smooth_eps",
                     f"if {dst} > 1.0: {dst} = 1.0",
                     f"elif {dst} < -1.0: {dst} = -1.0"]
         return [f"{dst} = {expr}",
@@ -143,8 +127,14 @@ def source(n, nk, edges, d2, anchor, leader, alphas, weights, k_a, c, smooth_eps
     def nested(*fmts):
         return "[" + ", ".join(f"[{names(i, *fmts)}]" for i in agents) + "]"
 
+    def unpack(name, count, values):  # one local per entry of a law's field
+        return [", ".join(f"{name}_{k}" for k in range(count)) + f", = {values}"] if count else []
+
     ncols = 6 if leader >= 0 else 2
     body = ["pl = pose.tolist()", "el = est.tolist()"]
+    body += unpack("q", len(ends), "d2.tolist()") + unpack("an", n, "anchor.tolist()")
+    body += unpack("na", nk, "(-alphas).tolist()") + unpack("wt", nk, "weights.tolist()")
+    body += unpack("nc", n, "(-c).tolist()")
     body += [f"{names(i, 'x_{i}', 'y_{i}', 'h_{i}')} = pl[{i}]" for i in agents]
     body += [f"{names(i, 'e_{i}_{m}')}, = el[{i}]" for i in agents]
     body += [f"sl = sig[:n_steps + 1, :{ncols}].tolist()",
@@ -156,27 +146,26 @@ def source(n, nk, edges, d2, anchor, leader, alphas, weights, k_a, c, smooth_eps
         loop += [f"r_2 = g_2 - x_{leader}", f"r_3 = g_3 - y_{leader}"]
     for k, (i, j) in enumerate(ends):
         loop += [f"dx_{k} = x_{i} - x_{j}", f"dy_{k} = y_{i} - y_{j}",
-                 f"z_{k} = dx_{k} * dx_{k} + dy_{k} * dy_{k} - {_num(d2[k])}"]
+                 f"z_{k} = dx_{k} * dx_{k} + dy_{k} * dy_{k} - q_{k}"]
     # pass 1: observer rates (signum in each agent's frame), controls and
     # the estimates' part of udot
     for i in agents:
         loop += [f"ct_{i} = cos(h_{i})", f"st_{i} = sin(h_{i})"]
         for k in range(nk):
-            alpha = _num(alphas[k])
             for m, dst in ((2 * k, "ax"), (2 * k + 1, "ay")):
                 sums = total(i, lambda e: f"(e_{ends[e][0]}_{m} - e_{ends[e][1]}_{m})")
-                loop.append(f"{dst} = {sums} + {_num(anchor[i])} * (e_{i}_{m} - {ref(m)})")
+                loop.append(f"{dst} = {sums} + an_{i} * (e_{i}_{m} - {ref(m)})")
             loop += sgn("sx", f"ct_{i} * ax + st_{i} * ay")
             loop += sgn("sy", f"-st_{i} * ax + ct_{i} * ay")
-            loop += [f"ra_{i}_{2 * k} = -{alpha} * (ct_{i} * sx - st_{i} * sy)",
-                     f"ra_{i}_{2 * k + 1} = -{alpha} * (st_{i} * sx + ct_{i} * sy)"]
+            loop += [f"ra_{i}_{2 * k} = na_{k} * (ct_{i} * sx - st_{i} * sy)",
+                     f"ra_{i}_{2 * k + 1} = na_{k} * (st_{i} * sx + ct_{i} * sy)"]
         for a, d in ((0, "x"), (1, "y")):
             # the free leader steers by the weighted true references
-            u = "0.0" + "".join(f" + {w[k]} * "
+            u = "0.0" + "".join(f" + wt_{k} * "
                                 + (ref(2 * k + a) if i == leader else f"e_{i}_{2 * k + a}")
                                 for k in range(nk))
             if i != leader:
-                u += f" - {k_a} * {total(i, lambda e: f'd{d}_{e} * z_{e}')}"
+                u += f" - k_a * {total(i, lambda e: f'd{d}_{e} * z_{e}')}"
             loop.append(f"u{d}_{i} = {u}")
         loop += [f"nq_{i} = ux_{i} * ux_{i} + uy_{i} * uy_{i}",
                  f"nu_{i} = sqrt(nq_{i})",
@@ -191,20 +180,20 @@ def source(n, nk, edges, d2, anchor, leader, alphas, weights, k_a, c, smooth_eps
                  f"ma = z_{k} + 2.0 * dx_{k} * dx_{k}",
                  f"mb = 2.0 * dx_{k} * dy_{k}",
                  f"mc = z_{k} + 2.0 * dy_{k} * dy_{k}",
-                 f"fx_{k} = {k_a} * (ma * wx + mb * wy)",
-                 f"fy_{k} = {k_a} * (mb * wx + mc * wy)"]
+                 f"fx_{k} = k_a * (ma * wx + mb * wy)",
+                 f"fy_{k} = k_a * (mb * wx + mc * wy)"]
     for i in agents:
         if i == leader:  # the reference rates are a_T and v_T - B u_L
-            udx, udy = (f"({w[0]} * g_{4 + a} + {w[1]} * (g_{a} - b{d}_{i}))"
+            udx, udy = (f"(wt_0 * g_{4 + a} + wt_1 * (g_{a} - b{d}_{i}))"
                         for a, d in ((0, "x"), (1, "y")))
         else:
-            udx, udy = ("(0.0" + "".join(f" + {w[k]} * ra_{i}_{2 * k + a}" for k in range(nk))
+            udx, udy = ("(0.0" + "".join(f" + wt_{k} * ra_{i}_{2 * k + a}" for k in range(nk))
                         + "".join(f" {'-' if s == '+' else '+'} f{d}_{k}" for s, k in touch[i])
                         + ")" for a, d in ((0, "x"), (1, "y")))
         loop += [f"dd = (ux_{i} * {udy} - uy_{i} * {udx}) / nq_{i}"
                  f" if nu_{i} > {eps_u} else 0.0",
                  f"v_{i} = nu_{i} * bc_{i}",
-                 f"w_{i} = -{_num(c[i])} * te_{i} + dd"]
+                 f"w_{i} = nc_{i} * te_{i} + dd"]
     logged = ", ".join([per_agent("x_{i}", "y_{i}", "h_{i}"), per_agent("v_{i}", "w_{i}"),
                         per_agent("ux_{i}", "uy_{i}"), per_agent("te_{i}"),
                         per_agent("e_{i}_{m}")])
@@ -229,5 +218,6 @@ def source(n, nk, edges, d2, anchor, leader, alphas, weights, k_a, c, smooth_eps
     body += [f"pose[:] = {nested('x_{i}', 'y_{i}', 'h_{i}')}",
              f"est[:] = {nested('e_{i}_{m}')}",
              "return status, rows"]
-    return ("def rollout(pose, est, sig, dt, n_steps, sample_every):\n"
+    return ("def rollout(pose, est, sig, d2, anchor, alphas, weights, k_a, c, smooth_eps,"
+            " dt, n_steps, sample_every):\n"
             + "".join(f"    {line}\n" for line in body))

@@ -39,8 +39,11 @@ HENNEBERG_AGENTS = 12
 # not a bundled scenario is a scenario file under RECORDS.  The 12-agent
 # formation has 21 edges, more than kernels.LIST_MAX_EDGES, so without
 # numba "auto" runs the law form too and would repeat the numpy record.
+# The bundled scenarios use the plain sign; the smoothed pentagon runs
+# the loop form's smoothed-sign branch.
 RUNS = {"pentagon_flock": (4.0, KERNELS), "pentagon_intercept": (2.0, KERNELS),
-        "henneberg12_flock": (4.0, ("numpy",))}
+        "henneberg12_flock": (4.0, ("numpy",)),
+        "pentagon_intercept_smoothed": (2.0, ("auto",))}
 RECORDED = [(name, kernel) for name, (_, kernels) in RUNS.items() for kernel in kernels]
 
 

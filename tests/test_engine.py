@@ -147,6 +147,8 @@ def test_run_config_validation():
                             ({"duration": None}, "duration"),
                             ({"c": [10.0]}, "c"),  # a list is one gain per agent
                             ({"mode": "intercept", "anchor_sign": 5.0}, "anchor_sign"),
+                            # the followers' hull needs a follower
+                            ({"mode": "intercept", "graph": Graph(1, [])}, "graph"),
                             ({"initial_poses": np.zeros((3, 2))}, "initial_poses")):
         with pytest.raises(engine.ConfigError, match=name) as info:
             right_triangle_config(**overrides)

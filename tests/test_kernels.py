@@ -233,12 +233,13 @@ def assert_same_bits(a, b, err_msg=""):
                                   np.asarray(b).view(np.uint64), err_msg=err_msg)
 
 
-def direct_rollouts(runtime, cfg, calls, sample_every):
+def direct_rollouts(runtime, cfg, calls, sample_every, law=None):
     """``runtime`` called directly for ``calls`` consecutive spans of
     steps, each continuing from the state the last one left, as
-    ``engine.run``'s chunks do.  Returns every status, the final pose
-    and estimates, and each call's logs, unlogged rows left nan."""
-    law = cfg.law()
+    ``engine.run``'s chunks do, on ``law`` (default ``cfg.law()``).
+    Returns every status, the final pose and estimates, and each call's
+    logs, unlogged rows left nan."""
+    law = cfg.law() if law is None else law
     pose = cfg.initial_poses.copy()
     est = np.concatenate([getattr(cfg, "initial_" + f)
                           for f in LOGGED_ESTIMATES[cfg.mode]], axis=1)
@@ -256,24 +257,33 @@ def direct_rollouts(runtime, cfg, calls, sample_every):
     return statuses, pose, est, logs
 
 
-@pytest.mark.parametrize("case", ["sample_every_7", "two_calls", "diverging"])
+@pytest.mark.parametrize("case", ["sample_every_7", "two_calls", "diverging",
+                                  "nan_k_a", "inf_alpha"])
 @pytest.mark.parametrize("mode", ["flock", "intercept"])
 def test_generated_kernel_equals_loop_form(case, mode):
     # Beside engine.run's one call per chunk: sparse logging, a second
     # call continuing from the first one's state, and a divergence, after
     # which the status, the state left in place (agents after the diverged
     # one not yet stepped) and the rows logged so far must be the loop
-    # form's too.
+    # form's too.  The law's values are arguments of the generated
+    # function, so a nan or an infinite constant runs (and diverges) as
+    # in the loop form.
     cfg = henneberg_config(7, seed=3, steps=0, mode=mode, smoothing_epsilon=0.01)
     calls, sample_every = {"sample_every_7": ([300], 7), "two_calls": ([300, 301], 1),
-                           "diverging": ([600], 3)}[case]
+                           "diverging": ([600], 3), "nan_k_a": ([50], 1),
+                           "inf_alpha": ([50], 1)}[case]
     if case == "diverging":
         cfg = dataclasses.replace(cfg, k_a=3e4)  # agent 1 leaves at step 7 or 8
-    ref = direct_rollouts(kernels._rollout_loops, cfg, calls, sample_every)
-    got = direct_rollouts(unrolled.rollout, cfg, calls, sample_every)
+    law = cfg.law()
+    if case == "nan_k_a":
+        law = law._replace(k_a=math.nan)
+    elif case == "inf_alpha":
+        law = law._replace(alphas=np.concatenate([[math.inf], law.alphas[1:]]))
+    ref = direct_rollouts(kernels._rollout_loops, cfg, calls, sample_every, law)
+    got = direct_rollouts(unrolled.rollout, cfg, calls, sample_every, law)
     assert got[0] == ref[0]
-    assert ref[0][-1][0] == (kernels.STATUS_DIVERGED if case == "diverging"
-                             else kernels.STATUS_OK)
+    assert ref[0][-1][0] == (kernels.STATUS_OK if case in ("sample_every_7", "two_calls")
+                             else kernels.STATUS_DIVERGED)
     for a, b in zip(got[1:3], ref[1:3]):
         assert_same_bits(a, b)
     for outs_got, outs_ref in zip(got[3], ref[3]):
@@ -281,33 +291,42 @@ def test_generated_kernel_equals_loop_form(case, mode):
             assert_same_bits(a, b)
 
 
-def test_generated_source_takes_only_non_nan_floats_and_ints():
-    # The generator writes repr(float(x)) of floats other than nan (+-inf
-    # as the name inf) and Python ints into the source, and raises on
-    # anything else.
-    assert unrolled._num(0.5) == "0.5" and unrolled._num(-2.0) == "(-2.0)"
-    assert unrolled._num(np.float64(0.25)) == "0.25"
-    assert unrolled._num(math.inf) == "inf" and unrolled._num(-math.inf) == "(-inf)"
+def test_generated_source_holds_only_the_graph():
+    # The source is written from the graph alone (agents, channels,
+    # edges, leader, plain or smoothed sign): two laws on one graph that
+    # differ in every value share its text and one build.  Only Python
+    # ints enter it as indices; anything else raises.
     assert unrolled._int(3) == 3
-    for bad in (math.nan, -math.nan, "1.0", "inf", "__import__('os')", 1, True, None):
-        with pytest.raises(ValueError):
-            unrolled._num(bad)
     for bad in (True, 1.0, "1", np.int64(1), None):
         with pytest.raises(TypeError):
             unrolled._int(bad)
-    args = dict(n=2, nk=1, edges=((0, 1),), d2=(0.01,), anchor=(1.0, 0.0), leader=-1,
-                alphas=(0.05,), weights=(1.0,), k_a=6.0, c=(10.0, 10.0), smooth_eps=0.0)
+    cfg = henneberg_config(7, seed=3, steps=0, mode="intercept", smoothing_epsilon=0.01)
+    law = cfg.law()
+    other = law._replace(d2=law.d2 + 0.125, anchor=law.anchor - 0.25,
+                         alphas=law.alphas * 3.0, weights=law.weights + 0.5,
+                         k_a=law.k_a * 2.0, c=law.c + 1.0, smooth_eps=law.smooth_eps * 2.0)
+
+    def graph(law):
+        return (len(law.anchor), len(law.weights), tuple(map(tuple, law.edges.tolist())),
+                law.leader, law.smooth_eps > 0.0)
+
+    assert graph(other) == graph(law)
+    text = unrolled.source(*graph(law))
+    assert unrolled.source(*graph(other)) == text
+    compile(text, "<test>", "exec")
+    unrolled._build.cache_clear()
+    for values in (law, other):
+        direct_rollouts(unrolled.rollout, cfg, [10], 1, values)
+    info = unrolled._build.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # An edgeless graph has no distances to read.
+    args = dict(n=2, nk=1, edges=(), leader=-1, smoothed=False)
     compile(unrolled.source(**args), "<test>", "exec")
-    # An infinite constant is the name inf, which the function's
-    # namespace binds.
-    for name, inf in (("d2", (math.inf,)), ("k_a", math.inf), ("c", (10.0, -math.inf)),
-                      ("alphas", (math.inf,)), ("smooth_eps", math.inf)):
-        assert unrolled._build(**dict(args, **{name: inf}))
-    for name, bad in (("d2", (math.nan,)), ("k_a", "6.0"), ("c", (10.0, math.nan)),
-                      ("smooth_eps", "0.01; import os"), ("edges", ((0, "1"),)),
-                      ("leader", -1.0), ("n", 2.0)):
-        with pytest.raises((ValueError, TypeError)):
+    for name, bad in (("edges", ((0, "1"),)), ("leader", -1.0), ("n", 2.0)):
+        with pytest.raises(TypeError):
             unrolled.source(**dict(args, **{name: bad}))
+    with pytest.raises(ValueError, match="leader needs"):
+        unrolled.source(**dict(args, leader=1))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
