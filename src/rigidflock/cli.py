@@ -25,8 +25,9 @@ numba, a horizon too long to allocate or to index, and a failed writer
 process), 2 formation not rigid, 3 simulation diverged.  OUTDIR is
 created before the rollout; a run that exits 1 or 3 renames nothing,
 so it leaves OUTDIR's earlier files as they were.  Only a kill the
-process cannot catch leaves its ``.NAME.PID.part`` files behind.  Set
-RIGIDFLOCK_LOG=debug|info|warning|error to control log verbosity.
+process cannot catch leaves its ``.NAME.PID.part`` files behind.
+Warnings (an unknown scenario field, an observer gain that does not
+dominate its bound) go to stderr as ``WARNING rigidflock.scenario: ...``.
 
 Importing this module sets the process up for one run: it pins OpenBLAS
 to one thread before numpy loads, and it keeps the cyclic garbage
@@ -70,8 +71,6 @@ from .scenario import (Scenario, ScenarioError, framework_from_dict,
 gc.freeze()
 if _gc_was_enabled:
     gc.enable()
-
-logger = logging.getLogger("rigidflock.cli")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -561,17 +560,9 @@ def make_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _setup_logging() -> None:
-    level = os.environ.get("RIGIDFLOCK_LOG", "warning").upper()
-    if level not in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"):
-        level = "WARNING"
-    logging.basicConfig(level=getattr(logging, level),
-                        format="%(levelname)s %(name)s: %(message)s",
-                        stream=sys.stderr)
-
-
 def main(argv=None) -> int:
-    _setup_logging()
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s",
+                        stream=sys.stderr)
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -517,35 +517,38 @@ def _rollout_numpy(pose, est, sig, edges, d2, anchor, leader, alphas, weights,
     status = (STATUS_OK, -1, n_steps)
     row = 0
     sig = sig.view(complex)
-    for step in range(n_steps + 1):
-        _rate, u, te, v, omega, _udot = law(X, sig[step])
-        if step % sample_every == 0:
-            out_pose[row, :, :2] = Z[:, :2]
-            out_pose[row, :, 2] = th
-            out_cmd[row, :, 0] = v
-            out_cmd[row, :, 1] = omega
-            out_u[row] = _planar(u)
-            out_te[row] = te
-            out_est[row] = Z[:, 2:]
-            row += 1
-        if step == n_steps:
-            break
-        delta *= dt
-        X += delta
-        np.abs(X, out=mag)
-        # A heading leaves (-pi, pi) only when it turns through pi.
-        # Wrapped, it is still below POS_LIMIT in mag (and nan stays nan).
-        if not mag_th.max() < np.pi:
-            turned = ~(mag_th < np.pi)
-            th[turned] = wrap_angle(th[turned])
-        # One reduction per step; the per-agent scan runs only when it
-        # fails, and an estimate that is merely large passes.
-        if not mag.max() <= POS_LIMIT:
-            bad = (~np.isfinite(Z).all(axis=1) | ~np.isfinite(th)
-                   | (np.abs(Z[:, :2]) > POS_LIMIT).any(axis=1))
-            if bad.any():
-                status = (STATUS_DIVERGED, int(np.argmax(bad)), step + 1)
+    # The step's check ends the run at the first non-finite or out-of-range
+    # state: numpy's overflow and invalid-value warnings add nothing to it.
+    with np.errstate(all="ignore"):
+        for step in range(n_steps + 1):
+            _rate, u, te, v, omega, _udot = law(X, sig[step])
+            if step % sample_every == 0:
+                out_pose[row, :, :2] = Z[:, :2]
+                out_pose[row, :, 2] = th
+                out_cmd[row, :, 0] = v
+                out_cmd[row, :, 1] = omega
+                out_u[row] = _planar(u)
+                out_te[row] = te
+                out_est[row] = Z[:, 2:]
+                row += 1
+            if step == n_steps:
                 break
+            delta *= dt
+            X += delta
+            np.abs(X, out=mag)
+            # A heading leaves (-pi, pi) only when it turns through pi.
+            # Wrapped, it is still below POS_LIMIT in mag (and nan stays nan).
+            if not mag_th.max() < np.pi:
+                turned = ~(mag_th < np.pi)
+                th[turned] = wrap_angle(th[turned])
+            # One reduction per step; the per-agent scan runs only when it
+            # fails, and an estimate that is merely large passes.
+            if not mag.max() <= POS_LIMIT:
+                bad = (~np.isfinite(Z).all(axis=1) | ~np.isfinite(th)
+                       | (np.abs(Z[:, :2]) > POS_LIMIT).any(axis=1))
+                if bad.any():
+                    status = (STATUS_DIVERGED, int(np.argmax(bad)), step + 1)
+                    break
     pose[:, :2] = Z[:, :2]
     pose[:, 2] = th
     est[:] = Z[:, 2:]

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from importlib import resources
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -298,9 +298,9 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
             _fail("flock_velocity", str(exc))
         access = _need(data, "v0_access")
         if (not isinstance(access, list) or not access
-                or len(set(access)) != len(access)
                 or any(not isinstance(i, int) or isinstance(i, bool)
-                       or not 1 <= i <= n for i in access)):
+                       or not 1 <= i <= n for i in access)
+                or len(set(access)) != len(access)):
             _fail("v0_access", f"must be a nonempty list of distinct agent ids in 1..{n}")
         gamma0 = _number(data.get("gamma0", signal.sup_accel()), "gamma0")
         flags = np.isin(np.arange(1, n + 1), access).astype(float)
@@ -380,7 +380,7 @@ def load_scenario(path, *, duration: float | None = None,
 
 def bundled_scenario_path(name: str):
     """Filesystem path of a scenario shipped with the package."""
-    p = resources.files("rigidflock") / "scenarios" / f"{name}.json"
+    p = Path(__file__).with_name("scenarios") / f"{name}.json"
     if not p.is_file():
         raise FileNotFoundError(f"no bundled scenario named {name!r}")
     return p

@@ -264,6 +264,55 @@ def test_non_number_path_field_exits_1_without_traceback(tmp_path, name, key,
     assert out.stderr.startswith(f"error: {key}: {field} must be a number")
 
 
+@pytest.mark.parametrize("kernel", ["auto", "numpy"])
+@pytest.mark.parametrize("name, mutate, code, stderr", [
+    # A list element once reached set() and raised TypeError.
+    pytest.param("pentagon_flock", lambda d: d.update(v0_access=[[0]]), 1,
+                 ["error: v0_access: "], id="v0_access-list-element"),
+    pytest.param("pentagon_flock", lambda d: d.update(v0_access=[[1, 2]]), 1,
+                 ["error: v0_access: "], id="v0_access-pair-element"),
+    # The numpy law once printed overflow and invalid-value RuntimeWarnings
+    # before its own divergence report.
+    pytest.param("pentagon_intercept", lambda d: d["gains"].update(alpha1=1e300), 3,
+                 ["error: agent 1 diverged at t = 0.0005 s"], id="alpha1-1e300"),
+    # The far centre makes gamma_t2 = 1e308, which fails the gain check.
+    pytest.param("pentagon_intercept",
+                 lambda d: d["target"]["center_m"].__setitem__(0, -1e308), 3,
+                 ["WARNING rigidflock.scenario: gains.alpha2 = 0.25 does not dominate",
+                  "error: agent 1 diverged at t = 0.00025 s"], id="center_m-minus-1e308"),
+])
+def test_extreme_value_exits_without_traceback_or_warning(tmp_path, name, mutate,
+                                                          code, stderr, kernel):
+    with open(bundled_scenario_path(name)) as fh:
+        data = json.load(fh)
+    mutate(data)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    out = run_child(["simulate", str(path), "--out", str(tmp_path / "o"),
+                     "--duration", "1", "--kernel", kernel], code=(
+        "import sys, warnings; warnings.simplefilter('error'); "
+        "from rigidflock.cli import main; sys.exit(main(sys.argv[1:]))"))
+    assert out.returncode == code, out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == len(stderr), out.stderr
+    assert all(line.startswith(start) for line, start in zip(lines, stderr)), out.stderr
+
+
+@pytest.mark.parametrize("log", [None, "error"])
+def test_warnings_reach_stderr_whatever_the_environment(tmp_path, monkeypatch, log):
+    # RIGIDFLOCK_LOG=error once hid every warning the parser logs.
+    if log is None:
+        monkeypatch.delenv("RIGIDFLOCK_LOG", raising=False)
+    else:
+        monkeypatch.setenv("RIGIDFLOCK_LOG", log)
+    path = scenario_json(tmp_path, bogus=1)
+    out = run_child(["simulate", str(path), "--out", str(tmp_path / "o"),
+                     "--duration", "0"])
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ("WARNING rigidflock.scenario: scenario: ignoring "
+                          "unknown field 'bogus'\n")
+
+
 @pytest.mark.parametrize("flag, value, error", [
     # 1e15 steps: the first array of the rollout (petabytes) cannot be
     # allocated, so this fails at once without touching real memory.
@@ -882,6 +931,25 @@ def test_cli_never_imports_numpy_random(tmp_path, command, name):
         "import sys; from rigidflock.cli import main; rc = main(sys.argv[1:]); "
         "print(rc, sorted({'numpy.random', 'secrets', '_hashlib', 'fractions', 'decimal'}"
         " & set(sys.modules)))"))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 []"
+
+
+def test_cli_never_imports_importlib_resources_or_tempfile(tmp_path):
+    # Without site (-S), whose hooks may load them first, the modules a
+    # run adds beyond numpy's own include neither.
+    src = str(Path(rigidflock.__file__).resolve().parents[1])
+    numpy_dir = str(Path(np.__file__).resolve().parents[1])
+    code = ("import sys, numpy; before = set(sys.modules); "
+            "from rigidflock.cli import main; rc = main(sys.argv[1:]); "
+            "print(rc, sorted({'importlib.resources', 'tempfile'} "
+            "& (set(sys.modules) - before)))")
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, "simulate",
+         str(bundled_scenario_path("pentagon_flock")), "--out", str(tmp_path / "o"),
+         "--duration", "0"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join((src, numpy_dir))))
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "0 []"
 

@@ -1,19 +1,22 @@
 """Tests for scenario loading and validation."""
 
+import copy
 import importlib.util
 import inspect
 import itertools
 import json
 import logging
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from rigidflock.engine import RunConfig, run
+from rigidflock.engine import RunConfig, SimulationDiverged, run, step_count
 from rigidflock.scenario import (
+    _KNOWN_KEYS,
     Scenario,
     ScenarioError,
     _pcg64,
@@ -125,6 +128,11 @@ def test_intercept_scenario_fields():
     (lambda d: d.update(v0_access=[]), "v0_access"),
     (lambda d: d.update(v0_access=[1, 1]), "v0_access"),
     (lambda d: d.update(v0_access=[9]), "v0_access"),
+    # A list element once reached set() and raised TypeError.
+    pytest.param(lambda d: d.update(v0_access=[[0]]), "v0_access",
+                 id="v0_access-list-element"),
+    pytest.param(lambda d: d.update(v0_access=[[1, 2]]), "v0_access",
+                 id="v0_access-pair-element"),
     (lambda d: d.update(gamma0=-1.0), "gamma0"),
     pytest.param(lambda d: d.update(gamma0="x"), "gamma0",
                  id="gamma0-str"),
@@ -542,3 +550,73 @@ def test_invalid_json_file(tmp_path):
     path.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(ScenarioError, match="^scenario: top level must be a JSON object$"):
         load_scenario(path)
+
+
+# Values the boundary fuzz writes into a scenario; _DELETE removes the field.
+_DELETE = object()
+_FUZZ_VALUES = [None, True, False, 0, 1, -1, 1e308, -1e308, 2**70, "x", [], [[0]],
+                [[1, 2]], {}, _DELETE]
+# Schema paths a ScenarioError message may start with.
+_FIELDS = {prefix + key for prefix, keys in _KNOWN_KEYS.items() for key in keys}
+_FUZZ_MAX_STEPS = 1000  # sim.dt_s = 1e-9 is valid: 50M steps for 0.05 s
+
+
+def _fields(doc, path=()):
+    """The path of every value below the top level of a JSON document."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _fields(value, path + (key,))
+
+
+def _has(parent, key):
+    if isinstance(parent, dict):
+        return key in parent
+    return isinstance(parent, list) and isinstance(key, int) and key < len(parent)
+
+
+@st.composite
+def _mutated_scenario(draw):
+    doc = draw(st.sampled_from([flock_dict, intercept_dict]))()
+    paths = list(_fields(doc))
+    for path in draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3)):
+        value = draw(st.sampled_from(_FUZZ_VALUES))
+        parent = doc
+        for key in path[:-1]:  # an earlier edit may have replaced a parent
+            parent = parent[key] if _has(parent, key) else None
+        if not _has(parent, path[-1]):
+            continue
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(value)
+    return doc
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_mutated_scenario())
+def test_scenario_boundary_fuzz(doc):
+    # Every file either fails with a ScenarioError that names its field,
+    # or runs in both forms to the same status, with no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            scn = scenario_from_dict(doc, duration=0.05)
+        except ScenarioError as exc:
+            assert str(exc).split(": ")[0] in _FIELDS, str(exc)
+            return
+        if step_count(scn.duration, scn.dt, scn.sample_every) > _FUZZ_MAX_STEPS:
+            event("over the step cap")
+            return
+        ends = []
+        for form in (None, "numpy"):
+            try:
+                run(scn, force_kernel=form)
+                ends.append("ok")
+            except SimulationDiverged as exc:
+                # Not the agent: near the float limit the numpy law can
+                # blame another one at the same step (FOUND in CHANGES.md).
+                ends.append(f"diverged at {exc.time_s!r} s")
+        assert ends[0] == ends[1], ends
+        event("ran" if ends[0] == "ok" else "diverged")
