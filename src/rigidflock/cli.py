@@ -268,45 +268,41 @@ def _part(path) -> str:
                         f".{os.path.basename(path)}.{os.getpid()}.part")
 
 
+# Per mode, in the law's channel order: an agent's estimate columns in
+# trajectory.csv and each channel's error stem in metrics.csv; then the
+# reference columns trajectory.csv writes, by column of log.references.
+_CHANNEL_COLUMNS = {
+    "flock": (["vfhat_x", "vfhat_y"], ["vf_err"], {"v0_x_mps": 0, "v0_y_mps": 1}),
+    "intercept": (["vthat_x", "vthat_y", "ethat_x", "ethat_y"], ["vt_err", "et_err"],
+                  {"pt_x_m": 2, "pt_y_m": 3, "vt_x_mps": 0, "vt_y_mps": 1}),
+}
+
+
 def _trajectory_table(log: TrajectoryLog) -> tuple[list[str], object]:
     """trajectory.csv's header and its ``block(r0, r1)`` (see _table_format)."""
-    agent_cols = ["x_m", "y_m", "theta_rad", "v_mps", "omega_radps", "ux", "uy"]
-    if log.mode == "flock":
-        agent_cols += ["vfhat_x", "vfhat_y"]
-        shared_cols = ["v0_x_mps", "v0_y_mps"]
-        per_agent = [log.poses, log.commands, log.u, log.v_f_hat]
-        shared = [log.v0]
-    else:
-        agent_cols += ["vthat_x", "vthat_y", "ethat_x", "ethat_y"]
-        shared_cols = ["pt_x_m", "pt_y_m", "vt_x_mps", "vt_y_mps"]
-        per_agent = [log.poses, log.commands, log.u, log.v_t_hat, log.e_t_hat]
-        shared = [log.target_pos, log.target_vel]
+    est_cols, _, ref_cols = _CHANNEL_COLUMNS[log.mode]
+    agent_cols = ["x_m", "y_m", "theta_rad", "v_mps", "omega_radps", "ux", "uy"] + est_cols
     header = (["t_s"] + [f"{c}_{i}" for i in range(1, log.n + 1) for c in agent_cols]
-              + shared_cols)
+              + list(ref_cols))
+    per_agent, refs = [log.poses, log.commands, log.u, log.est], list(ref_cols.values())
 
     def block(r0, r1):
         agents = np.concatenate([a[r0:r1] for a in per_agent], axis=2)
         return np.hstack([log.t[r0:r1, None], agents.reshape(r1 - r0, -1),
-                          *(a[r0:r1] for a in shared)])
+                          log.references[r0:r1, refs]])
 
     return header, block
 
 
 def _metrics_table(log: TrajectoryLog, edges) -> tuple[list[str], object]:
     """metrics.csv's header and its ``block(r0, r1)`` (see _table_format)."""
-    if log.mode == "flock":
-        agent_cols = ["theta_err", "vf_err"]
-        shared_cols = ["shape_dist_m"]
-        columns = [log.t, log.edge_errors, log.heading_errors, log.est_errors,
-                   log.shape_dist]
-    else:
-        agent_cols = ["theta_err", "vt_err", "et_err"]
-        shared_cols = ["e_t_norm_m", "shape_dist_m", "hull_contains"]
-        columns = [log.t, log.edge_errors, log.heading_errors, log.v_t_err,
-                   log.e_t_err, log.e_t_norm, log.shape_dist, log.hull_inside]
+    agent_cols = ["theta_err"] + _CHANNEL_COLUMNS[log.mode][1]
+    shared = {"e_t_norm_m": log.e_t_norm, "shape_dist_m": log.shape_dist,
+              "hull_contains": log.hull_inside}
+    shared = {name: a for name, a in shared.items() if a is not None}
     header = (["t_s"] + [f"e_{i}_{j}" for i, j in edges]
-              + [f"{c}_{i}" for c in agent_cols for i in range(1, log.n + 1)]
-              + shared_cols)
+              + [f"{c}_{i}" for c in agent_cols for i in range(1, log.n + 1)] + list(shared))
+    columns = [log.t, log.edge_errors, log.heading_errors, log.est_errors, *shared.values()]
 
     def block(r0, r1):
         return np.hstack([c[r0:r1].reshape(r1 - r0, -1) for c in columns])

@@ -108,11 +108,9 @@ def step_count(duration: float, dt: float, sample_every: int) -> int:
 
 
 # Each mode's observer estimates (WorldState fields) in the law's channel
-# order, its scalar gains, and the references it logs by their channel in
-# a row of ``RunConfig.references``.
+# order, and its scalar gains.
 _ESTIMATES = {"flock": ("v_f_hat",), "intercept": ("v_t_hat", "e_t_hat")}
 GAINS = {"flock": ("k_a", "alpha"), "intercept": ("k_a", "k_t", "alpha1", "alpha2")}
-_LOGGED_REFERENCES = {"flock": ("v0",), "intercept": ("target_vel", "target_pos")}
 
 # The rule of each scalar RunConfig field, on its value as a float: a
 # test and what a value that fails it must be.
@@ -270,8 +268,13 @@ class TrajectoryLog:
     """Sampled closed-loop history plus derived error series.
 
     Rows are sampled every ``sample_every`` steps starting at t = 0; a
-    zero-duration run yields the initial row only.  ``hull_inside`` holds
-    1.0 where the target is inside the followers' hull, else 0.0.
+    zero-duration run yields the initial row only.  The K observer
+    channels keep the law's order: ``est`` (rows, n, 2K) holds their
+    estimates, ``references`` (rows, 2K) each row's signal[:2K] (v_0, or
+    v_T then p_T) and ``est_errors`` (rows, K, n) each |estimate -
+    reference|, with p_T - p_L as e_T's reference.  Intercept mode adds
+    ``e_t_norm`` = |p_T - p_L| and ``hull_inside``: 1.0 where the target
+    is inside the followers' hull, else 0.0.
     """
 
     mode: str
@@ -279,22 +282,14 @@ class TrajectoryLog:
     poses: np.ndarray
     commands: np.ndarray
     u: np.ndarray
+    est: np.ndarray
+    references: np.ndarray
     edge_errors: np.ndarray
     heading_errors: np.ndarray
-    shape_dist: np.ndarray | None
+    est_errors: np.ndarray
     meta: dict = field(default_factory=dict)
-    # flock mode
-    v_f_hat: np.ndarray | None = None
-    v0: np.ndarray | None = None
-    est_errors: np.ndarray | None = None
-    # intercept mode
-    v_t_hat: np.ndarray | None = None
-    e_t_hat: np.ndarray | None = None
-    target_pos: np.ndarray | None = None
-    target_vel: np.ndarray | None = None
+    shape_dist: np.ndarray | None = None
     e_t_norm: np.ndarray | None = None
-    v_t_err: np.ndarray | None = None
-    e_t_err: np.ndarray | None = None
     hull_inside: np.ndarray | None = None
 
     @property
@@ -347,17 +342,13 @@ def _derive_rows(log: TrajectoryLog, config: RunConfig, rows: slice) -> None:
                                        - config.distances[None, :])
     if config.target_positions is not None:
         log.shape_dist[rows] = shape_distance(xy, config.target_positions)
-    if log.mode == "flock":
-        dv = log.v_f_hat[rows] - log.v0[rows, None, :]
-        log.est_errors[rows] = np.sqrt(np.einsum("rij,rij->ri", dv, dv))
-        return
-    e_t = log.target_pos[rows] - log.poses[rows, config.leader - 1, :2]
-    log.e_t_norm[rows] = np.hypot(e_t[:, 0], e_t[:, 1])
-    dv = log.v_t_hat[rows] - log.target_vel[rows, None, :]
-    log.v_t_err[rows] = np.sqrt(np.einsum("rij,rij->ri", dv, dv))
-    de = log.e_t_hat[rows] - e_t[:, None, :]
-    log.e_t_err[rows] = np.sqrt(np.einsum("rij,rij->ri", de, de))
-    log.hull_inside[rows] = hull_containment(log, rows)
+    ref = log.references[rows].reshape(len(xy), -1, 2).copy()  # (rows, K, 2)
+    if log.mode == "intercept":
+        ref[:, 1] -= xy[:, config.leader - 1]  # channel e_T's reference p_T - p_L
+        log.e_t_norm[rows] = np.hypot(ref[:, 1, 0], ref[:, 1, 1])
+        log.hull_inside[rows] = hull_containment(log, rows)
+    d = log.est[rows].reshape(len(xy), config.n, -1, 2) - ref[:, None]
+    log.est_errors[rows] = np.sqrt(np.einsum("rikj,rikj->rki", d, d))
 
 
 def run(config: RunConfig, force_kernel: str | None = None,
@@ -383,30 +374,22 @@ def run(config: RunConfig, force_kernel: str | None = None,
     sample_every = config.sample_every
     n_steps = step_count(config.duration, dt, sample_every)
     rows = n_steps // sample_every + 1
-    fields, logged = _ESTIMATES[config.mode], _LOGGED_REFERENCES[config.mode]
+    fields = _ESTIMATES[config.mode]
+    k = len(fields)
 
     shapes = {"t": (rows,), "poses": (rows, n, 3), "commands": (rows, n, 2),
-              "u": (rows, n, 2), "heading_errors": (rows, n),
-              "est": (rows, n, 2 * len(fields)),
-              "edge_errors": (rows, config.graph.edge_count),
-              **{name: (rows, 2) for name in logged}}
+              "u": (rows, n, 2), "heading_errors": (rows, n), "est": (rows, n, 2 * k),
+              "references": (rows, 2 * k), "est_errors": (rows, k, n),
+              "edge_errors": (rows, config.graph.edge_count)}
     if config.target_positions is not None:
         shapes["shape_dist"] = (rows,)
-    if config.mode == "flock":
-        shapes.update(est_errors=(rows, n))
-    else:
-        shapes.update(e_t_norm=(rows,), v_t_err=(rows, n), e_t_err=(rows, n),
-                      hull_inside=(rows,))
-    arrays = _shared_arrays(shapes)
-    est_log = arrays.pop("est")
-    arrays.setdefault("shape_dist", None)
-    log = TrajectoryLog(config.mode, **arrays)
-    for k, name in enumerate(fields):
-        setattr(log, name, est_log[..., 2 * k:2 * k + 2])
+    if config.mode == "intercept":
+        shapes.update(e_t_norm=(rows,), hull_inside=(rows,))
+    log = TrajectoryLog(config.mode, **_shared_arrays(shapes))
     pose = config.initial_poses.copy()
     est = np.concatenate([getattr(config, "initial_" + name) for name in fields], axis=1)
     law, rollout = config.law(), getattr(kernels, f"{config.mode}_rollout")
-    outs = (log.poses, log.commands, log.u, log.heading_errors, est_log)
+    outs = (log.poses, log.commands, log.u, log.heading_errors, log.est)
 
     runtime = 0.0
     r0 = 0
@@ -418,8 +401,7 @@ def run(config: RunConfig, force_kernel: str | None = None,
         times = np.arange(s0, s1 + 1) * dt
         signal = config.references(times)
         log.t[r0:ready + 1] = times[::sample_every]
-        for k, name in enumerate(logged):
-            getattr(log, name)[r0:ready + 1] = signal[::sample_every, 2 * k:2 * k + 2]
+        log.references[r0:ready + 1] = signal[::sample_every, :2 * k]
         tic = _time.perf_counter()
         kernel_name, form, status = rollout(
             law, pose, est, signal, dt, s1 - s0, sample_every,
@@ -487,8 +469,8 @@ def metrics(log: TrajectoryLog, settle_time_s: float | None = None) -> dict:
     else:
         out["final_e_t_norm"] = float(log.e_t_norm[-1])
         out[f"max_e_t_norm_{tag}"] = float(log.e_t_norm[mask].max())
-        out[f"max_vt_estimation_error_{tag}"] = float(log.v_t_err[mask].max())
-        out[f"max_et_estimation_error_{tag}"] = float(log.e_t_err[mask].max())
+        out[f"max_vt_estimation_error_{tag}"] = float(log.est_errors[mask, 0].max())
+        out[f"max_et_estimation_error_{tag}"] = float(log.est_errors[mask, 1].max())
         out["hull_contains_final"] = bool(log.hull_inside[-1])
         out[f"hull_contains_always_{tag}"] = bool(log.hull_inside[mask].all())
     return out
@@ -506,7 +488,7 @@ def velocity_tracking_errors(log: TrajectoryLog) -> np.ndarray:
         return np.zeros((0,))
     h = log.t[2:] - log.t[:-2]
     fd = (log.poses[2:, :, :2] - log.poses[:-2, :, :2]) / h[:, None, None]
-    dv = fd - log.v0[1:-1, None, :]
+    dv = fd - log.references[1:-1, None, :]
     return np.sqrt(np.einsum("rij,rij->ri", dv, dv)).max(axis=1)
 
 
@@ -558,4 +540,5 @@ def hull_containment(log: TrajectoryLog, rows: slice = slice(None)) -> np.ndarra
     positions, by one ``convex_hull_contains`` call over all of them."""
     if log.mode != "intercept":
         raise ValueError("hull containment is an intercept-mode metric")
-    return convex_hull_contains(log.poses[rows, : log.n - 1, :2], log.target_pos[rows])
+    return convex_hull_contains(log.poses[rows, : log.n - 1, :2],
+                                log.references[rows, 2:4])

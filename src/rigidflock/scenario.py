@@ -245,6 +245,8 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
     if "target_distances_m" in data:
         dists = _parse_array(data["target_distances_m"],
                              (graph.edge_count,), "target_distances_m")
+        if np.any(dists <= 0):
+            _fail("target_distances_m", "entries must be positive")
     else:
         dists = np.sqrt(edge_function(fw))
     try:
@@ -364,12 +366,15 @@ def scenario_from_dict(data: dict, *, duration: float | None = None,
 
 
 def read_json(path):
-    """The document in a JSON file; ScenarioError unless it is UTF-8 JSON."""
+    """The document in a JSON file; ScenarioError unless it is UTF-8 JSON
+    that the decoder can nest."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ScenarioError(f"{path}: not valid UTF-8 JSON: {exc}") from exc
+        except RecursionError:
+            raise ScenarioError(f"{path}: JSON nested too deeply to decode") from None
 
 
 def load_scenario(path, *, duration: float | None = None,

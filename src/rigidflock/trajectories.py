@@ -24,10 +24,16 @@ def is_json_number(value) -> bool:
 
 
 def is_json_numeric_array(value) -> bool:
-    """True for a number or nested lists whose every leaf is a number."""
-    if isinstance(value, (list, tuple)):
-        return all(is_json_numeric_array(v) for v in value)
-    return is_json_number(value)
+    """True for a number or nested lists whose every leaf is a number, at
+    any depth (the walk keeps its own stack, not Python's)."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, (list, tuple)):
+            stack.extend(v)
+        elif not is_json_number(v):
+            return False
+    return True
 
 
 def _vec2(value, name: str) -> np.ndarray:

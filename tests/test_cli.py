@@ -224,6 +224,40 @@ def test_non_utf8_file_exits_1_without_traceback(tmp_path, command):
     assert_one_error_line(run_child(argv))
 
 
+def nested_json(data, field, depth):
+    """``data`` as JSON text with the value of ``field`` (a dotted path)
+    inside ``depth`` lists."""
+    *parents, key = field.split(".")
+    obj = data
+    for parent in parents:
+        obj = obj[parent]
+    inner, obj[key] = json.dumps(obj[key]), "@"
+    return json.dumps(data).replace('"@"', "[" * depth + inner + "]" * depth)
+
+
+# The decoder's RecursionError, and 500 levels of the recursive array
+# check, once ended in a traceback.  check-rigidity never reads the gains.
+@pytest.mark.parametrize("command, field, depth, error", [
+    pytest.param(command, *case, id=f"{command}-{case[0] or 'document'}")
+    for command in ("simulate", "check-rigidity") for case in [
+        (None, 100_000, "error: {path}: JSON nested too deeply"),
+        ("target_positions_m", 500, "error: target_positions_m: ")]
+] + [pytest.param("simulate", "gains.c", 500, "error: gains.c: ", id="simulate-gains.c")])
+def test_deeply_nested_json_exits_1_without_traceback(tmp_path, command, field,
+                                                      depth, error):
+    with open(bundled_scenario_path("pentagon_flock")) as fh:
+        data = json.load(fh)
+    path = tmp_path / "nested.json"
+    path.write_text("[" * depth if field is None else nested_json(data, field, depth),
+                    encoding="utf-8")
+    argv = [command, str(path)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "o")]
+    out = run_child(argv)
+    assert_one_error_line(out)
+    assert out.stderr.startswith(error.format(path=path)), out.stderr
+
+
 @pytest.mark.parametrize("command", ["simulate", "check-rigidity"])
 def test_non_pair_edge_exits_1_without_traceback(tmp_path, command):
     path = scenario_json(tmp_path, edges=[[1, 2], [1]])
@@ -344,9 +378,10 @@ def reference_csvs(log, edges):
 
     n = log.n
     flock = log.mode == "flock"
-    per_agent = ([log.poses, log.commands, log.u, log.v_f_hat] if flock else
-                 [log.poses, log.commands, log.u, log.v_t_hat, log.e_t_hat])
-    shared = [log.v0] if flock else [log.target_pos, log.target_vel]
+    # est holds v_f_hat, or v_t_hat then e_t_hat; references v_0, or v_T then p_T.
+    per_agent = [log.poses, log.commands, log.u, log.est]
+    v_ref, p_ref = log.references[:, :2], log.references[:, 2:]
+    shared = [v_ref] if flock else [p_ref, v_ref]
     header = ["t_s"]
     for i in range(1, n + 1):
         header += [f"x_m_{i}", f"y_m_{i}", f"theta_rad_{i}",
@@ -383,10 +418,10 @@ def reference_csvs(log, edges):
         row += [fmt(v) for v in log.edge_errors[r]]
         row += [fmt(v) for v in log.heading_errors[r]]
         if flock:
-            row += [fmt(v) for v in log.est_errors[r]] + [fmt(log.shape_dist[r])]
+            row += [fmt(v) for v in log.est_errors[r, 0]] + [fmt(log.shape_dist[r])]
         else:
-            row += [fmt(v) for v in log.v_t_err[r]]
-            row += [fmt(v) for v in log.e_t_err[r]]
+            row += [fmt(v) for v in log.est_errors[r, 0]]
+            row += [fmt(v) for v in log.est_errors[r, 1]]
             row += [fmt(log.e_t_norm[r]), fmt(log.shape_dist[r]),
                     str(int(log.hull_inside[r]))]
         w.writerow(row)
@@ -437,11 +472,10 @@ def test_writers_match_reference_when_a_row_exceeds_a_block(tmp_path):
     # 250 copies of the six agents: each row of either table holds more
     # values than one block.
     copies = 250
-    per_agent = ("poses", "commands", "u", "v_t_hat", "e_t_hat",
-                 "heading_errors", "v_t_err", "e_t_err", "edge_errors")
+    per_agent = ("poses", "commands", "u", "est", "heading_errors", "edge_errors")
     wide = dataclasses.replace(log, **{
         name: np.concatenate([getattr(log, name)] * copies, axis=1)
-        for name in per_agent})
+        for name in per_agent}, est_errors=np.concatenate([log.est_errors] * copies, axis=2))
     wide_edges = list(edges) * copies
     expected = reference_csvs(wide, wide_edges)
     for blob in expected:

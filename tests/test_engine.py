@@ -1,6 +1,7 @@
 """Tests for the simulation engine: stepping, rollouts, metrics, sensing."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -65,7 +66,8 @@ def intercept_config():
 def world_at(log, r):
     """The WorldState that row ``r`` of ``log`` records."""
     return WorldState(float(log.t[r]), log.poses[r], **{
-        name: getattr(log, name)[r] for name in engine._ESTIMATES[log.mode]})
+        name: log.est[r, :, 2 * k:2 * k + 2]
+        for k, name in enumerate(engine._ESTIMATES[log.mode])})
 
 
 # The forms a bundled pentagon runs in: the default (the loop form, or
@@ -219,7 +221,7 @@ def test_exact_equilibrium_is_bitwise_stationary():
         log = run(cfg, force_kernel=form)
         for r in range(log.rows):
             np.testing.assert_array_equal(log.poses[r], w0.poses, err_msg=(form, r))
-            np.testing.assert_array_equal(log.v_f_hat[r], w0.v_f_hat, err_msg=(form, r))
+            np.testing.assert_array_equal(log.est[r], w0.v_f_hat, err_msg=(form, r))
         assert log.edge_errors.max() == 0.0
         m = metrics(log)
         assert m["final_max_edge_error"] == 0.0
@@ -341,7 +343,7 @@ def test_chunked_run_equals_one_chunk(monkeypatch, mode, form, sample_every):
     monkeypatch.setattr(engine, "_CHUNK_ROWS", 10**9)
     whole = run(cfg, force_kernel="numpy")
     expected = log_arrays(whole)
-    assert len(expected) == {"flock": 10, "intercept": 15}[mode]  # all of them
+    assert len(expected) == {"flock": 10, "intercept": 12}[mode]  # all of them
     for rows in (1, 2, 3):
         monkeypatch.setattr(engine, "_CHUNK_ROWS", rows)
         reports = []
@@ -391,13 +393,46 @@ def test_chunked_references_equal_one_sampling_of_the_run(monkeypatch, mode):
     pos, vel, _ = cfg.signal.sample(times)
     np.testing.assert_array_equal(log.t, times[::3])
     if mode == "flock":
-        np.testing.assert_array_equal(log.v0, vel[::3])
+        np.testing.assert_array_equal(log.references, vel[::3])  # v0
     else:
-        np.testing.assert_array_equal(log.target_pos, pos[::3])
-        np.testing.assert_array_equal(log.target_vel, vel[::3])
+        np.testing.assert_array_equal(log.references[:, 2:], pos[::3])  # p_T
+        np.testing.assert_array_equal(log.references[:, :2], vel[::3])  # v_T
 
 
 # --- rollouts and logs -------------------------------------------------------
+
+@pytest.mark.parametrize("mode", ["flock", "intercept"])
+def test_derived_series_match_a_per_agent_recomputation(monkeypatch, mode):
+    # Every derived error, recomputed row by row and agent by agent with
+    # math.hypot from the logged poses, estimates and references, over
+    # four chunks of rows.
+    base = load_scenario(bundled_scenario_path(f"pentagon_{mode}")).to_run_config()
+    cfg = dataclasses.replace(base, duration=base.dt * 150, sample_every=3)
+    monkeypatch.setattr(engine, "_CHUNK_ROWS", 16)  # 51 rows
+    log = run(cfg)
+    leader = cfg.leader - 1  # intercept
+    for r in range(log.rows):
+        pos, vel, _ = cfg.signal.state(float(log.t[r]))
+        ref = log.references[r]
+        np.testing.assert_allclose(ref, vel if mode == "flock" else
+                                   np.concatenate([vel, pos]), rtol=0, atol=1e-12)
+        xy = log.poses[r, :, :2]
+        edges = [abs(math.hypot(*(xy[i - 1] - xy[j - 1])) - d)
+                 for (i, j), d in zip(cfg.graph.edges, cfg.distances)]
+        if mode == "flock":
+            references = [ref]  # v_0
+        else:
+            e_t = ref[2:4] - xy[leader]  # p_T - p_L
+            references = [ref[0:2], e_t]  # v_T, e_T
+        est = [[math.hypot(*(log.est[r, i, 2 * k:2 * k + 2] - reference))
+                for i in range(cfg.n)] for k, reference in enumerate(references)]
+        np.testing.assert_allclose(log.edge_errors[r], edges, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(log.est_errors[r], est, rtol=1e-12, atol=1e-15)
+        if mode == "intercept":
+            assert log.e_t_norm[r] == pytest.approx(math.hypot(*e_t), rel=1e-12)
+    # Not a comparison of zeros: every channel is still converging.
+    assert np.all(log.est_errors[-1].max(axis=1) > 1e-3)
+    assert log.edge_errors[-1].max() > 1e-3
 
 def test_step_count_within_rounding():
     # 0.3 / 1e-4 is 2999.9999999999995: a whole number within rounding.
@@ -463,7 +498,7 @@ def test_run_matches_repeated_step_world_flock():
     for _ in range(cfg.sample_every * 3):
         w = law_step(w, cfg)
     np.testing.assert_allclose(w.poses, log.poses[3], atol=1e-12)
-    np.testing.assert_allclose(w.v_f_hat, log.v_f_hat[3], atol=1e-12)
+    np.testing.assert_allclose(w.v_f_hat, log.est[3], atol=1e-12)
 
 
 def test_run_matches_repeated_step_world_intercept():
@@ -473,8 +508,8 @@ def test_run_matches_repeated_step_world_intercept():
     for _ in range(cfg.sample_every * 2):
         w = law_step(w, cfg)
     np.testing.assert_allclose(w.poses, log.poses[2], atol=1e-12)
-    np.testing.assert_allclose(w.v_t_hat, log.v_t_hat[2], atol=1e-12)
-    np.testing.assert_allclose(w.e_t_hat, log.e_t_hat[2], atol=1e-12)
+    np.testing.assert_allclose(w.v_t_hat, log.est[2, :, :2], atol=1e-12)
+    np.testing.assert_allclose(w.e_t_hat, log.est[2, :, 2:], atol=1e-12)
 
 
 def kabsch_distance(p, q):

@@ -244,11 +244,12 @@ def intercept_log(followers, targets):
     rows, m = followers.shape[:2]
     poses = np.zeros((rows, m + 1, 3))
     poses[:, :m, :2] = followers
-    zeros = np.zeros((rows, m + 1))
+    references = np.zeros((rows, 4))  # v_T, p_T
+    references[:, 2:] = targets
     return TrajectoryLog("intercept", np.arange(rows, dtype=float), poses,
                          np.zeros((rows, m + 1, 2)), np.zeros((rows, m + 1, 2)),
-                         zeros, np.zeros((rows, 0)), zeros, None,
-                         target_pos=np.asarray(targets, dtype=float))
+                         np.zeros((rows, m + 1, 4)), references, np.zeros((rows, 0)),
+                         np.zeros((rows, m + 1)), np.zeros((rows, 2, m + 1)))
 
 
 def test_hull_containment_matches_per_row_test_on_degenerate_rows():

@@ -36,7 +36,7 @@ def test_flock_kernels_agree():
     jit_log, np_log = run_both("pentagon_flock", duration=2.0)
     assert np.abs(jit_log.poses - np_log.poses).max() < 1e-9
     assert np.abs(jit_log.commands - np_log.commands).max() < 1e-9
-    assert np.abs(jit_log.v_f_hat - np_log.v_f_hat).max() < 1e-9
+    assert np.abs(jit_log.est - np_log.est).max() < 1e-9  # v_f_hat
     assert jit_log.meta["kernel"] == "numba"
     assert np_log.meta["kernel"] == "numpy"
 
@@ -46,8 +46,8 @@ def test_intercept_kernels_agree():
     jit_log, np_log = run_both("pentagon_intercept", duration=1.0)
     assert np.abs(jit_log.poses - np_log.poses).max() < 1e-9
     assert np.abs(jit_log.commands - np_log.commands).max() < 1e-9
-    assert np.abs(jit_log.v_t_hat - np_log.v_t_hat).max() < 1e-9
-    assert np.abs(jit_log.e_t_hat - np_log.e_t_hat).max() < 1e-9
+    assert np.abs(jit_log.est[..., :2] - np_log.est[..., :2]).max() < 1e-9  # v_t_hat
+    assert np.abs(jit_log.est[..., 2:] - np_log.est[..., 2:]).max() < 1e-9  # e_t_hat
 
 
 def henneberg_config(n, seed, steps, mode="flock", smoothing_epsilon=0.01):
@@ -111,8 +111,14 @@ def test_loop_form_matches_numpy_rollout(case, monkeypatch):
 LOGGED_ESTIMATES = {"flock": ("v_f_hat",), "intercept": ("v_t_hat", "e_t_hat")}
 
 
+def logged_estimates(log, r):
+    """Row ``r`` of the log's estimates, by their WorldState field names."""
+    return {name: log.est[r, :, 2 * k:2 * k + 2]
+            for k, name in enumerate(LOGGED_ESTIMATES[log.mode])}
+
+
 def assert_logs_match(log, ref):
-    for name in ("poses", "commands", "heading_errors") + LOGGED_ESTIMATES[log.mode]:
+    for name in ("poses", "commands", "heading_errors", "est"):
         diff = np.abs(getattr(log, name) - getattr(ref, name)).max()
         assert diff < 1e-9, (name, diff)
 
@@ -222,7 +228,7 @@ def test_list_runtime_equals_array_loop_form_from_zero_estimates(
             m.setattr(kernels, "_rollout_numpy", runtime)
             logs.append(engine.run(cfg, force_kernel="numpy"))
     for log in logs[1:]:
-        for name in ("poses", "commands", "u", "heading_errors") + LOGGED_ESTIMATES[mode]:
+        for name in ("poses", "commands", "u", "heading_errors", "est"):
             assert_same_bits(getattr(log, name), getattr(logs[0], name), name)
 
 
@@ -345,8 +351,7 @@ def test_measurement_oracle_matches_law_on_random_rigid_graphs(
         cfg.k_a, cfg.k_t, cfg.c, cfg.alpha1, cfg.alpha2)
     log = engine.run(cfg, force_kernel="numpy")
     for r in range(5):
-        world = engine.WorldState(float(log.t[r]), log.poses[r], **{
-            name: getattr(log, name)[r] for name in LOGGED_ESTIMATES[mode]})
+        world = engine.WorldState(float(log.t[r]), log.poses[r], **logged_estimates(log, r))
         commands, rates = oracle.measurement_commands(world, cfg)
         if mode == "flock":
             _, v0, _ = cfg.signal.state(world.time)
@@ -502,9 +507,8 @@ def assert_numpy_rollout_matches_repeated_evaluations(mode):
                     f: rate[:, k] for k, f in enumerate(fields)})
         assert world.time == pytest.approx(step * cfg.dt)
         np.testing.assert_allclose(world.poses, log.poses[r], atol=1e-12)
-        for f in fields:
-            np.testing.assert_allclose(getattr(world, f), getattr(log, f)[r],
-                                       atol=1e-12, err_msg=f)
+        for f, logged in logged_estimates(log, r).items():
+            np.testing.assert_allclose(getattr(world, f), logged, atol=1e-12, err_msg=f)
 
 
 def test_force_argument_validation():

@@ -6,6 +6,7 @@ import inspect
 import itertools
 import json
 import logging
+import re
 import warnings
 from pathlib import Path
 
@@ -203,6 +204,13 @@ def test_intercept_scenario_fields():
                  "sim.sample_every: must be an integer", id="sim.sample_every-bool"),
     pytest.param(lambda d: d.update(gains=5), "gains: must be an object",
                  id="gains-not-an-object"),
+    # Non-positive distances were once reported under target_positions_m.
+    pytest.param(lambda d: d.update(target_distances_m=[0.0] * len(d["edges"])),
+                 "^target_distances_m: entries must be positive",
+                 id="target_distances_m-zero"),
+    pytest.param(lambda d: d.update(target_distances_m=[-1.0] * len(d["edges"])),
+                 "^target_distances_m: entries must be positive",
+                 id="target_distances_m-negative"),
     # json.load reads NaN as a float.
     pytest.param(lambda d: d.update(initial={"poses": [[float("nan"), 0.0, 0.0]] * 5}),
                  "initial.poses: entries must be finite", id="initial.poses-nan"),
@@ -549,6 +557,45 @@ def test_invalid_json_file(tmp_path):
         load_scenario(path)
     path.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(ScenarioError, match="^scenario: top level must be a JSON object$"):
+        load_scenario(path)
+
+
+def nested_scenario_text(field, depth, inner):
+    """pentagon_flock's JSON text with ``field`` (a dotted path) set to the
+    JSON text ``inner`` inside ``depth`` lists."""
+    d = flock_dict()
+    *parents, key = field.split(".")
+    obj = d
+    for parent in parents:
+        obj = obj[parent]
+    obj[key] = "@"
+    return json.dumps(d).replace('"@"', "[" * depth + inner + "]" * depth)
+
+
+def test_json_nested_beyond_the_decoder_is_a_scenario_error(tmp_path):
+    # The decoder's RecursionError once escaped as a traceback.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    with pytest.raises(ScenarioError,
+                       match=f"^{re.escape(str(path))}: JSON nested too deeply"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("field, inner, error", [
+    pytest.param("target_positions_m", json.dumps(flock_dict()["target_positions_m"]),
+                 "must be a numeric array", id="target_positions_m"),
+    pytest.param("target_distances_m", json.dumps([1.0] * len(flock_dict()["edges"])),
+                 "must be a numeric array", id="target_distances_m"),
+    pytest.param("gains.c", "1.0", "heading gains c must be one number or one per agent",
+                 id="gains.c-number"),
+    pytest.param("gains.c", '"x"', "must be a number or a list of numbers",
+                 id="gains.c-string"),
+])
+def test_deeply_nested_array_is_a_scenario_error(tmp_path, field, inner, error):
+    # 500 levels decode, but once exhausted the array check's recursion.
+    path = tmp_path / "nested.json"
+    path.write_text(nested_scenario_text(field, 500, inner), encoding="utf-8")
+    with pytest.raises(ScenarioError, match=f"^{re.escape(field)}: {error}"):
         load_scenario(path)
 
 

@@ -8,6 +8,7 @@ from rigidflock.trajectories import (
     LinePath,
     SinePath,
     WaypointPath,
+    is_json_numeric_array,
     make_trajectory,
 )
 
@@ -132,3 +133,15 @@ def test_make_trajectory_errors():
         make_trajectory({"kind": "spiral"})
     with pytest.raises(ValueError, match="missing field"):
         make_trajectory({"kind": "line", "start_m": [0.0, 0.0]})
+
+
+def test_numeric_array_check_has_no_depth_limit():
+    # The check once recursed through a generator at every level, so
+    # 500 levels exhausted Python's stack.
+    deep_number, deep_string = 1.0, "x"
+    for _ in range(100_000):
+        deep_number, deep_string = [deep_number], [deep_string]
+    assert is_json_numeric_array(deep_number)
+    assert not is_json_numeric_array(deep_string)
+    assert is_json_numeric_array([[1, 2.5], [], 3])
+    assert not is_json_numeric_array([[1, 2], [True]])
